@@ -13,7 +13,6 @@ from .costs import (
 )
 from .equilibrium import (
     Deviation,
-    DpTable,
     DynamicsStep,
     DynamicsTrace,
     HarmonicBoundReport,
@@ -21,7 +20,6 @@ from .equilibrium import (
     PneVerdict,
     best_response,
     brute_force_min_potential,
-    build_dp_table,
     check_harmonic_bound,
     check_no_cross,
     compute_pne_dp,

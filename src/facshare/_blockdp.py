@@ -1,26 +1,26 @@
-"""Shared dynamic program over consecutive agent blocks.
+"""Exact search for both objectives: the block DP and the guarded enumerator.
 
-Both the equilibrium solver and the optimal-assignment solver search the
-family of assignments in which, after sorting agents by position, every used
-facility serves one consecutive block and blocks take facilities in strictly
-increasing index order (facilities themselves are location-sorted). Each
-solver supplies a ``size_weight`` vector ``w`` that prices a block of ``s``
-agents at facility ``f`` as::
+The potential and the social cost differ only in how a facility with ``s``
+users is priced. Both searches take that price as a size-weight vector ``w``
+with ``w[0] = 0`` (harmonic numbers for the potential, ``w[s >= 1] = 1`` for
+the social cost), so an assignment costs ``sum_f b_f * w[load_f]`` plus its
+agents' distances.
 
-    b_f * w[s] + sum of |x_a - loc_f| over the block
+The DP searches the family of assignments in which, after sorting agents by
+position, every used facility serves one consecutive block and blocks take
+facilities in strictly increasing index order (facilities themselves are
+location-sorted). The table ``G[t, k]`` holds the cheapest partition of the
+first ``t`` sorted agents using facilities ``1..k`` only. ``G[t, 0]`` is
+infeasible (+inf) for ``t >= 1``: agents cannot be left unassigned. The
+transposed candidate matrix for the rightmost block is scanned with
+cumulative minima, which keeps the whole solve at O(n*m) vectorized element
+operations per agent prefix, O(n^2 * m) overall, after an O(n*m)
+distance-prefix precomputation.
 
-(harmonic prefix for the potential, all-ones for the social cost).
-
-The table ``G[t, k]`` holds the cheapest partition of the first ``t`` sorted
-agents using facilities ``1..k`` only. ``G[t, 0]`` is infeasible (+inf) for
-``t >= 1``: agents cannot be left unassigned. The transposed candidate matrix
-for the rightmost block is scanned with cumulative minima, which keeps the
-whole solve at O(n*m) vectorized element operations per agent prefix,
-O(n^2 * m) overall, after an O(n*m) distance-prefix precomputation.
-
-Tie-breaking is deterministic: the rightmost block is extended as far left as
-possible among cost minimizers, and the smallest facility index wins among
-the remaining ties.
+Tie rule: the DP takes the widest rightmost block among cost minimizers, then
+the smallest facility index (agents are sorted stably, so co-located agents
+keep input order); the enumerator returns the lexicographically smallest
+minimizer in the caller's agent order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["distance_prefix", "PartitionSolution", "solve_block_partition"]
+from .model import Assignment, Instance
+
+__all__ = ["BruteForceLimitError", "distance_prefix", "PartitionSolution",
+           "solve_block_partition"]
+
+
+class BruteForceLimitError(RuntimeError):
+    """The exhaustive search space exceeds the configured guard."""
 
 
 def distance_prefix(sorted_x: np.ndarray, locations: np.ndarray) -> np.ndarray:
@@ -88,3 +95,52 @@ def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
         j, cap = start, fac
     blocks.reverse()
     return PartitionSolution(value, tuple(blocks))
+
+
+def _block_assignment(instance: Instance, size_weight: np.ndarray) -> Assignment:
+    """Solve the block DP on stably sorted agents and map the blocks back to
+    the caller's agent order."""
+    positions = np.asarray(instance.profile.positions, dtype=float)
+    env = instance.environment
+    order = np.argsort(positions, kind="stable")
+    solution = solve_block_partition(
+        positions[order],
+        np.asarray(env.locations, dtype=float),
+        np.asarray(env.building_costs, dtype=float),
+        size_weight,
+    )
+    choices = np.empty(len(positions), dtype=int)
+    for lo, hi, fac in solution.blocks:
+        choices[order[lo:hi]] = fac
+    return Assignment(tuple(int(c) for c in choices))
+
+
+def _brute_force_min(instance: Instance, size_weight: np.ndarray,
+                     limit: int) -> tuple[float, Assignment]:
+    """Minimum cost over all ``m**n`` assignments and the lexicographically
+    smallest assignment attaining it, scanned in chunks of 2**16."""
+    n, m = instance.n, instance.m
+    total = m ** n
+    if total > limit:
+        raise BruteForceLimitError(
+            f"{m}**{n} = {total} assignments exceed the brute-force guard {limit}")
+    x = np.asarray(instance.profile.positions, dtype=float)
+    locs = np.asarray(instance.environment.locations, dtype=float)
+    b = np.asarray(instance.environment.building_costs, dtype=float)
+    divisors = (m ** np.arange(n - 1, -1, -1)).astype(np.int64)
+
+    best_value = math.inf
+    best_id = 0
+    chunk = 1 << 16
+    for lo in range(0, total, chunk):
+        ids = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        digits = (ids[:, None] // divisors[None, :]) % m
+        value = np.abs(x[None, :] - locs[digits]).sum(axis=1)
+        for fac in range(m):
+            value += b[fac] * size_weight[(digits == fac).sum(axis=1)]
+        at = int(np.argmin(value))
+        if value[at] < best_value:
+            best_value = float(value[at])
+            best_id = int(ids[at])
+    digits = (best_id // divisors) % m
+    return best_value, Assignment(tuple(int(d) + 1 for d in digits))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -103,6 +104,17 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _matches_bruteforce(oracle, value: float) -> bool | str:
+    """Compare ``value`` with the brute-force ``oracle()``; "skipped", with a
+    warning, when the search space exceeds the guard."""
+    try:
+        expected = oracle()
+    except BruteForceLimitError as exc:
+        print(f"warning: partial verification, {exc}", file=sys.stderr)
+        return "skipped"
+    return abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
 def _solve_one(path: str, mode: str, verify: bool) -> dict:
     started = time.perf_counter()
     instance = load_instance(path)
@@ -137,33 +149,29 @@ def _solve_one(path: str, mode: str, verify: bool) -> dict:
         if pne is not None:
             verification["pne_check"] = bool(is_pne(profile, pne, env))
             verification["no_cross"] = bool(check_no_cross(profile, pne, env))
-            try:
-                oracle = brute_force_min_potential(instance, limit=_ORACLE_LIMIT)
-                value = potential(profile, pne, env)
-                verification["potential_matches_bruteforce"] = (
-                    abs(value - oracle) <= 1e-9 * max(1.0, abs(oracle)))
-            except BruteForceLimitError as exc:
-                print(f"warning: partial verification, {exc}", file=sys.stderr)
-                verification["potential_matches_bruteforce"] = "skipped"
+            verification["potential_matches_bruteforce"] = _matches_bruteforce(
+                lambda: brute_force_min_potential(instance, limit=_ORACLE_LIMIT),
+                potential(profile, pne, env))
         if opt is not None:
-            try:
-                oracle_opt = optimal_brute_force(instance, limit=_ORACLE_LIMIT)
-                verification["opt_matches_bruteforce"] = (
-                    abs(outputs["opt"]["social_cost"] - oracle_opt.social_cost)
-                    <= 1e-9 * max(1.0, abs(oracle_opt.social_cost)))
-            except BruteForceLimitError as exc:
-                print(f"warning: partial verification, {exc}", file=sys.stderr)
-                verification["opt_matches_bruteforce"] = "skipped"
+            verification["opt_matches_bruteforce"] = _matches_bruteforce(
+                lambda: optimal_brute_force(instance, limit=_ORACLE_LIMIT).social_cost,
+                outputs["opt"]["social_cost"])
         outputs["verified"] = verification
     return _result("solve", name, outputs, started)
+
+
+def _worker_count(jobs: int, inputs: int) -> int:
+    # More workers than files or cores only adds process start-up cost.
+    return min(jobs, inputs, os.cpu_count() or 1)
 
 
 def _cmd_solve(args) -> int:
     if len(args.inputs) == 1:
         _emit(_solve_one(args.inputs[0], args.mode, args.verify), args.out)
         return EXIT_OK
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = _worker_count(args.jobs, len(args.inputs))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_solve_one, args.inputs,
                                     [args.mode] * len(args.inputs),
                                     [args.verify] * len(args.inputs)))
@@ -178,6 +186,7 @@ def _cmd_solve(args) -> int:
 
 
 def _parse_start(token: str, instance: Instance) -> Assignment:
+    """The start assignment, in the instance file's facility numbering."""
     n, m = instance.n, instance.m
     if token == "all-1":
         return Assignment((1,) * n)
@@ -190,9 +199,19 @@ def _parse_start(token: str, instance: Instance) -> Assignment:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, list):
             raise ValidationError("assignment file must be a JSON array")
-        return Assignment(tuple(int(v) for v in doc))
+        for v in doc:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValidationError(
+                    f"assignment file entries must be integers, got {v!r}")
+        return Assignment(tuple(doc))
     raise ValidationError(
         f"invalid start spec {token!r}; expected all-1, random:SEED, or file:PATH")
+
+
+def _sorted_choices(instance: Instance, assignment: Assignment) -> Assignment:
+    # Inverse of _input_order_choices: file numbering to sorted numbering.
+    to_sorted = np.argsort(instance.environment.input_order) + 1
+    return Assignment(tuple(int(to_sorted[c - 1]) for c in assignment.choices))
 
 
 def _cmd_dynamics(args) -> int:
@@ -200,8 +219,10 @@ def _cmd_dynamics(args) -> int:
     instance = load_instance(args.input)
     start = _parse_start(args.start, instance)
     start.validate_for(instance.profile, instance.environment)
-    trace = run_dynamics(instance, start, order=args.order,
-                         max_steps=args.max_steps, seed=args.seed)
+    trace = run_dynamics(instance, _sorted_choices(instance, start),
+                         order=args.order, max_steps=args.max_steps,
+                         seed=args.seed)
+    to_input = instance.environment.to_input_facility
     outputs = {
         "start": list(start.choices),
         "order": args.order,
@@ -209,8 +230,8 @@ def _cmd_dynamics(args) -> int:
         "steps": [
             {
                 "agent": s.agent,
-                "from_facility": s.from_facility,
-                "to_facility": s.to_facility,
+                "from_facility": to_input(s.from_facility),
+                "to_facility": to_input(s.to_facility),
                 "cost_delta": s.cost_delta,
                 "potential_after": s.potential_after,
             }

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blockdp import distance_prefix, solve_block_partition
+from ._blockdp import _block_assignment, _brute_force_min
 from .costs import EPS_CMP, harmonic_numbers, potential, social_cost
 from .model import Assignment, Environment, Instance, Profile, ValidationError
 
@@ -30,8 +30,6 @@ __all__ = [
     "DynamicsTrace",
     "run_dynamics",
     "compute_pne_dp",
-    "DpTable",
-    "build_dp_table",
     "brute_force_min_potential",
     "CrossingWitness",
     "NoCrossVerdict",
@@ -209,12 +207,6 @@ def run_dynamics(instance: Instance, start: Assignment,
                          initial_potential)
 
 
-def _sorted_view(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
-    positions = np.asarray(profile.positions, dtype=float)
-    order = np.argsort(positions, kind="stable")
-    return positions[order], order
-
-
 def compute_pne_dp(instance: Instance, *, verify: bool = False) -> Assignment:
     """Compute a potential-minimizing assignment, which is always a pure Nash
     equilibrium, in O(n^2 * m) time after sorting.
@@ -226,22 +218,9 @@ def compute_pne_dp(instance: Instance, *, verify: bool = False) -> Assignment:
     agent order. Under ``python -O`` the equilibrium self-check only runs
     when ``verify`` is set; in normal (debug) runs it always does.
     """
-    profile, env = instance.profile, instance.environment
-    sorted_x, order = _sorted_view(profile)
-    solution = solve_block_partition(
-        sorted_x,
-        np.asarray(env.locations, dtype=float),
-        np.asarray(env.building_costs, dtype=float),
-        harmonic_numbers(profile.n),
-    )
-    choices_sorted = np.empty(profile.n, dtype=int)
-    for lo, hi, fac in solution.blocks:
-        choices_sorted[lo:hi] = fac
-    choices = np.empty(profile.n, dtype=int)
-    choices[order] = choices_sorted
-    assignment = Assignment(tuple(int(c) for c in choices))
+    assignment = _block_assignment(instance, harmonic_numbers(instance.n))
     if verify or __debug__:
-        verdict = is_pne(profile, assignment, env)
+        verdict = is_pne(instance.profile, assignment, instance.environment)
         if not verdict:
             raise RuntimeError(
                 f"internal error: solver output admits an improving deviation "
@@ -249,128 +228,9 @@ def compute_pne_dp(instance: Instance, *, verify: bool = False) -> Assignment:
     return assignment
 
 
-@dataclass
-class DpTable:
-    """Reference memo table for the consecutive-block recursion.
-
-    ``memo[(i, j, k)]`` is the cheapest potential over assignments of the
-    first ``j`` sorted agents to facilities ``1..k`` in which agents ``i..j``
-    (1-based, inclusive) share the rightmost block. ``math.inf`` marks
-    infeasible index combinations: agents remaining with no facility allowed.
-    ``choice`` holds ``("extend",)`` when agent ``i-1`` joins the block and
-    ``("split", f)`` when the block is exactly ``[i..j]`` at facility ``f``.
-    Entries are written once and never mutated.
-
-    This path is quadratic per state and meant for small instances and
-    cross-checking; :func:`compute_pne_dp` is the production solver.
-    """
-
-    memo: dict[tuple[int, int, int], float]
-    choice: dict[tuple[int, int, int], tuple]
-    n: int
-    m: int
-    _order: np.ndarray
-    _blocks: tuple[tuple[int, int, int], ...]
-
-    @property
-    def min_potential(self) -> float:
-        return self.memo[(self.n, self.n, self.m)]
-
-    def assignment(self) -> Assignment:
-        choices_sorted = np.empty(self.n, dtype=int)
-        for lo, hi, fac in self._blocks:
-            choices_sorted[lo:hi] = fac
-        choices = np.empty(self.n, dtype=int)
-        choices[self._order] = choices_sorted
-        return Assignment(tuple(int(c) for c in choices))
-
-
-def build_dp_table(instance: Instance) -> DpTable:
-    """Evaluate the block recursion by memoized recursion (reference path).
-
-    For ``1 <= i <= j`` and ``k >= 1`` the value is the cheaper of extending
-    the rightmost block to agent ``i-1`` and closing it as ``[i..j]`` at some
-    facility ``f <= k``, with the remaining agents ``1..i-1`` restricted to
-    facilities ``1..f-1``. Extension is preferred on ties, then the smallest
-    facility.
-    """
-    profile, env = instance.profile, instance.environment
-    sorted_x, order = _sorted_view(profile)
-    n, m = profile.n, env.m
-    dist = distance_prefix(sorted_x, np.asarray(env.locations, dtype=float))
-    harm = harmonic_numbers(n)
-    b = env.building_costs
-
-    def phi(i: int, j: int, fac: int) -> float:
-        return b[fac - 1] * harm[j - i + 1] + (dist[fac - 1, j] - dist[fac - 1, i - 1])
-
-    memo: dict[tuple[int, int, int], float] = {}
-    choice: dict[tuple[int, int, int], tuple] = {}
-
-    def minp(i: int, j: int, k: int) -> float:
-        if j == 0:
-            return 0.0
-        if k == 0:
-            return math.inf
-        key = (i, j, k)
-        if key in memo:
-            return memo[key]
-        best = math.inf
-        picked: tuple = ("infeasible",)
-        if i >= 2:
-            best = minp(i - 1, j, k)
-            picked = ("extend",)
-        for fac in range(1, k + 1):
-            value = minp(i - 1, i - 1, fac - 1) + phi(i, j, fac)
-            if value < best:
-                best, picked = value, ("split", fac)
-        memo[key] = best
-        choice[key] = picked
-        return best
-
-    minp(n, n, m)
-
-    blocks: list[tuple[int, int, int]] = []
-    i, j, k = n, n, m
-    while j > 0:
-        picked = choice[(i, j, k)]
-        if picked[0] == "extend":
-            i -= 1
-        else:
-            fac = picked[1]
-            blocks.append((i - 1, j, fac))
-            i = j = i - 1
-            k = fac - 1
-    blocks.reverse()
-    return DpTable(memo=memo, choice=choice, n=n, m=m, _order=order,
-                   _blocks=tuple(blocks))
-
-
 def brute_force_min_potential(instance: Instance, *, limit: int = 10_000_000) -> float:
     """Minimum potential over all ``m**n`` assignments (guarded exhaustive scan)."""
-    from .optimal import BruteForceLimitError  # local import: sibling module
-
-    n, m = instance.n, instance.m
-    total = m ** n
-    if total > limit:
-        raise BruteForceLimitError(
-            f"{m}**{n} = {total} assignments exceed the search guard {limit}")
-    x = np.asarray(instance.profile.positions, dtype=float)
-    locs = np.asarray(instance.environment.locations, dtype=float)
-    b = np.asarray(instance.environment.building_costs, dtype=float)
-    harm = harmonic_numbers(n)
-    divisors = (m ** np.arange(n - 1, -1, -1)).astype(np.int64)
-    best = math.inf
-    chunk = 1 << 16
-    for lo in range(0, total, chunk):
-        ids = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        digits = (ids[:, None] // divisors[None, :]) % m
-        value = np.abs(x[None, :] - locs[digits]).sum(axis=1)
-        for fac in range(m):
-            counts = (digits == fac).sum(axis=1)
-            value += b[fac] * harm[counts]
-        best = min(best, float(value.min()))
-    return best
+    return _brute_force_min(instance, harmonic_numbers(instance.n), limit)[0]
 
 
 @dataclass(frozen=True)

@@ -461,6 +461,16 @@ def _as_batch_mechanism(mechanism: Mechanism, env: Environment,
     raise ValidationError("mechanism must be a MechanismSpec or a batch callable")
 
 
+def _loads(assigned: np.ndarray, col: int, m: int) -> np.ndarray:
+    """Number of agents sharing agent ``col``'s facility, for each row of an
+    assignment batch (P, n)."""
+    idx = assigned - 1
+    out = np.zeros(len(assigned), dtype=int)
+    for fac in range(m):
+        out += np.where(idx[:, col] == fac, (idx == fac).sum(axis=1), 0)
+    return out
+
+
 def _row_costs(true_positions: np.ndarray, assigned: np.ndarray,
                env: Environment) -> np.ndarray:
     """Cost of each agent given true positions (P, n) and an assignment batch
@@ -468,12 +478,9 @@ def _row_costs(true_positions: np.ndarray, assigned: np.ndarray,
     locs = np.asarray(env.locations, dtype=float)
     b = np.asarray(env.building_costs, dtype=float)
     idx = assigned - 1
-    counts = np.zeros((assigned.shape[0], env.m), dtype=int)
-    for fac in range(env.m):
-        counts[:, fac] = (idx == fac).sum(axis=1)
-    rows = np.arange(assigned.shape[0])[:, None]
-    share = b[idx] / counts[rows, idx]
-    return np.abs(true_positions - locs[idx]) + share
+    loads = np.stack([_loads(assigned, col, env.m)
+                      for col in range(assigned.shape[1])], axis=1)
+    return np.abs(true_positions - locs[idx]) + b[idx] / loads
 
 
 @dataclass(frozen=True)
@@ -535,12 +542,9 @@ def audit_strategyproof(mechanism: Mechanism, env: Environment,
             mod = profiles.copy()
             mod[:, i] = report
             outcome = apply_batch(mod)
-            idx = outcome - 1
-            counts_i = np.zeros(len(profiles), dtype=int)
-            for fac in range(env.m):
-                counts_i += np.where(idx[:, i] == fac, (idx == fac).sum(axis=1), 0)
-            lied_cost = (np.abs(profiles[:, i] - locs[idx[:, i]])
-                         + b[idx[:, i]] / counts_i)
+            fac_i = outcome[:, i] - 1
+            lied_cost = (np.abs(profiles[:, i] - locs[fac_i])
+                         + b[fac_i] / _loads(outcome, i, env.m))
             checked += len(profiles)
             mask = base_cost[:, i] - lied_cost > tol
             for r in np.nonzero(mask)[0]:
@@ -658,26 +662,19 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
     locs = np.asarray(env.locations, dtype=float)
     b = np.asarray(env.building_costs, dtype=float)
 
-    def loads(assigned: np.ndarray, col: int) -> np.ndarray:
-        idx = assigned - 1
-        out = np.zeros(len(assigned), dtype=int)
-        for fac in range(env.m):
-            out += np.where(idx[:, col] == fac, (idx == fac).sum(axis=1), 0)
-        return out
-
     bad1: list[Counterexample] = []
     bad2: list[Counterexample] = []
     bad3: list[Counterexample] = []
     checked = 0
     for i in range(n):
         base_fac = truthful[:, i]
-        base_load = loads(truthful, i)
+        base_load = _loads(truthful, i, env.m)
         for report in grid:
             mod = profiles.copy()
             mod[:, i] = report
             outcome = apply_batch(mod)
             alt_fac = outcome[:, i]
-            alt_load = loads(outcome, i)
+            alt_load = _loads(outcome, i, env.m)
             xi = profiles[:, i]
             checked += len(profiles)
 

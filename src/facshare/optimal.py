@@ -13,12 +13,11 @@ search space fits under the guard.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._blockdp import solve_block_partition
+from ._blockdp import BruteForceLimitError, _block_assignment, _brute_force_min
 from .costs import social_cost
 from .model import Assignment, Instance
 
@@ -30,15 +29,16 @@ __all__ = [
 ]
 
 
-class BruteForceLimitError(RuntimeError):
-    """The exhaustive search space exceeds the configured guard."""
-
-
 @dataclass(frozen=True)
 class OptResult:
     assignment: Assignment
     social_cost: float
     method: str  # "brute_force" | "block_dp"
+
+
+def _unit_weights(n: int) -> np.ndarray:
+    # A used facility costs its full building cost whatever its load.
+    return (np.arange(n + 1) > 0).astype(float)
 
 
 def optimal_brute_force(instance: Instance, *, limit: int = 10_000_000) -> OptResult:
@@ -49,51 +49,13 @@ def optimal_brute_force(instance: Instance, *, limit: int = 10_000_000) -> OptRe
     distance) for the vectorized scan; the reported value is recomputed from
     the per-agent definition.
     """
-    n, m = instance.n, instance.m
-    total = m ** n
-    if total > limit:
-        raise BruteForceLimitError(
-            f"{m}**{n} = {total} assignments exceed the brute-force guard {limit}")
-    x = np.asarray(instance.profile.positions, dtype=float)
-    locs = np.asarray(instance.environment.locations, dtype=float)
-    b = np.asarray(instance.environment.building_costs, dtype=float)
-    divisors = (m ** np.arange(n - 1, -1, -1)).astype(np.int64)
-
-    best_value = math.inf
-    best_id = 0
-    chunk = 1 << 16
-    for lo in range(0, total, chunk):
-        ids = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        digits = (ids[:, None] // divisors[None, :]) % m
-        value = np.abs(x[None, :] - locs[digits]).sum(axis=1)
-        for fac in range(m):
-            value += b[fac] * np.any(digits == fac, axis=1)
-        at = int(np.argmin(value))
-        if value[at] < best_value:
-            best_value = float(value[at])
-            best_id = int(ids[at])
-    digits = (best_id // divisors) % m
-    assignment = Assignment(tuple(int(d) + 1 for d in digits))
+    _, assignment = _brute_force_min(instance, _unit_weights(instance.n), limit)
     value = social_cost(instance.profile, assignment, instance.environment).social_cost
     return OptResult(assignment, value, "brute_force")
 
 
 def optimal_block_dp(instance: Instance) -> OptResult:
     """Consecutive-block dynamic program for the optimal social cost."""
-    profile, env = instance.profile, instance.environment
-    positions = np.asarray(profile.positions, dtype=float)
-    order = np.argsort(positions, kind="stable")
-    solution = solve_block_partition(
-        positions[order],
-        np.asarray(env.locations, dtype=float),
-        np.asarray(env.building_costs, dtype=float),
-        np.ones(profile.n + 1),
-    )
-    choices_sorted = np.empty(profile.n, dtype=int)
-    for lo, hi, fac in solution.blocks:
-        choices_sorted[lo:hi] = fac
-    choices = np.empty(profile.n, dtype=int)
-    choices[order] = choices_sorted
-    assignment = Assignment(tuple(int(c) for c in choices))
-    value = social_cost(profile, assignment, env).social_cost
+    assignment = _block_assignment(instance, _unit_weights(instance.n))
+    value = social_cost(instance.profile, assignment, instance.environment).social_cost
     return OptResult(assignment, value, "block_dp")

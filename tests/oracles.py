@@ -7,6 +7,7 @@ these functions provide a second route for every value they check.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,3 +88,98 @@ def random_environment(rng, m=2, force=None):
 
 def random_assignment(rng, n, m):
     return fs.Assignment(tuple(int(v) for v in rng.integers(1, m + 1, size=n)))
+
+
+@dataclass
+class DpTable:
+    """Reference memo table for the consecutive-block recursion.
+
+    ``memo[(i, j, k)]`` is the cheapest potential over assignments of the
+    first ``j`` sorted agents to facilities ``1..k`` in which agents ``i..j``
+    (1-based, inclusive) share the rightmost block. ``math.inf`` marks
+    infeasible index combinations: agents remaining with no facility allowed.
+    ``choice`` holds ``("extend",)`` when agent ``i-1`` joins the block and
+    ``("split", f)`` when the block is exactly ``[i..j]`` at facility ``f``.
+
+    This path is quadratic per state and meant for small instances;
+    ``fs.compute_pne_dp`` is the production solver.
+    """
+
+    memo: dict
+    choice: dict
+    n: int
+    m: int
+    order: list
+    blocks: list
+
+    @property
+    def min_potential(self):
+        return self.memo[(self.n, self.n, self.m)]
+
+    def assignment(self):
+        choices = [0] * self.n
+        for lo, hi, fac in self.blocks:
+            for t in range(lo, hi):
+                choices[self.order[t]] = fac
+        return fs.Assignment(tuple(choices))
+
+
+def build_dp_table(instance):
+    """Evaluate the block recursion by memoized recursion.
+
+    For ``1 <= i <= j`` and ``k >= 1`` the value is the cheaper of extending
+    the rightmost block to agent ``i-1`` and closing it as ``[i..j]`` at some
+    facility ``f <= k``, with the remaining agents ``1..i-1`` restricted to
+    facilities ``1..f-1``. Extension is preferred on ties, then the smallest
+    facility. Block costs are summed directly from the definition.
+    """
+    positions = instance.profile.positions
+    locations = instance.environment.locations
+    b = instance.environment.building_costs
+    n, m = instance.n, instance.m
+    order = sorted(range(n), key=lambda a: positions[a])  # stable
+    sorted_x = [positions[a] for a in order]
+
+    def phi(i, j, fac):
+        share = sum(b[fac - 1] / k for k in range(1, j - i + 2))
+        return share + sum(abs(sorted_x[a] - locations[fac - 1])
+                           for a in range(i - 1, j))
+
+    memo, choice = {}, {}
+
+    def minp(i, j, k):
+        if j == 0:
+            return 0.0
+        if k == 0:
+            return math.inf
+        key = (i, j, k)
+        if key in memo:
+            return memo[key]
+        best = math.inf
+        picked = ("infeasible",)
+        if i >= 2:
+            best = minp(i - 1, j, k)
+            picked = ("extend",)
+        for fac in range(1, k + 1):
+            value = minp(i - 1, i - 1, fac - 1) + phi(i, j, fac)
+            if value < best:
+                best, picked = value, ("split", fac)
+        memo[key] = best
+        choice[key] = picked
+        return best
+
+    minp(n, n, m)
+
+    blocks = []
+    i, j, k = n, n, m
+    while j > 0:
+        picked = choice[(i, j, k)]
+        if picked[0] == "extend":
+            i -= 1
+        else:
+            fac = picked[1]
+            blocks.append((i - 1, j, fac))
+            i = j = i - 1
+            k = fac - 1
+    blocks.reverse()
+    return DpTable(memo=memo, choice=choice, n=n, m=m, order=order, blocks=blocks)

@@ -1,9 +1,10 @@
 import json
+import os
 
 import pytest
 
 import facshare as fs
-from facshare.cli import main
+from facshare.cli import _worker_count, main
 
 
 def run_cli(capsys, *args):
@@ -149,6 +150,12 @@ class TestSolve:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    def test_jobs_clamped_to_inputs_and_cores(self):
+        cores = os.cpu_count() or 1
+        assert _worker_count(10**6, 3) == min(3, cores)
+        assert _worker_count(10**6, 10**6) == cores
+        assert _worker_count(1, 5) == 1
+
 
 class TestDynamics:
     def test_all_one_start_converges(self, capsys, running_file):
@@ -195,6 +202,40 @@ class TestDynamics:
                                "--start", "all-1", "--order", "seeded-random")
         assert code == 2
         assert "seed" in err
+
+    def test_unsorted_file_uses_file_numbering(self, capsys, tmp_path):
+        # facilities listed right-to-left: start, steps and final assignment
+        # all use the file's numbering, so replaying the steps from the start
+        # reproduces the final assignment
+        doc = {"facilities": [{"location": 10.0, "building_cost": 1.0},
+                              {"location": 0.0, "building_cost": 1.0}],
+               "agents": [0.0, 0.5, 10.0]}
+        path = tmp_path / "unsorted.json"
+        path.write_text(json.dumps(doc))
+        start = tmp_path / "start.json"
+        start.write_text("[1, 1, 1]")
+        code, out, _ = run_cli(capsys, "dynamics", str(path),
+                               "--start", f"file:{start}")
+        assert code == 0
+        outs = parse(out)["outputs"]
+        assert outs["start"] == [1, 1, 1]
+        assert [(s["agent"], s["from_facility"], s["to_facility"])
+                for s in outs["steps"]] == [(0, 1, 2), (1, 1, 2)]
+        replay = list(outs["start"])
+        for step in outs["steps"]:
+            assert replay[step["agent"]] == step["from_facility"]
+            replay[step["agent"]] = step["to_facility"]
+        assert replay == outs["final_assignment"] == [2, 2, 1]
+
+    @pytest.mark.parametrize("entries", ["[1.7, 1]", "[true, 1]", '["1", 1]'])
+    def test_start_file_rejects_non_integers(self, capsys, running_file,
+                                             tmp_path, entries):
+        start = tmp_path / "start.json"
+        start.write_text(entries)
+        code, _, err = run_cli(capsys, "dynamics", running_file,
+                               "--start", f"file:{start}")
+        assert code == 2
+        assert "integers" in err
 
     def test_invalid_start_spec(self, capsys, running_file):
         code, _, _ = run_cli(capsys, "dynamics", running_file,

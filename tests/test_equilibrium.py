@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facshare as fs
-from oracles import oracle_min_potential, random_assignment, suite_dims
+from oracles import (build_dp_table, oracle_min_potential, random_assignment,
+                     suite_dims)
 
 ENV = fs.Environment((0.0, 3.0), (2.0, 4.0))
 PROF = fs.Profile((0.0, 3.0))
@@ -95,6 +96,11 @@ class TestComputePneDp:
         a = fs.compute_pne_dp(running_instance)
         assert a == fs.Assignment((1, 1))
         assert fs.potential(PROF, a, ENV) == 6.0
+        assert fs.brute_force_min_potential(running_instance) == 6.0
+        # the social optimum (1, 1) is unique here
+        opt = fs.optimal_block_dp(running_instance)
+        assert opt.assignment == fs.Assignment((1, 1))
+        assert opt.assignment == fs.optimal_brute_force(running_instance).assignment
 
     def test_single_agent_picks_cheaper_total(self):
         inst = fs.Instance(ENV, fs.Profile((10.0,)))
@@ -125,14 +131,14 @@ class TestComputePneDp:
     def test_reference_table_agrees_with_fast_path(self):
         for seed in range(60):
             inst = fs.generate_instance(*suite_dims(seed), seed=seed)
-            table = fs.build_dp_table(inst)
+            table = build_dp_table(inst)
             fast = fs.compute_pne_dp(inst)
             assert table.assignment() == fast
             assert table.min_potential == pytest.approx(
                 fs.potential(inst.profile, fast, inst.environment), rel=1e-12)
 
     def test_reference_table_base_semantics(self, running_instance):
-        table = fs.build_dp_table(running_instance)
+        table = build_dp_table(running_instance)
         # feasible base: no agents left; infeasible: agents without facilities
         assert table.memo[(table.n, table.n, table.m)] == 6.0
         assert all(v is not None for v in table.memo.values())

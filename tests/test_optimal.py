@@ -41,6 +41,22 @@ def test_brute_force_lexicographic_tie():
     # pooling on either facility costs 3; the lexicographically smaller wins
     result = fs.optimal_brute_force(inst)
     assert result.assignment == fs.Assignment((1, 1))
+    # the block DP agrees: widest rightmost block, then smallest facility
+    assert fs.optimal_block_dp(inst).assignment == fs.Assignment((1, 1))
+    # the potential ties exactly too (2 + 1.5 on either facility)
+    assert fs.brute_force_min_potential(inst) == 3.5
+    assert fs.compute_pne_dp(inst) == fs.Assignment((1, 1))
+
+    # (1, 1, 2) and (1, 2, 2) tie in both objectives: the enumerator keeps the
+    # lexicographically smaller one, the block DP the wider rightmost block
+    env = fs.Environment((0.0, 3.0), (2.0, 2.0))
+    inst = fs.Instance(env, fs.Profile((0.0, 1.5, 3.0)))
+    result = fs.optimal_brute_force(inst)
+    assert (result.assignment, result.social_cost) == (fs.Assignment((1, 1, 2)), 5.5)
+    result = fs.optimal_block_dp(inst)
+    assert (result.assignment, result.social_cost) == (fs.Assignment((1, 2, 2)), 5.5)
+    assert fs.brute_force_min_potential(inst) == 6.5
+    assert fs.compute_pne_dp(inst) == fs.Assignment((1, 2, 2))
 
 
 def test_block_dp_matches_brute_force():
