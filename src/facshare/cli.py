@@ -341,6 +341,16 @@ def _cmd_ratio(args) -> int:
     return EXIT_OK if all_match else EXIT_VALIDATION
 
 
+def _count(minimum: int):
+    """argparse type for a count flag: an integer of at least ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="facshare",
@@ -364,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=("pne", "opt", "both"), default="both")
     solve.add_argument("--verify", action="store_true",
                        help="re-check results (brute force where sizes permit)")
-    solve.add_argument("--jobs", type=int, default=1,
+    solve.add_argument("--jobs", type=_count(1), default=1,
                        help="parallelize across multiple input files")
     solve.add_argument("-o", "--out")
     solve.set_defaults(func=_cmd_solve)
@@ -376,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     dyn.add_argument("--order", choices=("round-robin", "max-gain", "seeded-random"),
                      default="round-robin")
     dyn.add_argument("--seed", type=int, help="required for seeded-random order")
-    dyn.add_argument("--max-steps", type=int, default=100_000)
+    dyn.add_argument("--max-steps", type=_count(0), default=100_000)
     dyn.add_argument("-o", "--out")
     dyn.set_defaults(func=_cmd_dynamics)
 
@@ -385,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     mech.add_argument("--mech", required=True,
                       help="mechanism spec: inline JSON or a path to a JSON file")
     mech.add_argument("--audit", help="comma list from: sp, anon, unanimous, props")
-    mech.add_argument("--grid-extra", type=int, default=0,
+    mech.add_argument("--grid-extra", type=_count(0), default=0,
                       help="extra uniform audit grid points")
     mech.add_argument("--seed", type=int, default=0,
                       help="seed for sampled audit profiles")

@@ -1,6 +1,9 @@
 """Cost arithmetic: per-agent cost, social cost, the exact potential, and the
 cost of a consecutive agent block served by one facility.
 
+An agent pays her distance plus an equal share of her facility's building
+cost; the private array helpers below are the only code that prices agents.
+
 ``EPS_CMP`` is the global absolute tolerance for cost-equality tests. Strict
 comparisons inside algorithms use raw floating-point values: ties are
 meaningful because equilibrium is defined through weak inequalities.
@@ -41,6 +44,43 @@ def harmonic_numbers(n: int) -> np.ndarray:
     return out
 
 
+def _loads(choices, m: int) -> np.ndarray:
+    """Load of each agent's facility, for 1-based ``choices`` of shape
+    ``(..., n)``. One ``bincount`` counts every (row, facility) slot."""
+    idx = np.asarray(choices) - 1
+    rows = idx.reshape(-1, idx.shape[-1])
+    slots = rows + m * np.arange(len(rows))[:, None]
+    counts = np.bincount(slots.ravel(), minlength=m * len(rows))
+    return counts[slots].reshape(idx.shape)
+
+
+def _split_costs(positions, choices, env: Environment) -> tuple[np.ndarray, np.ndarray]:
+    """Each agent's distance to her facility and her equal share of its
+    building cost, for positions and 1-based choices of shape ``(..., n)``."""
+    idx = np.asarray(choices) - 1
+    locs = np.asarray(env.locations)
+    b = np.asarray(env.building_costs)
+    distance = np.abs(np.asarray(positions, dtype=float) - locs[idx])
+    return distance, b[idx] / _loads(choices, env.m)
+
+
+def _facility_costs(positions, env: Environment, users) -> np.ndarray:
+    """Cost of each position at each facility when ``users`` agents share
+    it; ``users`` broadcasts against the result shape ``positions.shape + (m,)``."""
+    x = np.asarray(positions, dtype=float)[..., None]
+    return np.abs(x - np.asarray(env.locations)) + np.asarray(env.building_costs) / users
+
+
+def _deviation_costs(positions, choices, env: Environment,
+                     agents=slice(None)) -> np.ndarray:
+    """``(k, m)`` matrix of each listed agent's cost at each facility, the
+    other agents fixed: joining a facility other than her own raises its
+    load by one. ``agents`` indexes the agent axis (all agents by default)."""
+    idx = np.asarray(choices) - 1
+    users = np.bincount(idx, minlength=env.m) + (np.arange(env.m) != idx[agents, None])
+    return _facility_costs(np.asarray(positions, dtype=float)[agents], env, users)
+
+
 def agent_cost(agent: int, profile: Profile, assignment: Assignment,
                env: Environment) -> float:
     """Distance to the chosen facility plus an equal share of its building cost.
@@ -50,10 +90,8 @@ def agent_cost(agent: int, profile: Profile, assignment: Assignment,
     assignment.validate_for(profile, env)
     if not 0 <= agent < profile.n:
         raise IndexError(f"agent index {agent} out of range for n={profile.n}")
-    f = assignment.choices[agent]
-    users = assignment.choices.count(f)
-    distance = abs(profile.positions[agent] - env.locations[f - 1])
-    return distance + env.building_costs[f - 1] / users
+    distance, share = _split_costs(profile.positions, assignment.choices, env)
+    return float(distance[agent] + share[agent])
 
 
 @dataclass(frozen=True)
@@ -73,13 +111,10 @@ def social_cost(profile: Profile, assignment: Assignment,
                 env: Environment) -> CostBreakdown:
     """Sum of all agents' costs, with the per-agent distance/share split."""
     assignment.validate_for(profile, env)
-    counts = assignment.counts(env.m)
-    per = []
-    for x, f in zip(profile.positions, assignment.choices):
-        d = abs(x - env.locations[f - 1])
-        share = env.building_costs[f - 1] / counts[f - 1]
-        per.append(AgentCost(d, share, d + share))
-    return CostBreakdown(tuple(per), sum(a.total for a in per))
+    distance, share = _split_costs(profile.positions, assignment.choices, env)
+    per = tuple(AgentCost(d, s, t) for d, s, t in
+                zip(distance.tolist(), share.tolist(), (distance + share).tolist()))
+    return CostBreakdown(per, sum(a.total for a in per))
 
 
 def potential(profile: Profile, assignment: Assignment,
@@ -92,15 +127,14 @@ def potential(profile: Profile, assignment: Assignment,
     are equilibria.
     """
     assignment.validate_for(profile, env)
-    counts = assignment.counts(env.m)
-    harm = harmonic_numbers(max(counts))
-    total = 0.0
-    for j, c in enumerate(counts):
-        if c:
-            total += env.building_costs[j] * float(harm[c])
-    for x, f in zip(profile.positions, assignment.choices):
-        total += abs(x - env.locations[f - 1])
-    return total
+    choices = np.asarray(assignment.choices)
+    counts = np.bincount(choices - 1, minlength=env.m)
+    used = counts > 0
+    building = (np.asarray(env.building_costs)[used]
+                * harmonic_numbers(int(counts.max()))[counts[used]])
+    distance, _ = _split_costs(profile.positions, choices, env)
+    # cumsum adds strictly left to right: facilities first, then agents.
+    return float(np.cumsum(np.concatenate((building, distance)))[-1])
 
 
 def block_cost(sorted_positions: Sequence[float], start: int, stop: int,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blockdp import _block_assignment, _brute_force_min
-from .costs import EPS_CMP, harmonic_numbers, potential, social_cost
+from .costs import (EPS_CMP, _deviation_costs, harmonic_numbers, potential,
+                    social_cost)
 from .model import Assignment, Environment, Instance, Profile, ValidationError
 
 __all__ = [
@@ -38,6 +39,8 @@ __all__ = [
     "HarmonicBoundReport",
     "check_harmonic_bound",
 ]
+
+_CHUNK_CELLS = 1 << 20  # deviation-matrix cells per is_pne chunk (8 MiB of floats)
 
 
 @dataclass(frozen=True)
@@ -59,13 +62,6 @@ class PneVerdict:
         return self.is_equilibrium
 
 
-def _deviation_cost(x: float, current: int, target: int, counts, env: Environment) -> float:
-    # Joining a different facility raises its load by one.
-    loc = env.locations[target - 1]
-    users = counts[target - 1] + (0 if target == current else 1)
-    return abs(x - loc) + env.building_costs[target - 1] / users
-
-
 def is_pne(profile: Profile, assignment: Assignment, env: Environment,
            tol: float = EPS_CMP) -> PneVerdict:
     """Weak-inequality equilibrium check; ties never refute.
@@ -74,15 +70,21 @@ def is_pne(profile: Profile, assignment: Assignment, env: Environment,
     agents, then facilities, in order).
     """
     assignment.validate_for(profile, env)
-    counts = assignment.counts(env.m)
-    for i, (x, f) in enumerate(zip(profile.positions, assignment.choices)):
-        current = _deviation_cost(x, f, f, counts, env)
-        for g in range(1, env.m + 1):
-            if g == f:
-                continue
-            gain = current - _deviation_cost(x, f, g, counts, env)
-            if gain > tol:
-                return PneVerdict(False, Deviation(i, g, gain))
+    positions = np.asarray(profile.positions)
+    choices = np.asarray(assignment.choices)
+    # Agents are scanned in chunks so the deviation matrix stays bounded.
+    rows = max(1, _CHUNK_CELLS // env.m)
+    for start in range(0, profile.n, rows):
+        agents = slice(start, start + rows)
+        dev = _deviation_costs(positions, choices, env, agents)
+        local, own = np.arange(len(dev)), choices[agents] - 1
+        gains = dev[local, own][:, None] - dev
+        improving = gains > tol
+        improving[local, own] = False  # staying put is not a deviation
+        if improving.any():
+            i, g = np.unravel_index(np.argmax(improving), improving.shape)
+            return PneVerdict(False, Deviation(start + int(i), int(g) + 1,
+                                               float(gains[i, g])))
     return PneVerdict(True)
 
 
@@ -96,14 +98,12 @@ def best_response(agent: int, profile: Profile, assignment: Assignment,
     assignment.validate_for(profile, env)
     if not 0 <= agent < profile.n:
         raise IndexError(f"agent index {agent} out of range for n={profile.n}")
-    counts = assignment.counts(env.m)
-    x = profile.positions[agent]
+    costs = _deviation_costs(profile.positions, assignment.choices, env,
+                             slice(agent, agent + 1))[0]
     f = assignment.choices[agent]
-    costs = [_deviation_cost(x, f, g, counts, env) for g in range(1, env.m + 1)]
-    best = min(costs)
-    if costs[f - 1] <= best:
+    if costs[f - 1] <= costs.min():
         return f
-    return costs.index(best) + 1
+    return int(np.argmin(costs)) + 1
 
 
 @dataclass(frozen=True)
@@ -142,68 +142,45 @@ def run_dynamics(instance: Instance, start: Assignment,
         raise ValidationError(f"unknown order {order!r}; expected one of {_ORDERS}")
     if order == "seeded-random" and seed is None:
         raise ValidationError("seeded-random order requires an explicit seed")
+    if max_steps < 0:
+        raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
     profile, env = instance.profile, instance.environment
     start.validate_for(profile, env)
     rng = np.random.default_rng(seed) if order == "seeded-random" else None
 
-    choices = list(start.choices)
-    counts = list(start.counts(env.m))
-    n, m = profile.n, env.m
-
-    def gain_of(i: int) -> tuple[float, int]:
-        x, f = profile.positions[i], choices[i]
-        current = _deviation_cost(x, f, f, counts, env)
-        best_gain, best_fac = 0.0, f
-        for g in range(1, m + 1):
-            if g == f:
-                continue
-            gain = current - _deviation_cost(x, f, g, counts, env)
-            if gain > best_gain:
-                best_gain, best_fac = gain, g
-        return best_gain, best_fac
-
+    positions = np.asarray(profile.positions)
+    choices = np.array(start.choices)
+    agents = np.arange(profile.n)
     steps: list[DynamicsStep] = []
     initial_potential = potential(profile, start, env)
     pointer = 0
     converged = False
     while True:
-        mover: tuple[int, float, int] | None = None
-        if order == "round-robin":
-            for off in range(n):
-                i = (pointer + off) % n
-                gain, fac = gain_of(i)
-                if gain > tol:
-                    mover = (i, gain, fac)
-                    break
-        elif order == "max-gain":
-            for i in range(n):
-                gain, fac = gain_of(i)
-                if gain > tol and (mover is None or gain > mover[1]):
-                    mover = (i, gain, fac)
-        else:
-            improvers = []
-            for i in range(n):
-                gain, fac = gain_of(i)
-                if gain > tol:
-                    improvers.append((i, gain, fac))
-            if improvers:
-                mover = improvers[int(rng.integers(len(improvers)))]
-        if mover is None:
+        dev = _deviation_costs(positions, choices, env)
+        gains = dev[agents, choices - 1][:, None] - dev
+        best = gains.max(axis=1)  # each agent's largest saving, 0 when none
+        improvers = np.flatnonzero(best > tol)
+        if len(improvers) == 0:
             converged = True
             break
         if len(steps) >= max_steps:
             break
-        i, gain, fac = mover
-        old = choices[i]
-        counts[old - 1] -= 1
-        counts[fac - 1] += 1
+        if order == "round-robin":
+            i = improvers[np.searchsorted(improvers, pointer) % len(improvers)]
+        elif order == "max-gain":
+            i = np.argmax(best)
+        else:
+            i = improvers[int(rng.integers(len(improvers)))]
+        i, old = int(i), int(choices[i])
+        # The first facility with the largest saving; without one she stays.
+        fac = int(np.argmax(gains[i])) + 1 if best[i] > 0 else old
         choices[i] = fac
-        pointer = (i + 1) % n
+        pointer = (i + 1) % profile.n
         steps.append(DynamicsStep(
-            agent=i, from_facility=old, to_facility=fac, cost_delta=-gain,
-            potential_after=potential(profile, Assignment(tuple(choices)), env),
+            agent=i, from_facility=old, to_facility=fac, cost_delta=-float(best[i]),
+            potential_after=potential(profile, Assignment(tuple(choices.tolist())), env),
         ))
-    return DynamicsTrace(tuple(steps), converged, Assignment(tuple(choices)),
+    return DynamicsTrace(tuple(steps), converged, Assignment(tuple(choices.tolist())),
                          initial_potential)
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .costs import EPS_CMP
+from .costs import EPS_CMP, _facility_costs, _loads, _split_costs
 from .model import Assignment, Environment, Instance, Profile, ValidationError
 from .optimal import optimal_block_dp
 
@@ -189,6 +189,13 @@ class MechanismSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown mechanism kind {self.kind!r}")
+        for name in ("target", "diag_choice", "boundary_choice", "k"):
+            value = getattr(self, name)
+            if value is None or (name == "diag_choice" and callable(value)):
+                continue
+            # JSON booleans parse as Python bools, which are ints: reject them.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.kind == "type1":
             if self.target not in (1, 2):
                 raise ValidationError("type1 requires target in {1, 2}")
@@ -282,7 +289,7 @@ def _batch_apply(spec: MechanismSpec, env: Environment,
         fac = np.full(p, spec.target, dtype=int)
     elif spec.kind == "krank":
         theta = np.partition(profiles, spec.k - 1, axis=1)[:, spec.k - 1]
-        fac = _best_facility_vec(theta, env, n)
+        fac = _facility_costs(theta, env, n).argmin(axis=1) + 1
     else:
         l1, l2 = env.locations
         if spec.kind == "type2":
@@ -366,20 +373,13 @@ def resolve_x_star(spec: MechanismSpec, env: Environment) -> float:
 # Best single facility and the k-rank family
 
 
-def _best_facility_vec(xs: np.ndarray, env: Environment, n: int) -> np.ndarray:
-    locs = np.asarray(env.locations, dtype=float)
-    b = np.asarray(env.building_costs, dtype=float)
-    cost = np.abs(xs[:, None] - locs[None, :]) + b[None, :] / n
-    return cost.argmin(axis=1) + 1
-
-
 def best_facility(x: float, env: Environment, n: int) -> int:
     """Facility minimizing ``|x - loc| + cost/n``: the favorite all-to-one
     outcome of a position when the cost is split n ways. Ties break to the
     smaller index (a fixed arbitrary rule)."""
     if n < 1:
         raise ValidationError("n must be ≥ 1")
-    return int(_best_facility_vec(np.array([float(x)]), env, n)[0])
+    return int(_facility_costs(float(x), env, n).argmin()) + 1
 
 
 def k_rank(profile: Profile, env: Environment, k: int) -> Assignment:
@@ -461,28 +461,6 @@ def _as_batch_mechanism(mechanism: Mechanism, env: Environment,
     raise ValidationError("mechanism must be a MechanismSpec or a batch callable")
 
 
-def _loads(assigned: np.ndarray, col: int, m: int) -> np.ndarray:
-    """Number of agents sharing agent ``col``'s facility, for each row of an
-    assignment batch (P, n)."""
-    idx = assigned - 1
-    out = np.zeros(len(assigned), dtype=int)
-    for fac in range(m):
-        out += np.where(idx[:, col] == fac, (idx == fac).sum(axis=1), 0)
-    return out
-
-
-def _row_costs(true_positions: np.ndarray, assigned: np.ndarray,
-               env: Environment) -> np.ndarray:
-    """Cost of each agent given true positions (P, n) and an assignment batch
-    (P, n): distance plus an equal share of the assigned facility's cost."""
-    locs = np.asarray(env.locations, dtype=float)
-    b = np.asarray(env.building_costs, dtype=float)
-    idx = assigned - 1
-    loads = np.stack([_loads(assigned, col, env.m)
-                      for col in range(assigned.shape[1])], axis=1)
-    return np.abs(true_positions - locs[idx]) + b[idx] / loads
-
-
 @dataclass(frozen=True)
 class Counterexample:
     """One audit violation. ``deviation`` is the misreported position for
@@ -530,10 +508,7 @@ def audit_strategyproof(mechanism: Mechanism, env: Environment,
         misreports = grid
     apply_batch = _as_batch_mechanism(mechanism, env, n)
     profiles = _profiles_from_grid(grid, n, max_profiles, seed)
-    truthful = apply_batch(profiles)
-    base_cost = _row_costs(profiles, truthful, env)
-    locs = np.asarray(env.locations, dtype=float)
-    b = np.asarray(env.building_costs, dtype=float)
+    base_cost = np.add(*_split_costs(profiles, apply_batch(profiles), env))
 
     bad: list[Counterexample] = []
     checked = 0
@@ -541,10 +516,7 @@ def audit_strategyproof(mechanism: Mechanism, env: Environment,
         for report in misreports:
             mod = profiles.copy()
             mod[:, i] = report
-            outcome = apply_batch(mod)
-            fac_i = outcome[:, i] - 1
-            lied_cost = (np.abs(profiles[:, i] - locs[fac_i])
-                         + b[fac_i] / _loads(outcome, i, env.m))
+            lied_cost = np.add(*_split_costs(profiles, apply_batch(mod), env))[:, i]
             checked += len(profiles)
             mask = base_cost[:, i] - lied_cost > tol
             for r in np.nonzero(mask)[0]:
@@ -608,9 +580,7 @@ def audit_unanimous(mechanism: Mechanism, env: Environment,
         grid = default_audit_grid(env)
     apply_batch = _as_batch_mechanism(mechanism, env, n)
     profiles = _profiles_from_grid(grid, n, max_profiles, seed)
-    locs = np.asarray(env.locations, dtype=float)
-    b = np.asarray(env.building_costs, dtype=float)
-    cost = np.abs(profiles[:, :, None] - locs) + b / n  # (P, n, m)
+    cost = _facility_costs(profiles, env, n)  # (P, n, m)
     favorite = cost.argmin(axis=2)
     if env.m >= 2:
         ordered = np.sort(cost, axis=2)
@@ -659,8 +629,9 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
     apply_batch = _as_batch_mechanism(mechanism, env, n)
     profiles = _profiles_from_grid(grid, n, max_profiles, seed)
     truthful = apply_batch(profiles)
+    truthful_load = _loads(truthful, env.m)
+    _, truthful_share = _split_costs(profiles, truthful, env)
     locs = np.asarray(env.locations, dtype=float)
-    b = np.asarray(env.building_costs, dtype=float)
 
     bad1: list[Counterexample] = []
     bad2: list[Counterexample] = []
@@ -668,13 +639,14 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
     checked = 0
     for i in range(n):
         base_fac = truthful[:, i]
-        base_load = _loads(truthful, i, env.m)
+        base_load = truthful_load[:, i]
         for report in grid:
             mod = profiles.copy()
             mod[:, i] = report
             outcome = apply_batch(mod)
             alt_fac = outcome[:, i]
-            alt_load = _loads(outcome, i, env.m)
+            alt_load = _loads(outcome, env.m)[:, i]
+            _, alt_share = _split_costs(profiles, outcome, env)
             xi = profiles[:, i]
             checked += len(profiles)
 
@@ -690,7 +662,7 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
                 bad1.append(Counterexample(_plain(profiles[r]), i, float(report)))
 
             # P2 sandwich on the share difference.
-            mid = b[base_fac - 1] / base_load - b[alt_fac - 1] / alt_load
+            mid = truthful_share[:, i] - alt_share[:, i]
             lhs = (np.abs(report - locs[alt_fac - 1])
                    - np.abs(report - locs[base_fac - 1]))
             rhs = (np.abs(xi - locs[alt_fac - 1])
@@ -779,7 +751,7 @@ def empirical_ratio(mechanism: Mechanism, env: Environment,
     apply_batch = _as_batch_mechanism(mechanism, env, n)
     profiles = _profiles_from_grid(grid, n, max_profiles, seed)
     outcome = apply_batch(profiles)
-    mech_cost = _row_costs(profiles, outcome, env).sum(axis=1)
+    mech_cost = np.add(*_split_costs(profiles, outcome, env)).sum(axis=1)
 
     m = env.m
     if m ** n <= 4096:

@@ -26,6 +26,54 @@ def oracle_social_cost(positions, choices, locations, building_costs):
         for i in range(len(positions)))
 
 
+def oracle_deviation_gain(positions, choices, locations, building_costs, i, g):
+    """Agent ``i``'s saving when she alone switches to facility ``g``."""
+    moved = list(choices)
+    moved[i] = g
+    return (oracle_agent_cost(positions, choices, locations, building_costs, i)
+            - oracle_agent_cost(positions, moved, locations, building_costs, i))
+
+
+def oracle_is_pne(positions, choices, locations, building_costs, tol):
+    """First improving deviation ``(agent, facility, gain)``, scanning agents
+    and then facilities in order; ``None`` for an equilibrium."""
+    for i in range(len(positions)):
+        for g in range(1, len(locations) + 1):
+            if g != choices[i]:
+                gain = oracle_deviation_gain(positions, choices, locations,
+                                             building_costs, i, g)
+                if gain > tol:
+                    return i, g, gain
+    return None
+
+
+def oracle_best_response(positions, choices, locations, building_costs, i):
+    """Facility minimizing agent ``i``'s cost when she alone moves; her own
+    facility wins ties, then the smallest index."""
+    costs = []
+    for g in range(1, len(locations) + 1):
+        moved = list(choices)
+        moved[i] = g
+        costs.append(oracle_agent_cost(positions, moved, locations,
+                                       building_costs, i))
+    if costs[choices[i] - 1] <= min(costs):
+        return choices[i]
+    return costs.index(min(costs)) + 1
+
+
+def oracle_best_move(positions, choices, locations, building_costs, i):
+    """Agent ``i``'s largest saving and the first facility giving it;
+    ``(0.0, own facility)`` when no switch saves anything."""
+    best, fac = 0.0, choices[i]
+    for g in range(1, len(locations) + 1):
+        if g != choices[i]:
+            gain = oracle_deviation_gain(positions, choices, locations,
+                                         building_costs, i, g)
+            if gain > best:
+                best, fac = gain, g
+    return best, fac
+
+
 def oracle_potential_grouped(positions, choices, locations, building_costs):
     """Facility-grouped (compact) form of the potential: per used facility,
     its harmonic series plus its members' distances."""
@@ -84,6 +132,15 @@ def random_environment(rng, m=2, force=None):
     else:
         raise ValueError(force)
     return fs.Environment((left, left + delta), (b1, b2))
+
+
+def lattice_instance(rng, n, m):
+    """Integer positions and locations with one shared building cost, so
+    exact cost ties are common."""
+    b = float(rng.integers(1, 4))
+    return fs.Instance(
+        fs.Environment(tuple(float(v) for v in rng.integers(0, 6, size=m)), (b,) * m),
+        fs.Profile(tuple(float(v) for v in rng.integers(0, 6, size=n))))
 
 
 def random_assignment(rng, n, m):

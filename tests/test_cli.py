@@ -273,6 +273,29 @@ class TestMech:
         assert code == 3
         assert "0 < M < delta" in err
 
+    @pytest.mark.parametrize("params", [
+        '{"k": true}', '{"k": 2.5}', '{"k": "2"}',
+    ])
+    def test_krank_k_must_be_an_integer(self, capsys, running_file, params):
+        code, _, err = run_cli(capsys, "mech", running_file, "--mech",
+                               f'{{"kind": "krank", "params": {params}}}')
+        assert code == 2
+        assert "k must be an integer" in err
+
+    @pytest.mark.parametrize("kind, params, field", [
+        ("type1", '{"target": true}', "target"),
+        ("type1", '{"target": 1.0}', "target"),
+        ("type4", '{"boundary_choice": true}', "boundary_choice"),
+        ("type2", '{"diag_choice": true}', "diag_choice"),
+        ("type2", '{"diag_choice": 2.0}', "diag_choice"),
+    ])
+    def test_spec_fields_reject_non_integers(self, capsys, running_file, kind,
+                                             params, field):
+        code, _, err = run_cli(capsys, "mech", running_file, "--mech",
+                               f'{{"kind": "{kind}", "params": {params}}}')
+        assert code == 2
+        assert field in err
+
     def test_unknown_audit_token(self, capsys, running_file):
         code, _, _ = run_cli(capsys, "mech", running_file,
                              "--mech", '{"kind": "krank", "params": {"k": 1}}',
@@ -301,3 +324,16 @@ class TestRatio:
 def test_bad_flags_exit_code(capsys):
     code, _, _ = run_cli(capsys, "solve")  # missing input
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("dynamics", "--start", "all-1", "--max-steps", "-1"),
+    ("solve", "--jobs", "0"),
+    ("solve", "--jobs", "-4"),
+    ("mech", "--mech", '{"kind": "krank", "params": {"k": 1}}',
+     "--grid-extra", "-5"),
+])
+def test_count_flags_reject_out_of_range(capsys, running_file, args):
+    code, _, err = run_cli(capsys, args[0], running_file, *args[1:])
+    assert code == 2
+    assert "must be >=" in err

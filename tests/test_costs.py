@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import facshare as fs
+from facshare.costs import _loads
 from oracles import (
     oracle_potential_grouped,
     random_assignment,
@@ -131,3 +134,60 @@ def test_potential_decomposes_into_blocks():
                                        sorted_choice[start], env)
                 start = stop
         assert fs.potential(prof, a, env) == pytest.approx(total, rel=1e-9)
+
+
+def test_batched_loads_match_row_counts():
+    rng = np.random.default_rng(8)
+    for m in (1, 2, 5):
+        batch = rng.integers(1, m + 1, size=(40, 6))
+        expected = [[list(row).count(f) for f in row] for row in batch]
+        assert _loads(batch, m).tolist() == expected
+        assert _loads(batch[0], m).tolist() == expected[0]
+
+
+@st.composite
+def priced_assignments(draw):
+    """Facilities at distinct ascending locations, agents and their choices."""
+    m = draw(st.integers(1, 4))
+    locations = sorted(draw(st.lists(st.floats(-100, 100), min_size=m,
+                                     max_size=m, unique=True)))
+    costs = draw(st.lists(st.floats(0.1, 20), min_size=m, max_size=m))
+    n = draw(st.integers(1, 8))
+    positions = draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n))
+    choices = draw(st.lists(st.integers(1, m), min_size=n, max_size=n))
+    return positions, locations, costs, choices
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=priced_assignments(), data=st.data())
+def test_permuting_agents_permutes_per_agent_results(case, data):
+    positions, locations, costs, choices = case
+    perm = data.draw(st.permutations(range(len(positions))))
+    env = fs.Environment(tuple(locations), tuple(costs))
+    prof, a = fs.Profile(tuple(positions)), fs.Assignment(tuple(choices))
+    pprof = fs.Profile(tuple(positions[k] for k in perm))
+    pa = fs.Assignment(tuple(choices[k] for k in perm))
+
+    base = fs.social_cost(prof, a, env).per_agent
+    assert fs.social_cost(pprof, pa, env).per_agent == tuple(base[k] for k in perm)
+    assert _loads(pa.choices, env.m).tolist() == _loads(a.choices, env.m)[perm].tolist()
+    assert ([fs.best_response(j, pprof, pa, env) for j in range(len(perm))]
+            == [fs.best_response(k, prof, a, env) for k in perm])
+    assert bool(fs.is_pne(pprof, pa, env)) == bool(fs.is_pne(prof, a, env))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=priced_assignments(), shift=st.floats(-1e4, 1e4))
+def test_translation_keeps_social_cost_and_potential(case, shift):
+    positions, locations, costs, choices = case
+    moved_locations = tuple(v + shift for v in locations)
+    assume(len(set(moved_locations)) == len(locations))  # facility order kept
+    a = fs.Assignment(tuple(choices))
+    env = fs.Environment(tuple(locations), tuple(costs))
+    prof = fs.Profile(tuple(positions))
+    moved_env = fs.Environment(moved_locations, tuple(costs))
+    moved_prof = fs.Profile(tuple(x + shift for x in positions))
+    assert fs.social_cost(moved_prof, a, moved_env).social_cost == pytest.approx(
+        fs.social_cost(prof, a, env).social_cost, rel=1e-9)
+    assert fs.potential(moved_prof, a, moved_env) == pytest.approx(
+        fs.potential(prof, a, env), rel=1e-9)

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facshare as fs
-from oracles import (build_dp_table, oracle_min_potential, random_assignment,
-                     suite_dims)
+import facshare.equilibrium as equilibrium
+from oracles import (build_dp_table, lattice_instance, oracle_best_move,
+                     oracle_best_response, oracle_deviation_gain, oracle_is_pne,
+                     oracle_min_potential, random_assignment, suite_dims)
 
 ENV = fs.Environment((0.0, 3.0), (2.0, 4.0))
 PROF = fs.Profile((0.0, 3.0))
@@ -27,6 +29,74 @@ class TestIsPne:
         assert verdict.witness.agent == 0
         assert verdict.witness.better_facility == 1
         assert verdict.witness.improvement == pytest.approx(6.0)
+
+
+def oracle_cases(suite500):
+    """Each suite500 instance and an integer-lattice, equal-cost instance of
+    the same size, each with a random assignment."""
+    rng = np.random.default_rng(17)
+    for seed, inst in enumerate(suite500):
+        lattice = lattice_instance(rng, *suite_dims(seed))
+        for case in (inst, lattice):
+            yield case, random_assignment(rng, case.n, case.m)
+
+
+def plain(inst):
+    env = inst.environment
+    return inst.profile.positions, env.locations, env.building_costs
+
+
+class TestOracleAgreement:
+    def test_is_pne_and_best_response_match_oracle(self, suite500):
+        exact_ties = 0
+        for inst, a in oracle_cases(suite500):
+            x, locs, b = plain(inst)
+            for tol in (fs.EPS_CMP, 0.0, -1.0):
+                w = fs.is_pne(inst.profile, a, inst.environment, tol=tol).witness
+                got = None if w is None else (w.agent, w.better_facility, w.improvement)
+                assert repr(got) == repr(oracle_is_pne(x, a.choices, locs, b, tol))
+            for i in range(inst.n):
+                assert (fs.best_response(i, inst.profile, a, inst.environment)
+                        == oracle_best_response(x, a.choices, locs, b, i))
+                exact_ties += sum(
+                    oracle_deviation_gain(x, a.choices, locs, b, i, g) == 0.0
+                    for g in range(1, inst.m + 1) if g != a.choices[i])
+        assert exact_ties > 100
+
+    def test_chunked_scan_keeps_first_witness(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_CHUNK_CELLS", 1)  # one agent per chunk
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n, m = (int(v) for v in rng.integers(1, (12, 5)))
+            inst = lattice_instance(rng, n, m)
+            x, locs, b = plain(inst)
+            a = random_assignment(rng, inst.n, inst.m)
+            w = fs.is_pne(inst.profile, a, inst.environment).witness
+            got = None if w is None else (w.agent, w.better_facility, w.improvement)
+            assert repr(got) == repr(oracle_is_pne(x, a.choices, locs, b, fs.EPS_CMP))
+
+    @pytest.mark.parametrize("order", ["round-robin", "max-gain"])
+    def test_dynamics_movers_match_oracle_scan(self, suite500, order):
+        for inst, start in oracle_cases(suite500):
+            x, locs, b = plain(inst)
+            trace = fs.run_dynamics(inst, start, order=order)
+            choices, pointer = list(start.choices), 0
+            for step in trace.steps:
+                moves = [oracle_best_move(x, choices, locs, b, i) for i in range(inst.n)]
+                improvers = [i for i, (gain, _) in enumerate(moves) if gain > fs.EPS_CMP]
+                if order == "round-robin":  # first improver at or after the pointer
+                    agent = min(improvers, key=lambda i: (i < pointer, i))
+                else:  # largest saving, smallest index on ties
+                    agent = max(improvers, key=lambda i: (moves[i][0], -i))
+                gain, fac = moves[agent]
+                assert (step.agent, step.from_facility, step.to_facility) == (
+                    agent, choices[agent], fac)
+                assert repr(step.cost_delta) == repr(-gain)
+                choices[agent] = fac
+                pointer = (agent + 1) % inst.n
+            assert trace.converged
+            assert list(trace.final_assignment.choices) == choices
+            assert oracle_is_pne(x, choices, locs, b, fs.EPS_CMP) is None
 
 
 class TestBestResponse:
@@ -79,6 +149,10 @@ class TestDynamics:
         values = [trace.initial_potential] + [s.potential_after for s in trace.steps]
         for step, before, after in zip(trace.steps, values, values[1:]):
             assert step.cost_delta == pytest.approx(after - before, abs=1e-9)
+
+    def test_negative_budget_rejected(self, running_instance):
+        with pytest.raises(fs.ValidationError, match="max_steps"):
+            fs.run_dynamics(running_instance, fs.Assignment((2, 1)), max_steps=-1)
 
     def test_seeded_random_requires_seed(self, running_instance):
         with pytest.raises(fs.ValidationError, match="seed"):
