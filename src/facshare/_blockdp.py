@@ -112,7 +112,7 @@ def _block_assignment(instance: Instance, size_weight: np.ndarray) -> Assignment
     choices = np.empty(len(positions), dtype=int)
     for lo, hi, fac in solution.blocks:
         choices[order[lo:hi]] = fac
-    return Assignment(tuple(int(c) for c in choices))
+    return Assignment(tuple(choices.tolist()))
 
 
 def _brute_force_min(instance: Instance, size_weight: np.ndarray,
@@ -143,4 +143,4 @@ def _brute_force_min(instance: Instance, size_weight: np.ndarray,
             best_value = float(value[at])
             best_id = int(ids[at])
     digits = (best_id // divisors) % m
-    return best_value, Assignment(tuple(int(d) + 1 for d in digits))
+    return best_value, Assignment(tuple((digits + 1).tolist()))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .costs import potential, social_cost
+from .costs import _potential, _social_cost
 from .equilibrium import (
     brute_force_min_potential,
     check_harmonic_bound,
@@ -84,7 +84,8 @@ def _emit(doc: dict, out: str | None, compact: bool = False) -> None:
 
 def _input_order_choices(instance: Instance, assignment: Assignment) -> list[int]:
     # Facility indices reported against the caller's original file ordering.
-    return [instance.environment.to_input_facility(c) for c in assignment.choices]
+    to_input = np.asarray(instance.environment.input_order) + 1
+    return to_input[np.asarray(assignment.choices) - 1].tolist()
 
 
 def _cmd_gen(args) -> int:
@@ -127,8 +128,8 @@ def _solve_one(path: str, mode: str, verify: bool) -> dict:
         pne = compute_pne_dp(instance)
         outputs["pne"] = {
             "assignment": _input_order_choices(instance, pne),
-            "social_cost": social_cost(profile, pne, env).social_cost,
-            "potential": potential(profile, pne, env),
+            "social_cost": _social_cost(profile.positions, pne.choices, env),
+            "potential": _potential(profile.positions, pne.choices, env),
         }
     if mode in ("opt", "both"):
         result = optimal_block_dp(instance)
@@ -151,7 +152,7 @@ def _solve_one(path: str, mode: str, verify: bool) -> dict:
             verification["no_cross"] = bool(check_no_cross(profile, pne, env))
             verification["potential_matches_bruteforce"] = _matches_bruteforce(
                 lambda: brute_force_min_potential(instance, limit=_ORACLE_LIMIT),
-                potential(profile, pne, env))
+                outputs["pne"]["potential"])
         if opt is not None:
             verification["opt_matches_bruteforce"] = _matches_bruteforce(
                 lambda: optimal_brute_force(instance, limit=_ORACLE_LIMIT).social_cost,
@@ -211,7 +212,7 @@ def _parse_start(token: str, instance: Instance) -> Assignment:
 def _sorted_choices(instance: Instance, assignment: Assignment) -> Assignment:
     # Inverse of _input_order_choices: file numbering to sorted numbering.
     to_sorted = np.argsort(instance.environment.input_order) + 1
-    return Assignment(tuple(int(to_sorted[c - 1]) for c in assignment.choices))
+    return Assignment(tuple(to_sorted[np.asarray(assignment.choices) - 1].tolist()))
 
 
 def _cmd_dynamics(args) -> int:
@@ -277,7 +278,7 @@ def _cmd_mech(args) -> int:
     outputs: dict = {
         "kind": spec.kind,
         "assignment": _input_order_choices(instance, assignment),
-        "social_cost": social_cost(profile, assignment, env).social_cost,
+        "social_cost": _social_cost(profile.positions, assignment.choices, env),
     }
     if args.audit:
         grid = default_audit_grid(env, extra=args.grid_extra)

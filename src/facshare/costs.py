@@ -112,9 +112,15 @@ def social_cost(profile: Profile, assignment: Assignment,
     """Sum of all agents' costs, with the per-agent distance/share split."""
     assignment.validate_for(profile, env)
     distance, share = _split_costs(profile.positions, assignment.choices, env)
-    per = tuple(AgentCost(d, s, t) for d, s, t in
-                zip(distance.tolist(), share.tolist(), (distance + share).tolist()))
-    return CostBreakdown(per, sum(a.total for a in per))
+    total = (distance + share).tolist()
+    per = tuple(map(AgentCost, distance.tolist(), share.tolist(), total))
+    return CostBreakdown(per, sum(total))
+
+
+def _social_cost(positions, choices, env: Environment) -> float:
+    """:func:`social_cost`'s total for checked arrays, by the same builtin ``sum``."""
+    distance, share = _split_costs(positions, choices, env)
+    return sum((distance + share).tolist())
 
 
 def potential(profile: Profile, assignment: Assignment,
@@ -127,12 +133,17 @@ def potential(profile: Profile, assignment: Assignment,
     are equilibria.
     """
     assignment.validate_for(profile, env)
-    choices = np.asarray(assignment.choices)
+    return _potential(profile.positions, assignment.choices, env)
+
+
+def _potential(positions, choices, env: Environment) -> float:
+    """:func:`potential` for checked arrays."""
+    choices = np.asarray(choices)
     counts = np.bincount(choices - 1, minlength=env.m)
     used = counts > 0
     building = (np.asarray(env.building_costs)[used]
                 * harmonic_numbers(int(counts.max()))[counts[used]])
-    distance, _ = _split_costs(profile.positions, choices, env)
+    distance, _ = _split_costs(positions, choices, env)
     # cumsum adds strictly left to right: facilities first, then agents.
     return float(np.cumsum(np.concatenate((building, distance)))[-1])
 

@@ -12,14 +12,13 @@ agent blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._blockdp import _block_assignment, _brute_force_min
-from .costs import (EPS_CMP, _deviation_costs, harmonic_numbers, potential,
-                    social_cost)
+from .costs import (EPS_CMP, _deviation_costs, _potential, _social_cost,
+                    harmonic_numbers)
 from .model import Assignment, Environment, Instance, Profile, ValidationError
 
 __all__ = [
@@ -152,7 +151,7 @@ def run_dynamics(instance: Instance, start: Assignment,
     choices = np.array(start.choices)
     agents = np.arange(profile.n)
     steps: list[DynamicsStep] = []
-    initial_potential = potential(profile, start, env)
+    initial_potential = _potential(positions, choices, env)
     pointer = 0
     converged = False
     while True:
@@ -178,7 +177,7 @@ def run_dynamics(instance: Instance, start: Assignment,
         pointer = (i + 1) % profile.n
         steps.append(DynamicsStep(
             agent=i, from_facility=old, to_facility=fac, cost_delta=-float(best[i]),
-            potential_after=potential(profile, Assignment(tuple(choices.tolist())), env),
+            potential_after=_potential(positions, choices, env),
         ))
     return DynamicsTrace(tuple(steps), converged, Assignment(tuple(choices.tolist())),
                          initial_potential)
@@ -233,43 +232,28 @@ def check_no_cross(profile: Profile, assignment: Assignment,
     """Verify the no-cross property: strictly left agents never use a strictly
     righter facility location. Equal positions are unconstrained."""
     assignment.validate_for(profile, env)
-    order = sorted(range(profile.n), key=lambda i: profile.positions[i])
-    max_loc = -math.inf
-    max_agent = -1
-    idx = 0
-    while idx < len(order):
-        # Process one group of equal positions against the strictly-left max.
-        group_end = idx
-        pos = profile.positions[order[idx]]
-        while group_end < len(order) and profile.positions[order[group_end]] == pos:
-            group_end += 1
-        for t in range(idx, group_end):
-            agent = order[t]
-            if env.locations[assignment.choices[agent] - 1] < max_loc:
-                return NoCrossVerdict(False, CrossingWitness(max_agent, agent))
-        for t in range(idx, group_end):
-            agent = order[t]
-            loc = env.locations[assignment.choices[agent] - 1]
-            if loc > max_loc:
-                max_loc, max_agent = loc, agent
-        idx = group_end
-    return NoCrossVerdict(True)
+    order = np.argsort(profile.positions, kind="stable")
+    x = np.asarray(profile.positions)[order]
+    loc = np.asarray(env.locations)[np.asarray(assignment.choices)[order] - 1]
+    # Each agent is held against the largest location among the agents
+    # strictly to her left: those sorted before the first one at her position.
+    left_max = np.r_[-np.inf, np.maximum.accumulate(loc)][np.searchsorted(x, x)]
+    crossing = np.flatnonzero(loc < left_max)
+    if len(crossing) == 0:
+        return NoCrossVerdict(True)
+    t = crossing[0]
+    # The witness's left agent is the first one holding that location.
+    left = int(np.argmax(loc == left_max[t]))
+    return NoCrossVerdict(False, CrossingWitness(int(order[left]), int(order[t])))
 
 
 def consecutive_blocks_ok(profile: Profile, assignment: Assignment) -> bool:
     """True when every facility's users form one consecutive run after a
     stable sort of agents by position."""
-    order = np.argsort(np.asarray(profile.positions), kind="stable")
-    seq = [assignment.choices[i] for i in order]
-    seen: set[int] = set()
-    previous = None
-    for fac in seq:
-        if fac != previous:
-            if fac in seen:
-                return False
-            seen.add(fac)
-            previous = fac
-    return True
+    order = np.argsort(profile.positions, kind="stable")
+    seq = np.asarray(assignment.choices)[order]
+    runs = seq[np.r_[True, seq[1:] != seq[:-1]]]  # each run's facility
+    return len(np.unique(runs)) == len(runs)
 
 
 @dataclass(frozen=True)
@@ -285,8 +269,9 @@ def check_harmonic_bound(instance: Instance, pne: Assignment,
     H_n times the optimum (the logarithmic price-of-stability guarantee; H_n
     rather than ln n so the statement is meaningful at n = 1)."""
     profile, env = instance.profile, instance.environment
-    sc_pne = social_cost(profile, pne, env).social_cost
-    sc_opt = social_cost(profile, opt, env).social_cost
-    ratio = sc_pne / sc_opt
+    for assignment in (pne, opt):
+        assignment.validate_for(profile, env)
+    ratio = (_social_cost(profile.positions, pne.choices, env)
+             / _social_cost(profile.positions, opt.choices, env))
     bound = float(harmonic_numbers(instance.n)[instance.n])
     return HarmonicBoundReport(ratio, bound, ratio <= bound + EPS_CMP)

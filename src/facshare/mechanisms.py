@@ -321,7 +321,7 @@ def apply_mechanism(spec: MechanismSpec, profile: Profile,
     """
     validate_spec(spec, env, n=profile.n)
     row = _batch_apply(spec, env, np.array([profile.positions]))[0]
-    return Assignment(tuple(int(f) for f in row))
+    return Assignment(tuple(row.tolist()))
 
 
 def resolve_x_star(spec: MechanismSpec, env: Environment) -> float:

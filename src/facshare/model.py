@@ -138,7 +138,7 @@ class Assignment:
     def validate_for(self, profile: Profile, env: Environment) -> None:
         _require(len(self.choices) == profile.n,
                  "assignment length must equal the number of agents")
-        _require(all(c <= env.m for c in self.choices),
+        _require(max(self.choices) <= env.m,
                  "facility index out of range for this environment")
 
     def counts(self, m: int) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blockdp import BruteForceLimitError, _block_assignment, _brute_force_min
-from .costs import social_cost
+from .costs import _social_cost
 from .model import Assignment, Instance
 
 __all__ = [
@@ -50,12 +50,14 @@ def optimal_brute_force(instance: Instance, *, limit: int = 10_000_000) -> OptRe
     the per-agent definition.
     """
     _, assignment = _brute_force_min(instance, _unit_weights(instance.n), limit)
-    value = social_cost(instance.profile, assignment, instance.environment).social_cost
+    value = _social_cost(instance.profile.positions, assignment.choices,
+                         instance.environment)
     return OptResult(assignment, value, "brute_force")
 
 
 def optimal_block_dp(instance: Instance) -> OptResult:
     """Consecutive-block dynamic program for the optimal social cost."""
     assignment = _block_assignment(instance, _unit_weights(instance.n))
-    value = social_cost(instance.profile, assignment, instance.environment).social_cost
+    value = _social_cost(instance.profile.positions, assignment.choices,
+                         instance.environment)
     return OptResult(assignment, value, "block_dp")

@@ -74,6 +74,47 @@ def oracle_best_move(positions, choices, locations, building_costs, i):
     return best, fac
 
 
+def oracle_no_cross(positions, choices, locations):
+    """First crossing ``(left_agent, right_agent)``, or ``None``. Agents are
+    scanned in stable position order, one group of equal positions at a
+    time, against the largest location held strictly to their left."""
+    order = sorted(range(len(positions)), key=lambda i: positions[i])
+    max_loc = -math.inf
+    max_agent = -1
+    idx = 0
+    while idx < len(order):
+        group_end = idx
+        pos = positions[order[idx]]
+        while group_end < len(order) and positions[order[group_end]] == pos:
+            group_end += 1
+        for t in range(idx, group_end):
+            agent = order[t]
+            if locations[choices[agent] - 1] < max_loc:
+                return max_agent, agent
+        for t in range(idx, group_end):
+            agent = order[t]
+            loc = locations[choices[agent] - 1]
+            if loc > max_loc:
+                max_loc, max_agent = loc, agent
+        idx = group_end
+    return None
+
+
+def oracle_consecutive_blocks(positions, choices):
+    """True when, in stable position order, no facility's users are split
+    into two runs."""
+    order = sorted(range(len(positions)), key=lambda i: positions[i])
+    seen = set()
+    previous = None
+    for fac in (choices[i] for i in order):
+        if fac != previous:
+            if fac in seen:
+                return False
+            seen.add(fac)
+            previous = fac
+    return True
+
+
 def oracle_potential_grouped(positions, choices, locations, building_costs):
     """Facility-grouped (compact) form of the potential: per used facility,
     its harmonic series plus its members' distances."""

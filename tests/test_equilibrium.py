@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import facshare as fs
 import facshare.equilibrium as equilibrium
 from oracles import (build_dp_table, lattice_instance, oracle_best_move,
-                     oracle_best_response, oracle_deviation_gain, oracle_is_pne,
-                     oracle_min_potential, random_assignment, suite_dims)
+                     oracle_best_response, oracle_consecutive_blocks,
+                     oracle_deviation_gain, oracle_is_pne, oracle_min_potential,
+                     oracle_no_cross, random_assignment, suite_dims)
 
 ENV = fs.Environment((0.0, 3.0), (2.0, 4.0))
 PROF = fs.Profile((0.0, 3.0))
@@ -97,6 +98,28 @@ class TestOracleAgreement:
             assert trace.converged
             assert list(trace.final_assignment.choices) == choices
             assert oracle_is_pne(x, choices, locs, b, fs.EPS_CMP) is None
+
+    def test_structural_checks_match_oracle(self, suite500):
+        rng = np.random.default_rng(23)
+        cases = list(oracle_cases(suite500))
+        for _ in range(300):  # wider lattice cases: long groups of equal positions
+            n, m = (int(v) for v in rng.integers(1, (31, 6)))
+            cases.append((lattice_instance(rng, n, m), random_assignment(rng, n, m)))
+        crossings = colocated = split = 0
+        for inst, a in cases:
+            x, locs, _ = plain(inst)
+            for case in (a, fs.compute_pne_dp(inst)):
+                verdict = fs.check_no_cross(inst.profile, case, inst.environment)
+                w = verdict.witness
+                got = None if w is None else (w.left_agent, w.right_agent)
+                expected = oracle_no_cross(x, case.choices, locs)
+                assert repr((verdict.ok, got)) == repr((expected is None, expected))
+                blocks = oracle_consecutive_blocks(x, case.choices)
+                assert fs.consecutive_blocks_ok(inst.profile, case) is blocks
+                crossings += expected is not None
+                split += not blocks
+            colocated += len(set(x)) < len(x)
+        assert crossings > 400 and split > 400 and colocated > 300
 
 
 class TestBestResponse:
@@ -252,6 +275,53 @@ class TestNoCross:
     def test_consecutive_blocks_detects_split(self):
         prof = fs.Profile((0.0, 1.0, 2.0))
         assert not fs.consecutive_blocks_ok(prof, fs.Assignment((1, 2, 1)))
+
+
+class TestReusedTotalsExact:
+    """Internal callers reuse the array totals of ``costs``; each reported
+    value must equal, bit for bit, the public function's value for the same
+    assignment. At n >= 8 a numpy ``sum`` or a previous-minus-gain update
+    rounds differently, so ``==`` catches either."""
+
+    @staticmethod
+    def cases(n_range=(8, 60), m_range=(2, 8), count=40):
+        rng = np.random.default_rng(29)
+        for k in range(count):
+            n, m = int(rng.integers(*n_range)), int(rng.integers(*m_range))
+            inst = (fs.generate_instance(n, m, seed=k) if k % 2
+                    else lattice_instance(rng, n, m))
+            yield inst, random_assignment(rng, n, m)
+
+    @pytest.mark.parametrize("order", ["round-robin", "max-gain", "seeded-random"])
+    def test_dynamics_potentials_equal_recomputed(self, order):
+        steps = 0
+        for inst, start in self.cases():
+            profile, env = inst.profile, inst.environment
+            trace = fs.run_dynamics(inst, start, order=order, seed=5)
+            assert trace.initial_potential == fs.potential(profile, start, env)
+            choices = list(start.choices)
+            for step in trace.steps:
+                choices[step.agent] = step.to_facility
+                replayed = fs.Assignment(tuple(choices))
+                assert step.potential_after == fs.potential(profile, replayed, env)
+            steps += len(trace.steps)
+        assert steps > 500
+
+    @staticmethod
+    def check_optimum(inst, other, opt):
+        def sc(assignment):
+            return fs.social_cost(inst.profile, assignment, inst.environment).social_cost
+
+        assert opt.social_cost == sc(opt.assignment)
+        for a in (fs.compute_pne_dp(inst), other):
+            report = fs.check_harmonic_bound(inst, a, opt.assignment)
+            assert report.ratio == sc(a) / sc(opt.assignment)
+
+    def test_optima_and_ratio_equal_social_cost(self):
+        for inst, a in self.cases():
+            self.check_optimum(inst, a, fs.optimal_block_dp(inst))
+        for inst, a in self.cases(n_range=(8, 11), m_range=(2, 4), count=12):
+            self.check_optimum(inst, a, fs.optimal_brute_force(inst))
 
 
 class TestHarmonicBound:

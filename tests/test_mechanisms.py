@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facshare as fs
+import facshare.mechanisms as mechanisms
 from facshare.mechanisms import MechanismSpec
 from oracles import random_environment
 
@@ -456,6 +458,28 @@ class TestEmpiricalRatio:
                                     grid=(0.0,), n=2)
         assert result.worst_ratio == pytest.approx(1.0)
         assert result.witness_profile == (0.0, 0.0)
+
+    def test_large_search_space_solves_each_profile(self, monkeypatch):
+        # m**n = 4**7 exceeds the enumeration cap, so every one of the 2**7
+        # grid profiles gets its own optimal_block_dp solve.
+        env = fs.Environment((0.0, 2.0, 5.0, 9.0), (3.0, 1.0, 2.0, 4.0))
+        spec, grid = MechanismSpec("krank", k=3), (1.0, 6.5)
+        solved = []
+        block_dp = mechanisms.optimal_block_dp
+        monkeypatch.setattr(mechanisms, "optimal_block_dp",
+                            lambda inst: solved.append(inst) or block_dp(inst))
+        result = fs.empirical_ratio(spec, env, grid, n=7)
+        assert len(solved) == 2 ** 7
+        ratios = {}
+        for row in itertools.product(grid, repeat=7):
+            profile = fs.Profile(row)
+            mech = fs.apply_mechanism(spec, profile, env)
+            opt = fs.optimal_brute_force(fs.Instance(env, profile))
+            ratios[row] = fs.social_cost(profile, mech, env).social_cost / opt.social_cost
+        worst = max(ratios.values())
+        assert worst > 1.0
+        assert result.worst_ratio == pytest.approx(worst, rel=1e-12)
+        assert ratios[result.witness_profile] == pytest.approx(worst, rel=1e-12)
 
 
 def test_default_grid_contains_breakpoints():
