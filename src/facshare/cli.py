@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .costs import _potential, _social_cost
+from .costs import _potential, _social_cost, harmonic_numbers
 from .equilibrium import (
     brute_force_min_potential,
     check_harmonic_bound,
@@ -129,7 +129,8 @@ def _solve_one(path: str, mode: str, verify: bool) -> dict:
         outputs["pne"] = {
             "assignment": _input_order_choices(instance, pne),
             "social_cost": _social_cost(profile.positions, pne.choices, env),
-            "potential": _potential(profile.positions, pne.choices, env),
+            "potential": _potential(profile.positions, pne.choices, env,
+                                    harmonic_numbers(instance.n)),
         }
     if mode in ("opt", "both"):
         result = optimal_block_dp(instance)

@@ -133,16 +133,18 @@ def potential(profile: Profile, assignment: Assignment,
     are equilibria.
     """
     assignment.validate_for(profile, env)
-    return _potential(profile.positions, assignment.choices, env)
+    return _potential(profile.positions, assignment.choices, env,
+                      harmonic_numbers(profile.n))
 
 
-def _potential(positions, choices, env: Environment) -> float:
-    """:func:`potential` for checked arrays."""
+def _potential(positions, choices, env: Environment, harmonic: np.ndarray) -> float:
+    """:func:`potential` for checked arrays. ``harmonic`` is
+    ``harmonic_numbers(k)`` for any ``k`` at least the largest load: the
+    cumulative sum's prefixes do not depend on its length."""
     choices = np.asarray(choices)
     counts = np.bincount(choices - 1, minlength=env.m)
     used = counts > 0
-    building = (np.asarray(env.building_costs)[used]
-                * harmonic_numbers(int(counts.max()))[counts[used]])
+    building = np.asarray(env.building_costs)[used] * harmonic[counts[used]]
     distance, _ = _split_costs(positions, choices, env)
     # cumsum adds strictly left to right: facilities first, then agents.
     return float(np.cumsum(np.concatenate((building, distance)))[-1])

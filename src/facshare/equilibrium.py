@@ -150,8 +150,9 @@ def run_dynamics(instance: Instance, start: Assignment,
     positions = np.asarray(profile.positions)
     choices = np.array(start.choices)
     agents = np.arange(profile.n)
+    harmonic = harmonic_numbers(profile.n)
     steps: list[DynamicsStep] = []
-    initial_potential = _potential(positions, choices, env)
+    initial_potential = _potential(positions, choices, env, harmonic)
     pointer = 0
     converged = False
     while True:
@@ -177,7 +178,7 @@ def run_dynamics(instance: Instance, start: Assignment,
         pointer = (i + 1) % profile.n
         steps.append(DynamicsStep(
             agent=i, from_facility=old, to_facility=fac, cost_delta=-float(best[i]),
-            potential_after=_potential(positions, choices, env),
+            potential_after=_potential(positions, choices, env, harmonic),
         ))
     return DynamicsTrace(tuple(steps), converged, Assignment(tuple(choices.tolist())),
                          initial_potential)
@@ -185,7 +186,8 @@ def run_dynamics(instance: Instance, start: Assignment,
 
 def compute_pne_dp(instance: Instance, *, verify: bool = False) -> Assignment:
     """Compute a potential-minimizing assignment, which is always a pure Nash
-    equilibrium, in O(n^2 * m) time after sorting.
+    equilibrium, in O(m * n log^2 n) time after sorting (see
+    :mod:`facshare._blockdp` for each path's cost).
 
     Agents are sorted by position (stable, so co-located agents keep input
     order and land in one block), facilities are already location-sorted, and

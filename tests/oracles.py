@@ -281,3 +281,50 @@ def build_dp_table(instance):
             k = fac - 1
     blocks.reverse()
     return DpTable(memo=memo, choice=choice, n=n, m=m, order=order, blocks=blocks)
+
+
+def oracle_block_partition(sorted_x, locations, building_costs, size_weight):
+    """The block DP by an exhaustive candidate scan per agent prefix.
+
+    ``table[j, k]`` is the cheapest partition of the first ``j`` sorted agents
+    over facilities ``1..k``. For each ``j`` the whole ``(k, j)`` matrix of
+    rightmost-block candidates is priced with the expression the library
+    uses, ``(b_f * w[j - i] + (D_f[j] - D_f[i])) + table[i, f - 1]``, and
+    scanned; the traceback rescans it per block and takes the smallest start
+    (the widest block), then the smallest facility. Returns ``(value,
+    blocks, ties)`` with the library's block convention; ``ties`` counts the
+    blocks chosen among more than one minimizing candidate.
+    """
+    x = np.asarray(sorted_x, dtype=float)
+    locs = np.asarray(locations, dtype=float)
+    b = np.asarray(building_costs, dtype=float)
+    weight = np.asarray(size_weight, dtype=float)
+    n, m = len(x), len(locs)
+    dist = np.zeros((m, n + 1))
+    np.cumsum(np.abs(x[None, :] - locs[:, None]), axis=1, out=dist[:, 1:])
+
+    table = np.full((n + 1, m + 1), math.inf)
+    table[0, :] = 0.0
+
+    def candidates(j, cap):
+        sizes = np.arange(j, 0, -1)
+        phi = (b[:cap, None] * weight[sizes][None, :]
+               + (dist[:cap, j][:, None] - dist[:cap, :j]))
+        return phi + table[:j, :cap].T
+
+    for j in range(1, n + 1):
+        rowmin = candidates(j, m).min(axis=1)
+        np.minimum.accumulate(rowmin, out=rowmin)
+        table[j, 1:] = rowmin
+
+    blocks, ties = [], 0
+    j, cap = n, m
+    while j > 0:
+        cand = candidates(j, cap)
+        start = int(np.argmin(cand.min(axis=0)))
+        fac = int(np.argmin(cand[:, start]))
+        ties += int(np.count_nonzero(cand == cand[fac, start]) > 1)
+        blocks.append((start, j, fac + 1))
+        j, cap = start, fac
+    blocks.reverse()
+    return float(table[n, m]), tuple(blocks), ties
