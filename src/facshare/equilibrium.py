@@ -202,7 +202,8 @@ def compute_pne_dp(instance: Instance, *, verify: bool = False) -> Assignment:
         if not verdict:
             raise RuntimeError(
                 f"internal error: solver output admits an improving deviation "
-                f"{verdict.witness}")
+                f"{verdict.witness} on instance {instance.name!r} "
+                f"(n={instance.n}, m={instance.m})")
     return assignment
 
 

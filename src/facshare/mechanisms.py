@@ -13,7 +13,9 @@ grid that always contains the case boundaries of the characterization (and
 small offsets around them), which is where violations surface. Audits accept
 either a :class:`MechanismSpec` or any callable mapping a ``(P, n)`` batch of
 position profiles to a ``(P, n)`` batch of 1-based facility indices, so
-deliberately broken mechanisms can be audited too.
+deliberately broken mechanisms can be audited too. A callable is applied to
+every altered batch; a spec is audited through its order-statistic form
+(:func:`_order_rule`), evaluated once per distinct position.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -270,45 +272,52 @@ def validate_spec(spec: MechanismSpec, env: Environment, n: int | None = None,
             f"delta = {params.delta}")
 
 
-def _diag_values(choice: DiagChoice, xs: np.ndarray) -> np.ndarray:
+def _diagonal(choice: DiagChoice, theta: np.ndarray, onto: np.ndarray,
+              other: int) -> np.ndarray:
+    """Facility ``other`` at every position, except ``choice`` where ``onto``."""
+    fac = np.full(theta.shape, other, dtype=int)
     if callable(choice):
-        return np.array([int(choice(float(v))) for v in xs], dtype=int)
-    return np.full(len(xs), int(choice), dtype=int)
+        fac[onto] = [int(choice(float(v))) for v in theta[onto]]
+    else:
+        fac[onto] = int(choice)
+    return fac
+
+
+def _order_rule(spec: MechanismSpec, env: Environment,
+                n: int) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    """The order-statistic form of a spec (Moulin's phantom-median form).
+
+    Every family sends all ``n`` agents to one facility ``h(theta)``, where
+    ``theta`` is the ``k``-th smallest report: the smallest for type2-4, the
+    largest for type5, the ``k``-th for k-rank, and any for the constant
+    type1. Returns ``(k, h)``; ``h`` maps an array of positions to 1-based
+    facilities elementwise.
+    """
+    if spec.kind == "type1":
+        return 1, lambda theta: np.full(np.shape(theta), spec.target, dtype=int)
+    if spec.kind == "krank":
+        return spec.k, lambda theta: _facility_costs(theta, env, n).argmin(axis=-1) + 1
+    l1, l2 = env.locations
+    if spec.kind == "type2":
+        # diagonal choices are only defined left of the left facility
+        return 1, lambda theta: _diagonal(spec.diag_choice, theta, theta <= l1, 2)
+    if spec.kind == "type3":
+        return 1, lambda theta: _diagonal(spec.diag_choice, theta, ~(theta < l2), 1)
+    threshold = l1 + env_params(env).M
+    return (1 if spec.kind == "type4" else n,
+            lambda theta: np.where(theta < threshold, 1,
+                                   np.where(theta > threshold, 2, spec.boundary_choice)))
 
 
 def _batch_apply(spec: MechanismSpec, env: Environment,
                  profiles: np.ndarray) -> np.ndarray:
-    """Apply a spec to a (P, n) batch of profiles; returns (P, n) facilities.
-
-    Every characterized family assigns all agents to one facility, so the
-    common facility is computed per row and broadcast.
-    """
+    """Apply a spec to a (P, n) batch of profiles; returns (P, n) facilities:
+    one partition for each row's order statistic, ``h``, then a broadcast."""
     profiles = np.asarray(profiles, dtype=float)
     p, n = profiles.shape
-    if spec.kind == "type1":
-        fac = np.full(p, spec.target, dtype=int)
-    elif spec.kind == "krank":
-        theta = np.partition(profiles, spec.k - 1, axis=1)[:, spec.k - 1]
-        fac = _facility_costs(theta, env, n).argmin(axis=1) + 1
-    else:
-        l1, l2 = env.locations
-        if spec.kind == "type2":
-            # diagonal choices are only defined left of the left facility
-            mn = profiles.min(axis=1)
-            fac = np.full(p, 2, dtype=int)
-            onto_diag = mn <= l1
-            fac[onto_diag] = _diag_values(spec.diag_choice, mn[onto_diag])
-        elif spec.kind == "type3":
-            mn = profiles.min(axis=1)
-            fac = np.ones(p, dtype=int)
-            onto_diag = ~(mn < l2)
-            fac[onto_diag] = _diag_values(spec.diag_choice, mn[onto_diag])
-        else:
-            pivot = profiles.min(axis=1) if spec.kind == "type4" else profiles.max(axis=1)
-            threshold = l1 + env_params(env).M
-            fac = np.where(pivot < threshold, 1,
-                           np.where(pivot > threshold, 2, spec.boundary_choice))
-    return np.broadcast_to(fac[:, None], (p, n)).copy()
+    k, h = _order_rule(spec, env, n)
+    theta = np.partition(profiles, k - 1, axis=1)[:, k - 1]
+    return np.broadcast_to(h(theta)[:, None], (p, n)).copy()
 
 
 def apply_mechanism(spec: MechanismSpec, profile: Profile,
@@ -373,13 +382,16 @@ def resolve_x_star(spec: MechanismSpec, env: Environment) -> float:
 # Best single facility and the k-rank family
 
 
+_BEST = MechanismSpec("krank", k=1)
+
+
 def best_facility(x: float, env: Environment, n: int) -> int:
     """Facility minimizing ``|x - loc| + cost/n``: the favorite all-to-one
     outcome of a position when the cost is split n ways. Ties break to the
     smaller index (a fixed arbitrary rule)."""
     if n < 1:
         raise ValidationError("n must be ≥ 1")
-    return int(_facility_costs(float(x), env, n).argmin()) + 1
+    return int(_order_rule(_BEST, env, n)[1](float(x)))
 
 
 def k_rank(profile: Profile, env: Environment, k: int) -> Assignment:
@@ -387,8 +399,7 @@ def k_rank(profile: Profile, env: Environment, k: int) -> Assignment:
     if not 1 <= k <= profile.n:
         raise ValidationError(f"k out of range: need 1 <= k <= {profile.n}, got {k}")
     theta = sorted(profile.positions)[k - 1]
-    fac = best_facility(theta, env, profile.n)
-    return Assignment((fac,) * profile.n)
+    return Assignment((best_facility(theta, env, profile.n),) * profile.n)
 
 
 def nearest_facility_mechanism(env: Environment) -> BatchMechanism:
@@ -440,25 +451,122 @@ def _profiles_from_grid(grid: Sequence[float], n: int, max_profiles: int,
                         seed: int) -> np.ndarray:
     """All grid^n profiles when that fits under ``max_profiles``, otherwise a
     seeded uniform sample of ``max_profiles`` profiles from the grid."""
-    g = len(grid)
+    arr = _audit_positions(grid, "audit grid")
+    g = len(arr)
     if g == 0:
         raise ValidationError("audit grid must be nonempty")
-    arr = np.asarray(grid, dtype=float)
     if g ** n <= max_profiles:
-        combos = np.array(list(itertools.product(range(g), repeat=n)), dtype=int)
-        return arr[combos]
+        # mixed-radix order, the order of itertools.product(range(g), repeat=n)
+        combos = np.indices((g,) * n).reshape(n, g ** n)
+        return np.ascontiguousarray(arr[combos].T)
     rng = np.random.default_rng(seed)
     return arr[rng.integers(0, g, size=(max_profiles, n))]
 
 
-def _as_batch_mechanism(mechanism: Mechanism, env: Environment,
-                        n: int) -> BatchMechanism:
+def _audit_positions(values: Sequence[float], what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} positions must be finite")
+    return arr
+
+
+def _check_mechanism(mechanism: Mechanism, env: Environment, n: int) -> None:
     if isinstance(mechanism, MechanismSpec):
         validate_spec(mechanism, env, n=n)
+    elif not callable(mechanism):
+        raise ValidationError("mechanism must be a MechanismSpec or a batch callable")
+
+
+def _as_batch_mechanism(mechanism: Mechanism, env: Environment,
+                        n: int) -> BatchMechanism:
+    _check_mechanism(mechanism, env, n)
+    if isinstance(mechanism, MechanismSpec):
         return lambda profiles: _batch_apply(mechanism, env, profiles)
-    if callable(mechanism):
-        return mechanism
-    raise ValidationError("mechanism must be a MechanismSpec or a batch callable")
+    return mechanism
+
+
+# Reports priced together on the spec path: temporaries stay near (P, 8).
+_REPORT_BLOCK = 8
+
+
+def _value_index(profiles: np.ndarray,
+                 reports: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted distinct values of profiles and reports, and the index of
+    each entry among them."""
+    values, inverse = np.unique(np.concatenate((profiles.ravel(), reports)),
+                                return_inverse=True)
+    inverse = inverse.ravel()
+    split = profiles.size
+    return values, inverse[:split].reshape(profiles.shape), inverse[split:]
+
+
+def _spec_table(h: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
+                seen: np.ndarray) -> np.ndarray:
+    """``h`` at every value marked in ``seen``, one call for all of them;
+    values never marked are never passed to ``h``."""
+    table = np.zeros(len(values), dtype=int)
+    table[seen] = h(values[seen])
+    return table
+
+
+def _report_changes(mechanism: Mechanism, env: Environment, profiles: np.ndarray,
+                    reports: np.ndarray) -> tuple[np.ndarray, Iterator[tuple]]:
+    """The truthful ``(P, n)`` outcome, and an iterator over each agent's
+    facility and its load when she alone switches to other reports.
+
+    The iterator yields ``(i, block, fac, load)`` in agent-then-report order:
+    ``block`` holds reports and ``fac``/``load`` have shape
+    ``(P, len(block))``. A batch callable is applied to one altered batch per
+    (agent, report). A spec is evaluated in value-index space through its
+    order-statistic form: when agent i reports r, the k-th smallest report
+    becomes ``clip(r, lo, hi)``, where lo and hi are the (k-1)-th and k-th
+    smallest reports of the others, so each outcome is a lookup in a table
+    of ``h`` over the distinct values, and every load is n.
+    """
+    p, n = profiles.shape
+    if not isinstance(mechanism, MechanismSpec):
+        def batch_changes():
+            for i in range(n):
+                for j, report in enumerate(reports):
+                    mod = profiles.copy()
+                    mod[:, i] = report
+                    outcome = mechanism(mod)
+                    yield (i, reports[j:j + 1], outcome[:, i, None],
+                           _loads(outcome, env.m)[:, i, None])
+        return mechanism(profiles), batch_changes()
+
+    k, h = _order_rule(mechanism, env, n)
+    values, index, r_index = _value_index(profiles, reports)
+    size = len(values)
+    # The others' j-th smallest, for j = k - 1 and k, drops one copy of the
+    # agent's own value from the sorted row; -1 and size stand for -inf, +inf.
+    ranked = np.column_stack((np.full(p, -1), np.sort(index, axis=1),
+                              np.full(p, size)))
+    lo, mid, hi = (ranked[:, j, None] for j in (k - 1, k, k + 1))
+    lo = np.where(lo < index, lo, mid)
+    hi = np.where(mid < index, mid, hi)
+
+    seen = np.zeros(size, dtype=bool)
+    seen[mid[:, 0]] = True
+    if len(r_index):
+        # clip(r, lo, hi) is lo for some r below lo, hi for some r above hi,
+        # and r itself when some agent's interval [lo, hi] contains it.
+        seen[lo[lo > r_index.min()]] = True
+        seen[hi[hi < r_index.max()]] = True
+        edges = (np.bincount(np.maximum(lo, 0).ravel(), minlength=size + 1)
+                 - np.bincount(np.minimum(hi, size - 1).ravel() + 1, minlength=size + 1))
+        seen[r_index[np.cumsum(edges)[r_index] > 0]] = True
+    table = _spec_table(h, values, seen)
+
+    def spec_changes():
+        for i in range(n):
+            for start in range(0, len(reports), _REPORT_BLOCK):
+                block = slice(start, start + _REPORT_BLOCK)
+                theta = np.minimum(np.maximum(r_index[block], lo[:, i, None]),
+                                   hi[:, i, None])
+                yield i, reports[block], table[theta], n
+    truthful = np.broadcast_to(table[mid], (p, n))
+    return truthful, spec_changes()
 
 
 @dataclass(frozen=True)
@@ -506,24 +614,26 @@ def audit_strategyproof(mechanism: Mechanism, env: Environment,
         grid = default_audit_grid(env)
     if misreports is None:
         misreports = grid
-    apply_batch = _as_batch_mechanism(mechanism, env, n)
+    _check_mechanism(mechanism, env, n)
     profiles = _profiles_from_grid(grid, n, max_profiles, seed)
-    base_cost = np.add(*_split_costs(profiles, apply_batch(profiles), env))
+    reports = _audit_positions(misreports, "misreport")
+    truthful, changes = _report_changes(mechanism, env, profiles, reports)
+    base_cost = np.add(*_split_costs(profiles, truthful, env))
+    locs = np.asarray(env.locations)
+    b = np.asarray(env.building_costs)
 
     bad: list[Counterexample] = []
     checked = 0
-    for i in range(n):
-        for report in misreports:
-            mod = profiles.copy()
-            mod[:, i] = report
-            lied_cost = np.add(*_split_costs(profiles, apply_batch(mod), env))[:, i]
-            checked += len(profiles)
-            mask = base_cost[:, i] - lied_cost > tol
-            for r in np.nonzero(mask)[0]:
-                bad.append(Counterexample(
-                    profile=_plain(profiles[r]), agent=i, deviation=float(report),
-                    cost_before=float(base_cost[r, i]),
-                    cost_after=float(lied_cost[r])))
+    for i, block, fac, load in changes:
+        # agent i's true cost under the altered outcome, as _split_costs prices it
+        lied_cost = np.abs(profiles[:, i, None] - locs[fac - 1]) + b[fac - 1] / load
+        checked += lied_cost.size
+        mask = base_cost[:, i, None] - lied_cost > tol
+        for j, r in zip(*np.nonzero(mask.T)):
+            bad.append(Counterexample(
+                profile=_plain(profiles[r]), agent=i, deviation=float(block[j]),
+                cost_before=float(base_cost[r, i]),
+                cost_after=float(lied_cost[r, j])))
     return _finish("strategyproof", bad, checked)
 
 
@@ -539,10 +649,24 @@ def audit_anonymous(mechanism: Mechanism, env: Environment,
     """
     if grid is None:
         grid = default_audit_grid(env)
-    apply_batch = _as_batch_mechanism(mechanism, env, n)
+    _check_mechanism(mechanism, env, n)
     profiles = _profiles_from_grid(grid, n, max_profiles, seed)
-    base = apply_batch(profiles)
-    base_key = np.sort(profiles + 1j * base, axis=1)
+    if isinstance(mechanism, MechanismSpec):
+        # All-to-one outcomes: two rows hold the same multiset of (position,
+        # facility) pairs exactly when their common facilities agree.
+        k, h = _order_rule(mechanism, env, n)
+        values, index, _ = _value_index(profiles, np.empty(0))
+        seen = np.zeros(len(values), dtype=bool)
+        seen[np.partition(index, k - 1, axis=1)[:, k - 1]] = True
+        table = _spec_table(h, values, seen)
+
+        def outcome_key(perm):
+            return table[np.partition(index[:, perm], k - 1, axis=1)[:, k - 1, None]]
+    else:
+        def outcome_key(perm):
+            permuted = profiles[:, perm]
+            return np.sort(permuted + 1j * mechanism(permuted), axis=1)
+    base_key = outcome_key(list(range(n)))
 
     if n <= 5:
         perms = [p for p in itertools.permutations(range(n))
@@ -554,11 +678,8 @@ def audit_anonymous(mechanism: Mechanism, env: Environment,
     bad: list[Counterexample] = []
     checked = 0
     for perm in perms:
-        permuted = profiles[:, perm]
-        out = apply_batch(permuted)
-        key = np.sort(permuted + 1j * out, axis=1)
         checked += len(profiles)
-        mismatch = np.any(key != base_key, axis=1)
+        mismatch = np.any(outcome_key(list(perm)) != base_key, axis=1)
         for r in np.nonzero(mismatch)[0]:
             bad.append(Counterexample(profile=_plain(profiles[r]), agent=None,
                                       deviation=perm))
@@ -626,55 +747,53 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
     when the agent gap meets the facility gap)."""
     if grid is None:
         grid = default_audit_grid(env)
-    apply_batch = _as_batch_mechanism(mechanism, env, n)
+    _check_mechanism(mechanism, env, n)
     profiles = _profiles_from_grid(grid, n, max_profiles, seed)
-    truthful = apply_batch(profiles)
+    reports = np.asarray(grid, dtype=float)
+    truthful, changes = _report_changes(mechanism, env, profiles, reports)
     truthful_load = _loads(truthful, env.m)
     _, truthful_share = _split_costs(profiles, truthful, env)
     locs = np.asarray(env.locations, dtype=float)
+    b = np.asarray(env.building_costs)
 
     bad1: list[Counterexample] = []
     bad2: list[Counterexample] = []
     bad3: list[Counterexample] = []
     checked = 0
-    for i in range(n):
-        base_fac = truthful[:, i]
-        base_load = truthful_load[:, i]
-        for report in grid:
-            mod = profiles.copy()
-            mod[:, i] = report
-            outcome = apply_batch(mod)
-            alt_fac = outcome[:, i]
-            alt_load = _loads(outcome, env.m)[:, i]
-            _, alt_share = _split_costs(profiles, outcome, env)
-            xi = profiles[:, i]
-            checked += len(profiles)
+    for i, block, alt_fac, alt_load in changes:
+        base_fac = truthful[:, i, None]
+        base_load = truthful_load[:, i, None]
+        alt_share = b[alt_fac - 1] / alt_load
+        xi = profiles[:, i, None]
+        report = block[None, :]
+        checked += alt_fac.size
 
-            # P1, oriented so the report increases.
-            low = np.where(xi < report, xi, np.full_like(xi, report))
-            high = np.where(xi < report, np.full_like(xi, report), xi)
-            first = np.where(xi < report, base_fac, alt_fac)
-            second = np.where(xi < report, alt_fac, base_fac)
-            moved_left = locs[second - 1] < locs[first - 1]
-            ok = ((high <= locs[second - 1] + tol)
-                  | (locs[first - 1] <= low + tol))
-            for r in np.nonzero(moved_left & ~ok & (xi != report))[0]:
-                bad1.append(Counterexample(_plain(profiles[r]), i, float(report)))
+        # P1, oriented so the report increases.
+        up = xi < report
+        low = np.where(up, xi, report)
+        high = np.where(up, report, xi)
+        first = np.where(up, base_fac, alt_fac)
+        second = np.where(up, alt_fac, base_fac)
+        moved_left = locs[second - 1] < locs[first - 1]
+        ok = ((high <= locs[second - 1] + tol)
+              | (locs[first - 1] <= low + tol))
+        for j, r in zip(*np.nonzero((moved_left & ~ok & (xi != report)).T)):
+            bad1.append(Counterexample(_plain(profiles[r]), i, float(block[j])))
 
-            # P2 sandwich on the share difference.
-            mid = truthful_share[:, i] - alt_share[:, i]
-            lhs = (np.abs(report - locs[alt_fac - 1])
-                   - np.abs(report - locs[base_fac - 1]))
-            rhs = (np.abs(xi - locs[alt_fac - 1])
-                   - np.abs(xi - locs[base_fac - 1]))
-            for r in np.nonzero((lhs > mid + tol) | (mid > rhs + tol))[0]:
-                bad2.append(Counterexample(_plain(profiles[r]), i, float(report),
-                                           cost_before=float(lhs[r]),
-                                           cost_after=float(rhs[r])))
+        # P2 sandwich on the share difference.
+        mid = truthful_share[:, i, None] - alt_share
+        lhs = (np.abs(report - locs[alt_fac - 1])
+               - np.abs(report - locs[base_fac - 1]))
+        rhs = (np.abs(xi - locs[alt_fac - 1])
+               - np.abs(xi - locs[base_fac - 1]))
+        for j, r in zip(*np.nonzero(((lhs > mid + tol) | (mid > rhs + tol)).T)):
+            bad2.append(Counterexample(_plain(profiles[r]), i, float(block[j]),
+                                       cost_before=float(lhs[r, j]),
+                                       cost_after=float(rhs[r, j])))
 
-            # P3: unchanged facility implies unchanged load.
-            for r in np.nonzero((base_fac == alt_fac) & (base_load != alt_load))[0]:
-                bad3.append(Counterexample(_plain(profiles[r]), i, float(report)))
+        # P3: unchanged facility implies unchanged load.
+        for j, r in zip(*np.nonzero(((base_fac == alt_fac) & (base_load != alt_load)).T)):
+            bad3.append(Counterexample(_plain(profiles[r]), i, float(block[j])))
 
     p4 = p5 = None
     if n == 2 and env.m == 2:

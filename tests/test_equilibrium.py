@@ -242,6 +242,15 @@ class TestComputePneDp:
         assert all(not math.isnan(v) for v in table.memo.values())
 
 
+    def test_internal_error_names_the_instance(self, running_instance, monkeypatch):
+        # agent 0 at the left facility saves 3 by leaving the right one
+        monkeypatch.setattr(equilibrium, "_block_assignment",
+                            lambda instance, w: fs.Assignment((2, 2)))
+        with pytest.raises(RuntimeError, match=r"Deviation\(agent=0.*"
+                           r"on instance 'running' \(n=2, m=2\)"):
+            fs.compute_pne_dp(running_instance, verify=True)
+
+
 class TestBruteForcePotential:
     def test_matches_library_potential_min(self, running_instance):
         assert fs.brute_force_min_potential(running_instance) == 6.0

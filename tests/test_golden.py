@@ -8,6 +8,14 @@ in all three orders, and the JSON of ``solve --mode both --verify``,
 ``dynamics`` and ``mech`` on instance files whose facilities are not listed
 in location order (``elapsed_ms`` dropped).
 
+A second hash, ``AUDIT_EXPECTED``, covers the mechanism audits: the reports of
+``audit_strategyproof``, ``audit_anonymous``, ``audit_unanimous`` and
+``audit_lemma_properties`` plus ``empirical_ratio``, for every constructible
+two-agent spec (non-monotone ``diag_choice`` callables included), k-rank for
+n <= 6 and m <= 4 on full-grid and sampled profiles with off-grid misreports,
+and the greedy control. Counterexample order and ``checked`` counts are part
+of the hash.
+
 The test pins every reported float, assignment and witness bit for bit, so a
 refactor that claims to change no behaviour can prove it. Changing
 ``EXPECTED`` is a behaviour change: state it, and why, in CHANGES.md.
@@ -21,9 +29,11 @@ import numpy as np
 import facshare as fs
 from facshare import cli
 from facshare.model import instance_to_dict
-from oracles import lattice_instance, random_assignment, suite_dims
+from facshare.mechanisms import MechanismSpec
+from oracles import lattice_instance, random_assignment, random_environment, suite_dims
 
 EXPECTED = "98039938f02eef721e7024b45c0e9415370842e676dfda99413ac740cdc737ce"
+AUDIT_EXPECTED = "080af87eb496b224039827a974fe34f65d7328060eb0e030e200bcef91b67467"
 
 ORDERS = ("round-robin", "max-gain", "seeded-random")
 
@@ -78,3 +88,69 @@ def cli_records(tmp_path):
 def test_golden_output(tmp_path):
     text = "\n".join(map(repr, library_records())) + "\n" + "\n".join(cli_records(tmp_path))
     assert hashlib.sha256(text.encode()).hexdigest() == EXPECTED
+
+
+def two_agent_specs(env):
+    """Every constructible two-agent spec, with monotone and island-shaped
+    ``diag_choice`` callables on the equality environments."""
+    admitted = fs.classify_environment(env).admitted_types
+    l1, l2 = env.locations
+    specs = [MechanismSpec("type1", target=t) for t in (1, 2)]
+    if "type2" in admitted:
+        specs += [MechanismSpec("type2", diag_choice=c) for c in (
+            1, 2, lambda x: 1 if x < l1 - 1.0 else 2,
+            lambda x: 1 if l1 - 1.0 <= x <= l1 else 2)]
+    if "type3" in admitted:
+        specs += [MechanismSpec("type3", diag_choice=c) for c in (
+            1, 2, lambda x: 1 if l2 + 0.5 <= x <= l2 + 1.0 else 2)]
+    for kind in ("type4", "type5"):
+        if kind in admitted:
+            specs += [MechanismSpec(kind, boundary_choice=c) for c in (1, 2)]
+    return specs
+
+
+def audits(mechanism, env, n, grid, misreports=None, max_profiles=2048, seed=0):
+    yield fs.audit_strategyproof(mechanism, env, grid, misreports, n=n,
+                                 max_profiles=max_profiles, seed=seed)
+    yield fs.audit_anonymous(mechanism, env, grid, n=n,
+                             max_profiles=max_profiles, seed=seed)
+    yield fs.audit_unanimous(mechanism, env, grid, n=n,
+                             max_profiles=max_profiles, seed=seed)
+    yield fs.audit_lemma_properties(mechanism, env, grid, n=n,
+                                    max_profiles=min(max_profiles, 512), seed=seed)
+    yield fs.empirical_ratio(mechanism, env, grid, n=n,
+                             max_profiles=max_profiles, seed=seed)
+
+
+def audit_records():
+    rng = np.random.default_rng(606)
+    envs = [fs.Environment(locs, costs) for locs, costs in (
+        ((0.0, 3.0), (2.0, 4.0)), ((0.0, 1.0), (4.0, 2.0)),
+        ((0.0, 1.0), (2.0, 4.0)), ((0.0, 9.9), (0.1, 0.1)))]
+    envs += [random_environment(rng, force=force) for force in (None, "M0", "Mdelta") * 2]
+    for env in envs:
+        grid = fs.default_audit_grid(env)
+        for spec in two_agent_specs(env):
+            yield from audits(spec, env, 2, grid)
+        yield from audits(fs.nearest_facility_mechanism(env), env, 2, grid)
+    for n in range(1, 7):
+        for m in range(1, 5):
+            env = random_environment(rng, m=m)
+            grid = fs.default_audit_grid(env)
+            size = min(len(grid), int(300 ** (1 / n)))
+            full = tuple(sorted(rng.choice(grid, size=size, replace=False).tolist()))
+            off_grid = [grid[0] - 1.0, *rng.uniform(grid[0], grid[-1], size=4).tolist(),
+                        grid[len(grid) // 2], grid[-1] + 1.0]
+            for k in sorted({1, n, int(rng.integers(1, n + 1))}):
+                spec = MechanismSpec("krank", k=k)
+                yield from audits(spec, env, n, full, max_profiles=300, seed=n)
+                yield from audits(spec, env, n, grid, off_grid, max_profiles=200,
+                                  seed=10 * n + m)
+            if n <= 3:
+                yield from audits(fs.nearest_facility_mechanism(env), env, n, grid,
+                                  off_grid, max_profiles=200, seed=m)
+
+
+def test_audit_golden():
+    text = "\n".join(map(repr, audit_records()))
+    assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_EXPECTED

@@ -373,6 +373,14 @@ class TestAudits:
                                diag_choice=lambda x: 1 if 1.5 <= x <= 2.0 else 2)
         assert fs.audit_strategyproof(island, ENV_MD, n=2).passed
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_audit_positions_rejected(self, bad):
+        spec = MechanismSpec("type4", boundary_choice=1)
+        with pytest.raises(fs.ValidationError, match="grid positions must be finite"):
+            fs.audit_lemma_properties(spec, ENV, (0.0, bad, 2.0), n=2)
+        with pytest.raises(fs.ValidationError, match="misreport positions must be"):
+            fs.audit_strategyproof(spec, ENV, (0.0, 2.0), (1.0, bad), n=2)
+
     def test_audit_report_invariant(self):
         report = fs.audit_strategyproof(MechanismSpec("type1", target=1), ENV, n=2)
         assert report.passed == (len(report.counterexamples) == 0)
@@ -385,6 +393,109 @@ class TestAudits:
         assert a.counterexamples == b.counterexamples
         profiles = [c.profile for c in a.counterexamples]
         assert profiles == sorted(profiles)
+
+
+class TestOrderStatisticPath:
+    """Spec audits work through the spec's order statistic, in value-index
+    space; a batch callable takes the per-(agent, report) loop. Wrapping a
+    spec's own applier in a lambda forces the loop, so both routes must
+    report the same thing."""
+
+    @staticmethod
+    def random_case(rng, case):
+        if case % 3 == 0:
+            # a facility-1 island on the type2 diagonal: not strategyproof
+            env = random_environment(rng, force="M0")
+            l1 = env.locations[0]
+            spec = MechanismSpec("type2",
+                                 diag_choice=lambda x: 1 if l1 - 1 <= x <= l1 else 2)
+            n = 2
+        elif case % 3 == 1:
+            env = random_environment(rng, force=(None, "M0", "Mdelta")[rng.integers(3)])
+            kind = str(rng.choice(fs.classify_environment(env).admitted_types))
+            l1, l2 = env.locations
+            a = float(rng.choice([l1 - 1.0, l1, l2]))
+            diag = (1, 2, lambda x: 1 if a - 1.0 <= x <= a else 2,
+                    lambda x: 1 if x < a else 2)[rng.integers(4)]
+            choice = int(rng.integers(1, 3))
+            spec = MechanismSpec(
+                kind, target=choice if kind == "type1" else None,
+                diag_choice=diag if kind in ("type2", "type3") else None,
+                boundary_choice=choice if kind in ("type4", "type5") else None)
+            n = 2
+        else:
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            env = random_environment(rng, m=m)
+            spec = MechanismSpec("krank", k=int(rng.integers(1, n + 1)))
+        grid = fs.default_audit_grid(env)
+        if rng.random() < 0.5:  # a lattice: ties in nearly every profile
+            grid = tuple(sorted({*rng.integers(-3, 9, size=4).tolist(),
+                                 *rng.choice(grid, size=3).tolist()}))
+        misreports = None
+        if rng.random() < 0.5:
+            misreports = [*rng.choice(grid, size=3).tolist(), float(rng.uniform(-5, 15)),
+                          min(grid) - 1.0, max(grid) + 1.0]
+        return spec, env, n, grid, misreports
+
+    def test_spec_audits_match_the_generic_loop(self):
+        rng = np.random.default_rng(41)
+        failing = 0
+        for case in range(60):
+            spec, env, n, grid, misreports = self.random_case(rng, case)
+            generic = lambda profiles: mechanisms._batch_apply(spec, env, profiles)
+            kw = dict(n=n, max_profiles=int(rng.choice([60, 400])), seed=case)
+            reports = []
+            for mechanism in (spec, generic):
+                reports.append((
+                    fs.audit_strategyproof(mechanism, env, grid, misreports, **kw),
+                    fs.audit_anonymous(mechanism, env, grid, **kw),
+                    fs.audit_lemma_properties(mechanism, env, grid, **kw)))
+            assert repr(reports[0]) == repr(reports[1])
+            sp, _, props = reports[0]
+            failing += not (sp.passed and props.all_passed)
+        assert failing >= 3  # the comparison covers counterexamples too
+
+    def test_order_statistic_outcomes_match_batch_apply(self):
+        rng = np.random.default_rng(43)
+        for case in range(60):
+            spec, env, n, grid, misreports = self.random_case(rng, case)
+            profiles = mechanisms._profiles_from_grid(grid, n, 300, case)
+            reports = np.asarray(grid if misreports is None else misreports)
+            generic = lambda batch: mechanisms._batch_apply(spec, env, batch)
+            routes = [mechanisms._report_changes(mech, env, profiles, reports)
+                      for mech in (spec, generic)]
+            truthful = mechanisms._batch_apply(spec, env, profiles)
+            assert np.array_equal(routes[0][0], truthful)
+            assert np.array_equal(routes[1][0], truthful)
+            outcomes = []
+            for _, changes in routes:
+                fac = [[] for _ in range(n)]
+                for i, block, f, load in changes:
+                    assert np.all(load == n) and f.shape == (len(profiles), len(block))
+                    fac[i].append(f)
+                outcomes.append([np.hstack(f) for f in fac])
+            for spec_fac, loop_fac in zip(*outcomes):
+                assert np.array_equal(spec_fac, loop_fac)
+
+    @pytest.mark.parametrize("kind, env", [("type2", ENV_M0), ("type3", ENV_MD)])
+    def test_diag_callable_is_asked_once_per_occurring_value(self, kind, env):
+        asked = []
+
+        def island(x):
+            asked.append(x)
+            return 1 if -1.0 <= x <= 0.0 or 1.5 <= x <= 2.0 else 2
+
+        spec = MechanismSpec(kind, diag_choice=island)
+        generic = lambda profiles: mechanisms._batch_apply(spec, env, profiles)
+        for audit in (fs.audit_strategyproof, fs.audit_anonymous,
+                      fs.audit_lemma_properties):
+            audit(spec, env, n=2)
+            by_spec = list(asked)
+            asked.clear()
+            audit(generic, env, n=2)
+            assert len(by_spec) == len(set(by_spec))
+            assert set(by_spec) == set(asked)
+            asked.clear()
 
 
 class TestPermutationConsistency:
