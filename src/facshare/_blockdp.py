@@ -27,31 +27,73 @@ prices is that float expression, and a minimum of floats is exact, so the
 table does not depend on the path. The flat and monotone paths locate the
 argmin through structure that ``cand_f`` has in exact arithmetic, so the
 tests compare every path with an exhaustive scan of all candidates, bit for
-bit, on instances with exact ties. The path follows from ``w`` and ``n``:
+bit, on instances with exact ties and with near-ties.
+
+Layer 1 is closed form on every path: ``G_0`` is finite only at 0, so
+``R_1[t] = (b_1 * w[t] + (D_1[t] - D_1[0])) + 0.0`` and ``A_1[t] = 0``,
+the float the scan itself gives. The later layers follow from ``w`` and
+``n``:
 
 * Flat ``w`` on ``s >= 1`` (the social cost): ``b_f * w[t - i]`` does not
   depend on ``i``, so the argmin of row ``t`` is the first argmin of
   ``G_{f-1}[i] - D_f[i]`` over ``i < t``, a running prefix minimum (the
   classic line facility-location DP of Hassin and Tamir, 1991). The chosen
   argmin is priced with the expression above. O(n) per layer.
-* ``n * n`` at most ``_DENSE_CELLS``: one broadcast prices the square
-  ``t in 1..n, i in 0..n-1``, the upper triangle held at +inf, and takes its
-  row minima. O(n^2) per layer, with a fixed memory bound.
+* Otherwise (the harmonic weights) a layer prices only its live rows, those
+  that pass the row bound below. If ``n * n`` is at most ``_DENSE_CELLS``,
+  one broadcast prices each live row against ``i in 0..n-1``, the cells
+  with ``i >= t`` held at +inf, and takes its minimum. O(n^2) per layer,
+  with a fixed memory bound.
 * Otherwise ``w`` must be concave on ``s >= 1``, as the harmonic weights
-  are: ``w[s+1] - w[s]`` does not increase. For ``i1 < i2`` and ``t1 < t2`` with every ``i < t``,
-  ``cand(t1, i2) + cand(t2, i1) <= cand(t1, i1) + cand(t2, i2)`` (inverse
-  Monge), so the smallest argmin of a row does not increase as ``t`` grows
-  (Galil and Park, 1990). A CDQ split halves the index range ``[0, n]``
-  recursively: each interval ``[lo, hi)`` with midpoint ``mid`` gives the
-  rectangle of rows ``mid..hi-1`` and columns ``lo..mid-1``, and every pair
-  ``i < t`` lies in exactly one rectangle. Each rectangle is solved by the
-  monotone divide and conquer: price the middle row over its column range,
-  then search the earlier rows from that argmin rightwards and the later
-  rows from it leftwards. All rectangles of all depths run together, one
-  recursion level at a time, each level one ragged ``np.minimum.reduceat``.
-  A row's minimum over its rectangles is the least value, taken from the
+  are: ``w[s+1] - w[s]`` does not increase. For ``i1 < i2`` and ``t1 < t2``
+  with every ``i < t``, ``cand(t1, i2) + cand(t2, i1) <= cand(t1, i1) +
+  cand(t2, i2)`` (inverse Monge), so the smallest argmin of a row does not
+  increase as ``t`` grows (Galil and Park, 1990), also over any subset of
+  the rows. A CDQ split halves the index range ``[0, n]`` recursively: each
+  interval ``[lo, hi)`` with midpoint ``mid`` gives the rectangle of rows
+  ``mid..hi-1`` and columns ``lo..mid-1``, and every pair ``i < t`` lies in
+  exactly one rectangle. A prefix count of the live rows gives each
+  rectangle's live rows, and the rectangle bound below drops those that
+  cannot hold the row's minimum. A rectangle prices its first and last
+  remaining rows over all its columns, and the rows between them search
+  ``A(last)..A(first)``: the two-sided search. From then on a task, a run
+  of remaining rows with a column range, finishes in one pass when its
+  range is one column or its rows times columns are at most
+  ``_FINISH_CELLS``: it prices every cell. Any other task prices its middle
+  row, then searches the earlier rows from that argmin rightwards and the
+  later rows from it leftwards. All tasks of all rectangles run together,
+  one level at a time, each level one ragged ``np.minimum.reduceat``. A
+  row's minimum over its rectangles is the least value, taken from the
   shallowest rectangle on ties: shallower rectangles hold smaller columns.
-  O(n log^2 n) per layer in O(log n) vectorised levels.
+  O(n log^2 n) per layer in O(log n) vectorised levels, in the worst case.
+
+Row bound. Every input is nonnegative, ``D_f`` is nondecreasing from
+``D_f[0] = 0`` and ``G_{f-1}[0] = 0``. With ``p = fl(b_f * min(w[1:]))``
+and any set ``I`` of columns below ``t``, in exact arithmetic::
+
+    min_{i in I} cand_f(t, i) >= p + D_f[t] + min_{i in I} (G_{f-1}[i] - D_f[i])
+
+A row is dead when this bound over all ``i < t`` exceeds ``G_{f-1}[t]``
+by more than the margin ``1e-9 * (1 + G_{f-1}[t] + D_f[t])``; its
+``R_f[t]`` is stored as +inf. A dead row's every float candidate is
+strictly above ``G_{f-1}[t]``, which an earlier layer attains at ``t``, so
+neither ``G_f`` nor the traceback (least ``R``, then smallest argmin, then
+smallest ``f``) can pick it, and every result stays bit-identical. The
+rectangle bound is the same test over a rectangle's columns against
+``U[t]``, the candidate at the first argmin of ``G_{f-1}[i] - D_f[i]``
+over ``i < t``, which is at least ``R_f[t]``: a rectangle that fails it
+holds no candidate at or below the row's minimum, so the row's minimum and
+smallest argmin are unchanged. The margin's argument, with ``u = 2**-53``
+and ``h`` the held value (``G_{f-1}[t]`` or ``U[t]``): suppose a float
+candidate ``c = cand_f(t, i) <= h``. Its three roundings act on
+nonnegative operands and rounding is monotone, so ``p <= c`` and, exactly,
+``p + (D_f[t] - D_f[i]) + G_{f-1}[i] <= c / (1 - u)**3 <= h * (1 + 4u)``.
+Every key ``G_{f-1}[j] - D_f[j]`` is at least ``-D_f[t]``, and the one at
+``i`` at most ``h - D_f[t]``, so each of the three roundings in the float
+bound (the key, ``p + D_f[t]`` and their sum) errs by at most about ``u *
+(h + D_f[t])``. The float bound is then at most ``h + 7u * (h + D_f[t])``,
+far inside the margin; the margin's absolute term covers subnormal sums. A
+row with ``G_{f-1}[t] = +inf`` is always live.
 
 Traceback at ``(t, cap)``: the least ``R_f[t]`` over ``f <= cap``, then the
 smallest stored argmin among the layers attaining it, then the smallest such
@@ -78,6 +120,7 @@ __all__ = ["BruteForceLimitError", "distance_prefix", "PartitionSolution",
 
 
 _DENSE_CELLS = 1 << 17  # candidate cells of one dense layer scan
+_FINISH_CELLS = 256     # a monotone search task this small prices every cell
 
 
 class BruteForceLimitError(RuntimeError):
@@ -106,25 +149,31 @@ def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
                           size_weight: np.ndarray) -> PartitionSolution:
     """Cheapest consecutive-block partition of ``sorted_x`` (ascending) over
     the location-sorted facilities, priced by ``size_weight`` (``w[0] = 0``,
-    at least ``n + 1`` entries, flat or concave on ``s >= 1``)."""
+    at least ``n + 1`` entries, nonnegative, flat or concave on ``s >= 1``)."""
     n = len(sorted_x)
     m = len(locations)
     dist = distance_prefix(sorted_x, locations)
     weight = np.asarray(size_weight, dtype=float)[:n + 1]
-    if np.all(weight[1:] == weight[1:2]):
+    flat = np.all(weight[1:] == weight[1:2])
+    if flat:
         layer = partial(_prefix_minima, weight=weight)
-    elif n * n <= _DENSE_CELLS:
-        layer = _DenseMinima(weight)
     else:
-        layer = _MonotoneMinima(weight)
+        layer = (_DenseMinima if n * n <= _DENSE_CELLS else _MonotoneMinima)(weight)
+        lightest = weight[1:].min()
 
     # rowmin[f - 1, t] = R_f[t], argmin[f - 1, t] = A_f[t]; column 0 unused.
     rowmin = np.full((m, n + 1), math.inf)
     argmin = np.zeros((m, n + 1), dtype=np.intp)
-    table = np.full(n + 1, math.inf)
+    # Layer 1: G_0 is finite only at 0, so every row's argmin is 0.
+    rowmin[0, 1:] = (building_costs[0] * weight[1:] + (dist[0, 1:] - dist[0, 0])) + 0.0
+    table = rowmin[0].copy()
     table[0] = 0.0
-    for f in range(m):
-        rowmin[f, 1:], argmin[f, 1:] = layer(table, dist[f], building_costs[f])
+    for f in range(1, m):
+        if flat:
+            rowmin[f, 1:], argmin[f, 1:] = layer(table, dist[f], building_costs[f])
+        else:
+            rows = _live_rows(table, dist[f], building_costs[f] * lightest)
+            rowmin[f, 1:], argmin[f, 1:] = layer(table, dist[f], building_costs[f], rows)
         np.minimum(table, rowmin[f], out=table)
     value = float(table[n])
 
@@ -142,38 +191,67 @@ def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
     return PartitionSolution(value, tuple(blocks))
 
 
+def _live_rows(table: np.ndarray, dist: np.ndarray, cheapest: float) -> np.ndarray:
+    """The rows ``t`` whose candidates may attain or tie ``table[t]``: all but
+    those whose lower bound ``cheapest + D[t] + min_{i < t}(table[i] - D[i])``
+    exceeds ``table[t]`` by the rounding margin (see the module docstring)."""
+    n = len(table) - 1
+    bound = (cheapest + dist[1:]) + np.minimum.accumulate(table[:n] - dist[:n])
+    return np.flatnonzero(_may_reach(bound, table[1:], dist[1:])) + 1
+
+
+def _may_reach(bound: np.ndarray, held: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """``bound <= held`` up to the rounding margin ``1e-9 * (1 + held + D[t])``
+    of the module docstring, ``dist`` holding each row's ``D[t]``."""
+    return bound <= held + 1e-9 * ((1.0 + held) + dist)
+
+
 def _prefix_minima(table: np.ndarray, dist: np.ndarray, b: float,
                    weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row minima for flat weights: each row's argmin is the first argmin of
-    ``table - dist`` over its columns, tracked as a running prefix minimum."""
+    """Each row's candidate at the first argmin of ``table - dist`` over its
+    columns, tracked as a running prefix minimum: the row minimum for flat
+    weights, and at least the row minimum for any weights."""
     n = len(table) - 1
     key = table[:n] - dist[:n]
     run = np.minimum.accumulate(key)
     new = np.ones(n, dtype=bool)
     np.less(key[1:], run[:-1], out=new[1:])
     arg = np.maximum.accumulate(np.where(new, np.arange(n), 0))
-    # weight[t] == weight[t - arg] here: the same float as the scan's.
-    return (b * weight[1:] + (dist[1:] - dist[arg])) + table[arg], arg
+    return (b * weight[np.arange(1, n + 1) - arg] + (dist[1:] - dist[arg])) + table[arg], arg
+
+
+def _spread(n: int, rows: np.ndarray, low: np.ndarray,
+            arg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minima and argmins of ``rows`` placed among rows ``1..n``; the other
+    rows get +inf and 0."""
+    out, at = np.full(n, math.inf), np.zeros(n, dtype=np.intp)
+    out[rows - 1] = low
+    at[rows - 1] = arg
+    return out, at
 
 
 class _DenseMinima:
-    """Row minima of the whole candidate square, upper triangle at +inf."""
+    """Row minima over the candidate square, the cells ``i >= t`` at +inf."""
 
     def __init__(self, weight: np.ndarray):
         n = len(weight) - 1
-        sizes = np.arange(1, n + 1)[:, None] - np.arange(n)
-        self.block_weight = np.where(sizes > 0, weight[sizes.clip(0)], math.inf)
-        self.cand = np.empty((n, n))
-        self.diff = np.empty((n, n))
-        self.rows = np.arange(n)
+        # Row t of the square is w[t - i] for i < t, then +inf: the window
+        # at n - t of w[n], ..., w[1], +inf, ..., +inf.
+        sizes = np.concatenate((weight[:0:-1], np.full(n - 1, math.inf)))
+        self.block_weight = np.lib.stride_tricks.sliding_window_view(sizes, n)
+        self.rows = np.arange(1, n + 1)
 
-    def __call__(self, table, dist, b):
+    def __call__(self, table, dist, b, rows=None):
+        """Minima and smallest argmins of ``rows`` (ascending, within
+        ``1..n``; all rows by default), ``+inf`` and 0 on every other row."""
         n = len(self.rows)
-        cand = np.multiply(self.block_weight, b, out=self.cand)
-        cand += np.subtract.outer(dist[1:], dist[:n], out=self.diff)
+        given = self.rows if rows is None else rows
+        cand = self.block_weight[n - given] * b
+        cand += np.subtract.outer(dist[given], dist[:n])
         cand += table[:n]
         arg = cand.argmin(axis=1)
-        return cand[self.rows, arg], arg
+        low = cand[np.arange(len(given)), arg]
+        return (low, arg) if rows is None else _spread(n, rows, low, arg)
 
 
 class _MonotoneMinima:
@@ -183,51 +261,136 @@ class _MonotoneMinima:
     def __init__(self, weight: np.ndarray):
         n = len(weight) - 1
         self.weight = weight
-        # One task per rectangle: rows rlo..rhi, columns clo..chi (inclusive)
-        # and the base of its depth's slots in the per-depth result buffers.
+        # One rectangle per CDQ interval: rows mid..hi-1, columns lo..mid-1,
+        # and its depth.
         lo, hi = np.array([0]), np.array([n + 1])
-        tasks = []
+        rects = []
         while len(lo):
             keep = hi - lo >= 2
             lo, hi = lo[keep], hi[keep]
             mid = (lo + hi) >> 1
-            tasks.append(np.stack([mid, hi - 1, lo, mid - 1,
-                                   np.full_like(lo, len(tasks) * (n + 1))]))
+            rects.append(np.stack([mid, hi, lo, mid - 1, np.full_like(lo, len(rects))]))
             lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        self.tasks = np.concatenate(tasks, axis=1)
-        self.shape = (len(tasks), n + 1)
+        self.rects = np.concatenate(rects, axis=1)
+        self.depths = len(rects)
+        self.rows = np.arange(1, n + 1)
+        self.lightest = weight[1:].min()
+        # A rectangle's columns lo..mid-1 are two overlapping runs of 2**k
+        # columns, k = floor(log2(mid - lo)): the slots of their minima in
+        # the per-call table of run minima (see _rectangle_floor).
+        mid, _, lo, _, _ = self.rects
+        k = np.frexp(mid - lo)[1] - 1
+        self.runs = (k * n + lo, k * n + mid - (1 << k))
+        self.levels = int(k.max()) + 1
 
-    def __call__(self, table, dist, b):
+    def _rectangle_floor(self, key: np.ndarray) -> np.ndarray:
+        """The least ``key[i]`` over each rectangle's columns, by a sparse
+        table: level k holds the minima of every run of 2**k keys."""
+        n = len(key)
+        runs = np.empty((self.levels, n))
+        runs[0] = key
+        for k in range(1, self.levels):
+            h = 1 << (k - 1)
+            v = n - 2 * h + 1
+            np.minimum(runs[k - 1, :v], runs[k - 1, h:h + v], out=runs[k, :v])
+        flat = runs.reshape(-1)
+        return np.minimum(flat[self.runs[0]], flat[self.runs[1]])
+
+    def __call__(self, table, dist, b, rows=None):
+        """Minima and smallest argmins of ``rows`` (ascending, within
+        ``1..n``; all rows by default), ``+inf`` and 0 on every other row."""
+        given = self.rows if rows is None else rows
+        size = len(given)
+        # below[k]: how many given rows lie below row k, so a rectangle's
+        # rows mid..hi-1 are given[below[mid]:below[hi]].
+        below = np.zeros(len(self.rows) + 2, dtype=np.intp)
+        below[given + 1] = 1
+        np.cumsum(below, out=below)
+        mid, hi, clo, chi, depth = self.rects
+        # Each (rectangle, given row) pair, as an index into ``given``. A pair
+        # is kept unless the row bound over the rectangle's columns exceeds
+        # the row's upper bound, a candidate at or above its minimum.
+        head = below[mid]
+        count = below[hi] - head
+        start = count.cumsum() - count
+        pair = np.arange(start[-1] + count[-1]) + (head - start).repeat(count)
+        t = given[pair]
+        upper = _prefix_minima(table, dist, b, self.weight)[0][t - 1]
+        bound = ((b * self.lightest + dist[t])
+                 + self._rectangle_floor(table[:-1] - dist[:-1]).repeat(count))
+        kept = np.zeros(len(pair) + 1, dtype=np.intp)
+        keep = _may_reach(bound, upper, dist[t])
+        np.cumsum(keep, out=kept[1:])
+        pair = pair[keep]
+        # A task: kept pairs ra..rb and columns clo..chi, all inclusive, and
+        # the base of its depth's slots in the result buffers.
+        tasks = np.stack([kept[start], kept[start + count] - 1, clo, chi, depth * size])
+        tasks = tasks.compress(tasks[0] <= tasks[1], axis=1)
         bw = b * self.weight
-        best = np.full(self.shape[0] * self.shape[1], math.inf)
-        where = np.zeros(len(best), dtype=np.intp)
-        tasks = self.tasks
+        best = np.full((self.depths, size), math.inf)
+        where = np.zeros((self.depths, size), dtype=np.intp)
+        ends_first = True
         while tasks.shape[1]:
-            rlo, rhi, clo, chi, base = tasks
-            t = (rlo + rhi) >> 1
+            ra, rb, clo, chi, base = tasks
+            count = rb - ra + 1
             width = chi - clo + 1
-            ends = width.cumsum()
-            starts = ends - width
-            cols = np.arange(ends[-1]) - (starts - clo).repeat(width)
-            cand = ((bw[t.repeat(width) - cols] + (dist[t].repeat(width) - dist[cols]))
+            done = (count * width <= _FINISH_CELLS) | (np.minimum(count, width) == 1)
+            # Every row of a finishing task is priced; a rectangle that does
+            # not finish prices its first and last rows, a later task its
+            # middle row. seg: the priced pairs.
+            if ends_first:
+                first, per = ra, np.where(done, count, 2)
+                stride = np.where(done, 1, count - 1)
+            else:
+                first, per = np.where(done, ra, (ra + rb) >> 1), np.where(done, count, 1)
+            offset = per.cumsum() - per
+            owner = np.arange(len(per)).repeat(per)
+            seg = np.arange(len(owner)) - offset[owner]
+            if ends_first:
+                seg *= stride[owner]
+            seg += first[owner]
+            seg = pair[seg]
+            t = given[seg]
+            w = width[owner]
+            ends = w.cumsum()
+            starts = ends - w
+            cols = np.arange(ends[-1]) - (starts - clo[owner]).repeat(w)
+            cand = ((bw[t.repeat(w) - cols] + (dist[t].repeat(w) - dist[cols]))
                     + table[cols])
             low = np.minimum.reduceat(cand, starts)
-            hits = np.flatnonzero(cand == low.repeat(width))
+            hits = np.flatnonzero(cand == low.repeat(w))
             arg = cols[hits[hits.searchsorted(starts)]]     # smallest argmin
-            best[base + t] = low
-            where[base + t] = arg
-            # Earlier rows rlo..t-1 search arg..chi, later rows t+1..rhi clo..arg.
-            k = len(t)
-            tasks = np.concatenate((tasks, tasks), axis=1)
-            tasks[1, :k] = t - 1
-            tasks[2, :k] = arg
-            tasks[0, k:] = t + 1
-            tasks[3, k:] = arg
+            seg += base[owner]
+            best.reshape(-1)[seg] = low
+            where.reshape(-1)[seg] = arg
+
+            split = np.flatnonzero(~done)
+            lead = arg[offset[split]]
+            tasks = tasks[:, split]
+            if ends_first:
+                # The rows between the ends search A(last)..A(first); min and
+                # max keep that range whole should rounding ever swap the two.
+                trail = arg[offset[split] + 1]
+                tasks[0] += 1
+                tasks[1] -= 1
+                tasks[2] = np.minimum(lead, trail)
+                tasks[3] = np.maximum(lead, trail)
+            else:
+                # Rows ra..k-1 search A(k)..chi, rows k+1..rb search clo..A(k).
+                k = first[split]
+                h = len(k)
+                tasks = np.concatenate((tasks, tasks), axis=1)
+                tasks[1, :h] = k - 1
+                tasks[2, :h] = lead
+                tasks[0, h:] = k + 1
+                tasks[3, h:] = lead
             tasks = tasks.compress(tasks[0] <= tasks[1], axis=1)
-        best = best.reshape(self.shape)
-        depth = best.argmin(axis=0)[1:]                     # shallowest on ties
-        t = np.arange(1, self.shape[1])
-        return best[depth, t], where.reshape(self.shape)[depth, t]
+            ends_first = False
+        # A row's minimum over its rectangles, from the shallowest on ties:
+        # shallower rectangles hold smaller columns.
+        low = best.min(axis=0)
+        arg = where[(best == low).argmax(axis=0), np.arange(size)]
+        return (low, arg) if rows is None else _spread(len(self.rows), rows, low, arg)
 
 
 def _block_assignment(instance: Instance, size_weight: np.ndarray) -> Assignment:

@@ -5,6 +5,9 @@ agent prefix with the library's float expression, so the layered kernel must
 return the same value and the same blocks, compared with ``==``, for both
 size weights and on every path: the running prefix minimum (unit weights),
 the dense square scan (small ``n``) and the monotone divide and conquer.
+Exact ties come from integer lattices. Near-ties come from the same lattices
+moved by a few ulps: there the harmonic layers' row bound and its rounding
+margin must not drop a row that can still win.
 """
 
 from functools import partial
@@ -131,3 +134,124 @@ def test_layer_kernels_match_row_scan(kind):
             for layer in kernels:
                 best, arg = layer(table, dist, b)
                 assert (best.tolist(), arg.tolist()) == expected, (layer, n)
+
+
+FINISH_BUDGETS = [0, _blockdp._FINISH_CELLS, 1 << 20]
+
+
+def integer_layer(rng, n, kind):
+    """One random layer with integer data, so that candidates tie often."""
+    sizes = np.arange(n + 1)
+    weight = {"unit": (sizes > 0).astype(float),
+              "capped": np.minimum(sizes, 4).astype(float),
+              "harmonic": 60.0 * fs.harmonic_numbers(n)}[kind]
+    table = rng.integers(0, 12, size=n + 1).astype(float)
+    table[rng.random(n + 1) < 0.1] = np.inf
+    table[0] = 0.0
+    dist = np.cumsum(rng.integers(0, 3, size=n + 1)).astype(float)
+    return table, dist, float(rng.integers(1, 4)), weight
+
+
+def near_tie_layer(rng, n, scale):
+    """One random harmonic layer in which about half the rows hold a value
+    within a few ulps of their row bound, so that the rounding margin
+    decides them; the other rows hold their bound times 0.5 to 1.5."""
+    weight = fs.harmonic_numbers(n) * float(rng.integers(1, 4))
+    b = float(rng.uniform(0.5, 5.0)) * scale
+    dist = np.concatenate(([0.0], np.cumsum(rng.uniform(0.0, 3.0, n)))) * scale
+    table = np.zeros(n + 1)
+    floor = 0.0  # min over i < t of table[i] - dist[i]
+    for t in range(1, n + 1):
+        bound = (b * weight[1] + dist[t]) + floor
+        if rng.random() < 0.5:
+            table[t] = bound + rng.integers(-4, 5) * np.spacing(bound)
+        else:
+            table[t] = bound * rng.uniform(0.5, 1.5)
+        floor = min(floor, table[t] - dist[t])
+    return table, dist, b, weight
+
+
+@pytest.mark.parametrize("budget", FINISH_BUDGETS)
+@pytest.mark.parametrize("kind", ["unit", "capped", "harmonic", "near-tie", "near-tie-1e8"])
+def test_harmonic_kernels_on_row_subsets(monkeypatch, budget, kind):
+    # Each harmonic kernel returns the row scan's minima and smallest argmins
+    # on the rows it is given, and +inf with argmin 0 on every other row.
+    monkeypatch.setattr(_blockdp, "_FINISH_CELLS", budget)
+    rng = np.random.default_rng(budget + len(kind))
+    for n in (1, 2, 3, 7, 40, 130):
+        for _ in range(12):
+            if kind.startswith("near-tie"):
+                table, dist, b, weight = near_tie_layer(rng, n, 1e8 if "1e8" in kind else 1.0)
+            else:
+                table, dist, b, weight = integer_layer(rng, n, kind)
+            best, arg = map(np.array, scan_layer(table, dist, b, weight))
+            rows = np.flatnonzero(rng.random(n) < rng.random()) + 1
+            off = np.setdiff1d(np.arange(1, n + 1), rows) - 1
+            for layer in (_blockdp._DenseMinima(weight), _blockdp._MonotoneMinima(weight)):
+                got, at = layer(table, dist, b, rows)
+                assert got[rows - 1].tolist() == best[rows - 1].tolist(), (layer, n)
+                assert at[rows - 1].tolist() == arg[rows - 1].tolist(), (layer, n)
+                assert np.all(got[off] == np.inf) and not at[off].any()
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 20])
+def test_lattice_ties_on_monotone_path_finishing_budget(monkeypatch, budget):
+    monkeypatch.setattr(_blockdp, "_DENSE_CELLS", 0)
+    monkeypatch.setattr(_blockdp, "_FINISH_CELLS", budget)
+    assert assert_same_partition(lattice_cases()) >= 500
+
+
+def nudged(rng, values, scale):
+    """``values * scale``, each moved by up to 3 ulps either way."""
+    v = np.asarray(values, dtype=float) * scale
+    return tuple((v + rng.integers(-3, 4, size=len(v)) * np.spacing(v)).tolist())
+
+
+def near_tie_cases(scale):
+    """Lattice instances, whose exact ties the solver breaks by its rule,
+    scaled and then moved off the lattice by a few ulps."""
+    rng = np.random.default_rng(int(scale) % 1000 + 7)
+    cases = []
+    for _ in range(300):
+        inst = lattice_instance(rng, int(rng.integers(1, 41)), int(rng.integers(1, 7)))
+        env = fs.Environment(nudged(rng, inst.environment.locations, scale),
+                             nudged(rng, inst.environment.building_costs, scale))
+        cases.append(fs.Instance(env, fs.Profile(nudged(rng, inst.profile.positions, scale))))
+    return cases
+
+
+def assert_same_harmonic_partition(instances):
+    for inst in instances:
+        args = partition_args(inst)
+        w = fs.harmonic_numbers(inst.n)
+        value, blocks, _ = oracle_block_partition(*args, w)
+        got = _blockdp.solve_block_partition(*args, w)
+        assert (got.value, got.blocks) == (value, blocks), inst
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_near_ties_on_monotone_path(monkeypatch, scale):
+    monkeypatch.setattr(_blockdp, "_DENSE_CELLS", 0)
+    assert_same_harmonic_partition(near_tie_cases(scale))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_near_ties_on_dense_path(scale):
+    assert_same_harmonic_partition(near_tie_cases(scale))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_row_bound_drops_only_rows_that_cannot_win(scale):
+    # Every row the bound drops has every candidate strictly above the value
+    # it holds.
+    rng = np.random.default_rng(int(scale) % 1000)
+    dropped = 0
+    for n in (2, 7, 40, 130):
+        for _ in range(40):
+            table, dist, b, weight = near_tie_layer(rng, n, scale)
+            live = _blockdp._live_rows(table, dist, b * weight[1])
+            best, _ = scan_layer(table, dist, b, weight)
+            drop = np.setdiff1d(np.arange(1, n + 1), live)
+            assert all(best[t - 1] > table[t] for t in drop), (n, scale)
+            dropped += len(drop)
+    assert dropped > 1000

@@ -4,6 +4,7 @@ import os
 import pytest
 
 import facshare as fs
+from facshare import cli
 from facshare.cli import _worker_count, main
 
 
@@ -337,3 +338,46 @@ def test_count_flags_reject_out_of_range(capsys, running_file, args):
     code, _, err = run_cli(capsys, args[0], running_file, *args[1:])
     assert code == 2
     assert "must be >=" in err
+
+
+class TestParserReuse:
+    """``main`` builds the argparse tree once per process and reuses it."""
+
+    @staticmethod
+    def outputs(capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        doc = parse(out)
+        doc.pop("elapsed_ms")
+        return code, doc, err
+
+    def test_outputs_match_fresh_parser(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        fs.save_instance(fs.generate_instance(9, 3, seed=8), path)
+        path = str(path)
+        runs = [
+            ("solve", path, "--mode", "pne"),
+            ("mech", path, "--mech", '{"kind": "krank", "params": {"k": 2}}',
+             "--audit", "sp,props", "--grid-extra", "2", "--seed", "3"),
+            ("dynamics", path, "--start", "random:5", "--order", "seeded-random",
+             "--seed", "4", "--max-steps", "3"),
+            ("solve", path, "--verify"),
+            ("mech", path, "--mech", '{"kind": "krank", "params": {"k": 1}}'),
+            ("dynamics", path, "--start", "all-1"),
+        ]
+        reused = [self.outputs(capsys, argv) for argv in runs]
+        assert cli._parser() is cli._parser()
+        fresh = []
+        for argv in runs:
+            cli._parser.cache_clear()
+            fresh.append(self.outputs(capsys, argv))
+        assert reused == fresh
+
+    @pytest.mark.parametrize("command", [(), ("gen",), ("solve",), ("dynamics",),
+                                         ("mech",), ("ratio",)])
+    def test_help_matches_fresh_parser(self, capsys, command):
+        run_cli(capsys, "solve", "--mode", "pne")  # a failed parse first
+        code, reused, _ = run_cli(capsys, *command, "--help")
+        assert code == 0
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([*command, "--help"])
+        assert capsys.readouterr().out == reused
