@@ -6,7 +6,6 @@ from .costs import (
     AgentCost,
     CostBreakdown,
     agent_cost,
-    block_cost,
     harmonic_numbers,
     potential,
     social_cost,

