@@ -15,10 +15,9 @@ either a :class:`MechanismSpec` or any callable mapping a ``(P, n)`` batch of
 position profiles to a ``(P, n)`` batch of 1-based facility indices, so
 deliberately broken mechanisms can be audited too. A callable is applied to
 every altered batch; a spec is audited through its order-statistic form
-(:func:`_order_rule`), evaluated once per distinct position. For n <= 5 the
-anonymity audit of a spec takes every permutation at once: an odd-even
-transposition network sorts the permuted value indices of up to
-``_ANON_CELLS`` (permutation, profile) cells per chunk.
+(:func:`_order_rule`), evaluated once per distinct position. That form makes
+a spec anonymous by construction: a permutation leaves each row's k-th
+smallest report, and so its outcome, unchanged.
 """
 
 from __future__ import annotations
@@ -514,36 +513,6 @@ def _spec_table(h: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
     return table
 
 
-# (permutation, profile) cells per chunk of the anonymity network: temporaries
-# stay near n arrays of 2**16 small integers.
-_ANON_CELLS = 2**16
-
-
-def _compare_exchange(cols: list[np.ndarray], a: int) -> None:
-    """Order columns ``a`` and ``a + 1`` elementwise, the smaller into ``a``."""
-    low = np.minimum(cols[a], cols[a + 1])
-    np.maximum(cols[a], cols[a + 1], out=cols[a + 1])
-    cols[a] = low
-
-
-def _permuted_order_statistic(index_t: np.ndarray, perms: np.ndarray,
-                              k: int) -> np.ndarray:
-    """The k-th smallest entry of every profile under every permutation.
-
-    ``index_t`` holds one profile per column, shape ``(n, P)``; ``perms`` has
-    shape ``(q, n)``. Returns shape ``(q, P)``. Column j of the permuted batch
-    is gathered as ``index_t[perms[:, j]]``, and an odd-even transposition
-    network sorts the n columns: round r compare-exchanges each pair
-    (a, a + 1) with a = r (mod 2), and n rounds sort any input.
-    """
-    n = len(index_t)
-    cols = [index_t[perms[:, j]] for j in range(n)]
-    for r in range(n):
-        for a in range(r % 2, n - 1, 2):
-            _compare_exchange(cols, a)
-    return cols[k - 1]
-
-
 def _report_changes(mechanism: Mechanism, env: Environment, profiles: np.ndarray,
                     reports: np.ndarray) -> tuple[np.ndarray, Iterator[tuple]]:
     """The truthful ``(P, n)`` outcome, and an iterator over each agent's
@@ -682,64 +651,45 @@ def audit_anonymous(mechanism: Mechanism, env: Environment,
     co-located agents may trade facility labels freely. All n! permutations
     are tried for n <= 5, a seeded sample of ``max_permutations`` otherwise.
 
-    A spec with n <= 5 is checked for every permutation at once: its order
-    statistic comes from a sorting network over the permuted value indices
-    (:func:`_permuted_order_statistic`), in chunks of at most 2**16
-    (permutation, profile) cells. A spec with n > 5, and any batch callable,
-    is checked one permutation at a time.
+    A spec sends every agent to ``h(theta)``, where ``theta`` is the k-th
+    smallest report (:func:`_order_rule`), and a permutation does not move
+    the k-th smallest: a spec has no counterexample. ``h`` is still evaluated
+    once per occurring ``theta``, so a spec whose ``h`` fails on the grid fails
+    here too. A batch callable is checked one permutation at a time.
     """
     if grid is None:
         grid = default_audit_grid(env)
     _check_mechanism(mechanism, env, n)
-    if max_permutations < 0:
-        raise ValidationError(
-            f"max_permutations must be ≥ 0, got {max_permutations}")
     profiles = _profiles_from_grid(grid, n, max_profiles, seed)
     if n <= 5:
         perms = [p for p in itertools.permutations(range(n))
                  if p != tuple(range(n))]
     else:
+        if max_permutations < 0:
+            raise ValidationError(
+                f"max_permutations must be ≥ 0, got {max_permutations}")
         rng = np.random.default_rng(seed)
         perms = [tuple(rng.permutation(n).tolist()) for _ in range(max_permutations)]
 
-    hits: list[tuple[int, int]] = []  # (permutation, profile row) of each mismatch
+    bad: list[Counterexample] = []
     if isinstance(mechanism, MechanismSpec):
-        # All-to-one outcomes: two rows hold the same multiset of (position,
-        # facility) pairs exactly when their common facilities agree.
         k, h = _order_rule(mechanism, env, n)
         values, index, _ = _value_index(profiles, np.empty(0))
-        theta = np.partition(index, k - 1, axis=1)[:, k - 1]
         seen = np.zeros(len(values), dtype=bool)
-        seen[theta] = True
-        table = _spec_table(h, values, seen)
-
-        def outcome_key(perm):
-            return table[np.partition(index[:, perm], k - 1, axis=1)[:, k - 1, None]]
+        seen[np.partition(index, k - 1, axis=1)[:, k - 1]] = True
+        _spec_table(h, values, seen)
+        # no hits: the k-th smallest of a row does not depend on its order
     else:
         def outcome_key(perm):
             permuted = profiles[:, perm]
             return np.sort(permuted + 1j * mechanism(permuted), axis=1)
 
-    if isinstance(mechanism, MechanismSpec) and n <= 5:
-        base = table[theta]
-        dtype = np.int16 if len(values) < 2**15 else np.intp
-        index_t = np.ascontiguousarray(index.T, dtype=dtype)
-        theta = theta.astype(dtype)
-        perm_array = np.array(perms, dtype=np.intp).reshape(len(perms), n)
-        step = max(1, _ANON_CELLS // len(profiles))
-        for start in range(0, len(perms), step):
-            chunk = _permuted_order_statistic(index_t, perm_array[start:start + step], k)
-            # An unchanged order statistic keeps its facility: look up the rest.
-            at, rows = np.divmod(np.flatnonzero(chunk != theta), len(profiles))
-            moved = table[chunk[at, rows]] != base[rows]
-            hits.extend(zip((at[moved] + start).tolist(), rows[moved].tolist()))
-    else:
         base_key = outcome_key(list(range(n)))
-        for j, perm in enumerate(perms):
+        for perm in perms:
             mismatch = np.any(outcome_key(list(perm)) != base_key, axis=1)
-            hits.extend((j, r) for r in np.nonzero(mismatch)[0])
-    bad = [Counterexample(profile=_plain(profiles[r]), agent=None, deviation=perms[j])
-           for j, r in hits]
+            for r in np.nonzero(mismatch)[0]:
+                bad.append(Counterexample(profile=_plain(profiles[r]), agent=None,
+                                          deviation=perm))
     return _finish("anonymous", bad, len(perms) * len(profiles))
 
 

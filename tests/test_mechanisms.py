@@ -604,89 +604,25 @@ def test_default_grid_contains_breakpoints():
     assert list(grid) == sorted(grid)
 
 
-def same_report(a, b):
-    """Equal reprs, as a plain bool: a failing ``assert repr(a) == repr(b)``
-    makes pytest diff two long strings, which takes minutes."""
-    return repr(a) == repr(b)
+class TestAnonymityAudit:
+    """A spec is anonymous by construction, so its anonymity audit draws no
+    counterexample; the per-permutation loop over the same spec as a batch
+    callable is the reference."""
 
-
-class TestAnonymityNetwork:
-    """A spec with n <= 5 is audited for anonymity through a sorting network
-    over every permutation at once; the per-permutation partition it
-    replaces is the reference."""
-
-    @pytest.mark.parametrize("dtype", [np.int16, np.intp])
-    def test_order_statistic_matches_partition(self, dtype):
-        rng = np.random.default_rng(47)
-        high = 2**15 - 1 if dtype is np.int16 else 2**40
-        for n in range(1, 6):
-            perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-            for spread in (3, high):  # few values: ties in nearly every profile
-                index_t = rng.integers(0, spread, size=(n, 257)).astype(dtype)
-                for k in range(1, n + 1):
-                    theta = mechanisms._permuted_order_statistic(index_t, perms, k)
-                    assert theta.shape == (len(perms), 257)
-                    assert theta.dtype == dtype
-                    for row, perm in zip(theta, perms):
-                        expected = np.partition(index_t[perm].T, k - 1, axis=1)[:, k - 1]
-                        assert np.array_equal(row, expected)
-
-    @pytest.mark.parametrize("n, max_profiles, cells", [(3, 200, 400), (4, 100, 500),
-                                                        (5, 400, 20_000)])
-    def test_chunked_audit_matches_the_generic_loop(self, monkeypatch, n, max_profiles,
-                                                    cells):
-        chunks = []
-        network = mechanisms._permuted_order_statistic
-        monkeypatch.setattr(mechanisms, "_ANON_CELLS", cells)
-        monkeypatch.setattr(mechanisms, "_permuted_order_statistic",
-                            lambda index_t, perms, k: chunks.append(len(perms))
-                            or network(index_t, perms, k))
-        total = math.factorial(n) - 1
-        step = cells // max_profiles
-        # at least three chunks, the last one partial
-        expected = [step] * (total // step) + [total % step]
-        assert len(expected) >= 3 and expected[-1] > 0
-        rng = np.random.default_rng(53 + n)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_spec_route_matches_the_generic_loop(self, n):
+        rng = np.random.default_rng(59 + n)
         for case in range(4):
             env = random_environment(rng, m=int(rng.integers(1, 5)))
             spec = MechanismSpec("krank", k=int(rng.integers(1, n + 1)))
             generic = lambda profiles: mechanisms._batch_apply(spec, env, profiles)
-            kw = dict(n=n, max_profiles=max_profiles, seed=case)
-            chunks.clear()
+            kw = dict(n=n, max_profiles=200, max_permutations=7, seed=case)
             by_spec = fs.audit_anonymous(spec, env, **kw)
-            assert chunks == expected
-            assert by_spec.checked == total * max_profiles
-            assert same_report(by_spec, fs.audit_anonymous(generic, env, **kw))
-
-    def test_wide_value_range_takes_intp_indices(self, monkeypatch):
-        seen = []
-        network = mechanisms._permuted_order_statistic
-        monkeypatch.setattr(mechanisms, "_permuted_order_statistic",
-                            lambda index_t, perms, k: seen.append(index_t.dtype)
-                            or network(index_t, perms, k))
-        env = fs.Environment((0.0, 3.0, 7.0), (2.0, 4.0, 1.0))
-        grid = np.linspace(-2.0, 9.0, 2**18).tolist()
-        spec = MechanismSpec("krank", k=2)
-        generic = lambda profiles: mechanisms._batch_apply(spec, env, profiles)
-        kw = dict(n=2, max_profiles=20_000, seed=3)
-        report = fs.audit_anonymous(spec, env, grid, **kw)
-        assert seen == [np.dtype(np.intp)]
-        assert same_report(report, fs.audit_anonymous(generic, env, grid, **kw))
-
-    def test_network_without_maximum_fails_the_audit(self, monkeypatch):
-        def compare_exchange_min_only(cols, a):
-            cols[a] = np.minimum(cols[a], cols[a + 1])
-
-        spec = MechanismSpec("krank", k=2)
-        assert fs.audit_anonymous(spec, ENV, n=3).passed
-        monkeypatch.setattr(mechanisms, "_compare_exchange", compare_exchange_min_only)
-        report = fs.audit_anonymous(spec, ENV, n=3)
-        assert not report.passed
-        assert {c.deviation for c in report.counterexamples} <= set(
-            itertools.permutations(range(3)))
-        # one permutation per chunk names the same counterexamples
-        monkeypatch.setattr(mechanisms, "_ANON_CELLS", 1)
-        assert same_report(fs.audit_anonymous(spec, ENV, n=3), report)
+            perms = math.factorial(n) - 1 if n <= 5 else 7
+            grid = len(fs.default_audit_grid(env))
+            assert by_spec.passed
+            assert by_spec.checked == perms * min(200, grid**n)
+            assert repr(by_spec) == repr(fs.audit_anonymous(generic, env, **kw))
 
     def test_sampled_permutations_are_plain_ints(self):
         def biased(profiles):
@@ -719,3 +655,6 @@ class TestAuditCounts:
             fs.audit_anonymous(spec, ENV, n=6, max_permutations=-1)
         report = fs.audit_anonymous(spec, ENV, n=6, max_permutations=0)
         assert report.passed and report.checked == 0
+        # all n! permutations are tried for n <= 5, whatever the count
+        report = fs.audit_anonymous(spec, ENV, n=3, max_permutations=-1)
+        assert report.passed and report.checked == 5 * 2048
