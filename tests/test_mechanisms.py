@@ -607,9 +607,10 @@ def test_default_grid_contains_breakpoints():
 class TestAnonymityAudit:
     """A spec is anonymous by construction, so its anonymity audit draws no
     counterexample; the per-permutation loop over the same spec as a batch
-    callable is the reference."""
+    callable is the reference. TestOrderStatisticPath covers n <= 5, where
+    every permutation is tried; these cases sample them."""
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", [6, 7])
     def test_spec_route_matches_the_generic_loop(self, n):
         rng = np.random.default_rng(59 + n)
         for case in range(4):
@@ -618,10 +619,7 @@ class TestAnonymityAudit:
             generic = lambda profiles: mechanisms._batch_apply(spec, env, profiles)
             kw = dict(n=n, max_profiles=200, max_permutations=7, seed=case)
             by_spec = fs.audit_anonymous(spec, env, **kw)
-            perms = math.factorial(n) - 1 if n <= 5 else 7
-            grid = len(fs.default_audit_grid(env))
-            assert by_spec.passed
-            assert by_spec.checked == perms * min(200, grid**n)
+            assert by_spec.passed and by_spec.checked == 7 * 200
             assert repr(by_spec) == repr(fs.audit_anonymous(generic, env, **kw))
 
     def test_sampled_permutations_are_plain_ints(self):
