@@ -39,6 +39,8 @@ the float the scan itself gives. The later layers follow from ``w`` and
   ``G_{f-1}[i] - D_f[i]`` over ``i < t``, a running prefix minimum (the
   classic line facility-location DP of Hassin and Tamir, 1991). The chosen
   argmin is priced with the expression above. O(n) per layer.
+  ``_block_values`` runs these layers on a batch of profiles at once, for
+  the values only.
 * Otherwise (the harmonic weights) a layer prices only its live rows, those
   that pass the row bound below. If ``n * n`` is at most ``_DENSE_CELLS``,
   one broadcast prices each live row against ``i in 0..n-1``, the cells
@@ -128,11 +130,17 @@ class BruteForceLimitError(RuntimeError):
 
 
 def distance_prefix(sorted_x: np.ndarray, locations: np.ndarray) -> np.ndarray:
-    """``D[f, t] = sum_{a < t} |sorted_x[a] - locations[f]|`` for every facility."""
-    d = np.abs(sorted_x[None, :] - locations[:, None])
-    out = np.zeros((len(locations), len(sorted_x) + 1))
-    np.cumsum(d, axis=1, out=out[:, 1:])
+    """``D[..., f, t] = sum_{a < t} |sorted_x[..., a] - locations[f]|`` for
+    every facility, over any leading batch axes of ``sorted_x``."""
+    d = np.abs(sorted_x[..., None, :] - locations[:, None])
+    out = np.zeros(d.shape[:-1] + (d.shape[-1] + 1,))
+    np.cumsum(d, axis=-1, out=out[..., 1:])
     return out
+
+
+def _unit_weights(n: int) -> np.ndarray:
+    # A used facility costs its full building cost whatever its load.
+    return (np.arange(n + 1) > 0).astype(float)
 
 
 @dataclass(frozen=True)
@@ -210,14 +218,33 @@ def _prefix_minima(table: np.ndarray, dist: np.ndarray, b: float,
                    weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's candidate at the first argmin of ``table - dist`` over its
     columns, tracked as a running prefix minimum: the row minimum for flat
-    weights, and at least the row minimum for any weights."""
-    n = len(table) - 1
-    key = table[:n] - dist[:n]
-    run = np.minimum.accumulate(key)
-    new = np.ones(n, dtype=bool)
-    np.less(key[1:], run[:-1], out=new[1:])
-    arg = np.maximum.accumulate(np.where(new, np.arange(n), 0))
-    return (b * weight[np.arange(1, n + 1) - arg] + (dist[1:] - dist[arg])) + table[arg], arg
+    weights, and at least the row minimum for any weights. Leading axes of
+    ``table`` and ``dist`` are batch axes."""
+    n = table.shape[-1] - 1
+    key = table[..., :n] - dist[..., :n]
+    run = np.minimum.accumulate(key, axis=-1)
+    new = np.ones(key.shape, dtype=bool)
+    np.less(key[..., 1:], run[..., :-1], out=new[..., 1:])
+    arg = np.maximum.accumulate(np.where(new, np.arange(n), 0), axis=-1)
+    return ((b * weight[np.arange(1, n + 1) - arg]
+             + (dist[..., 1:] - np.take_along_axis(dist, arg, -1)))
+            + np.take_along_axis(table, arg, -1)), arg
+
+
+def _block_values(sorted_profiles: np.ndarray, locations: np.ndarray,
+                  building_costs: np.ndarray, size_weight: np.ndarray) -> np.ndarray:
+    """``solve_block_partition(row, ...).value`` for every row of the
+    ``(P, n)`` ascending profiles under flat ``size_weight``: the same layers
+    on a ``(P, n + 1)`` table, without the traceback."""
+    n = sorted_profiles.shape[-1]
+    dist = distance_prefix(sorted_profiles, locations)
+    weight = np.asarray(size_weight, dtype=float)[:n + 1]
+    table = np.zeros(dist[:, 0].shape)
+    table[:, 1:] = (building_costs[0] * weight[1:] + (dist[:, 0, 1:] - dist[:, 0, :1])) + 0.0
+    for f in range(1, len(locations)):
+        rowmin = _prefix_minima(table, dist[:, f], building_costs[f], weight)[0]
+        np.minimum(table[:, 1:], rowmin, out=table[:, 1:])
+    return table[:, n]
 
 
 def _spread(n: int, rows: np.ndarray, low: np.ndarray,

@@ -29,9 +29,9 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
+from ._blockdp import _block_values, _unit_weights
 from .costs import EPS_CMP, _facility_costs, _loads, _split_costs
-from .model import Assignment, Environment, Instance, Profile, ValidationError
-from .optimal import optimal_block_dp
+from .model import Assignment, Environment, Profile, ValidationError
 
 __all__ = [
     "MechanismPreconditionError",
@@ -871,7 +871,9 @@ def empirical_ratio(mechanism: Mechanism, env: Environment,
                     n: int = 2, max_profiles: int = 4096,
                     seed: int = 0) -> EmpiricalRatio:
     """Worst social-cost ratio of the mechanism against the optimum over grid
-    profiles; returns the maximizing profile."""
+    profiles; returns the first maximizing profile. The optimum of every
+    profile is the block DP's value under unit size weights, all profiles
+    in one batch."""
     if grid is None:
         grid = default_audit_grid(env)
     apply_batch = _as_batch_mechanism(mechanism, env, n)
@@ -879,20 +881,8 @@ def empirical_ratio(mechanism: Mechanism, env: Environment,
     outcome = apply_batch(profiles)
     mech_cost = np.add(*_split_costs(profiles, outcome, env)).sum(axis=1)
 
-    m = env.m
-    if m ** n <= 4096:
-        locs = np.asarray(env.locations, dtype=float)
-        b = np.asarray(env.building_costs, dtype=float)
-        opt = np.full(len(profiles), math.inf)
-        for combo in itertools.product(range(m), repeat=n):
-            digits = np.array(combo)
-            value = np.abs(profiles - locs[digits]).sum(axis=1)
-            value += b[np.unique(digits)].sum()
-            np.minimum(opt, value, out=opt)
-    else:
-        opt = np.array([
-            optimal_block_dp(Instance(env, Profile(tuple(row)))).social_cost
-            for row in profiles])
+    opt = _block_values(np.sort(profiles, axis=1), np.asarray(env.locations, dtype=float),
+                        np.asarray(env.building_costs, dtype=float), _unit_weights(n))
     ratios = mech_cost / opt
     at = int(np.argmax(ratios))
     return EmpiricalRatio(float(ratios[at]), _plain(profiles[at]))

@@ -125,8 +125,9 @@ class Assignment:
         raw = tuple(self.choices)
         _require(len(raw) >= 1, "assignment must cover at least one agent")
         for c in raw:
-            if int(c) != c:
-                raise ValidationError("facility indices must be integers")
+            # Bools are ints, and an integral float is still a float: reject both.
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                raise ValidationError(f"facility indices must be integers, got {c!r}")
         ch = tuple(int(c) for c in raw)
         _require(all(c >= 1 for c in ch), "facility indices are 1-based (must be >= 1)")
         object.__setattr__(self, "choices", ch)
@@ -140,20 +141,6 @@ class Assignment:
                  "assignment length must equal the number of agents")
         _require(max(self.choices) <= env.m,
                  "facility index out of range for this environment")
-
-    def counts(self, m: int) -> tuple[int, ...]:
-        """Number of agents using each facility 1..m."""
-        out = [0] * m
-        for c in self.choices:
-            out[c - 1] += 1
-        return tuple(out)
-
-    def used_facilities(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.choices)))
-
-    def agents_of(self, facility: int) -> tuple[int, ...]:
-        """0-based indices of the agents assigned to ``facility``."""
-        return tuple(i for i, c in enumerate(self.choices) if c == facility)
 
 
 @dataclass(frozen=True)

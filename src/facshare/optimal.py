@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._blockdp import BruteForceLimitError, _block_assignment, _brute_force_min
+from ._blockdp import (BruteForceLimitError, _block_assignment, _brute_force_min,
+                       _unit_weights)
 from .costs import _social_cost
 from .model import Assignment, Instance
 
@@ -34,11 +33,6 @@ class OptResult:
     assignment: Assignment
     social_cost: float
     method: str  # "brute_force" | "block_dp"
-
-
-def _unit_weights(n: int) -> np.ndarray:
-    # A used facility costs its full building cost whatever its load.
-    return (np.arange(n + 1) > 0).astype(float)
 
 
 def optimal_brute_force(instance: Instance, *, limit: int = 10_000_000) -> OptResult:

@@ -147,6 +147,23 @@ def oracle_block_cost(sorted_positions, start, stop, facility, env):
     return env.building_costs[facility - 1] * harm + sum(abs(x - loc) for x in block)
 
 
+def assignment_counts(assignment, m):
+    """Number of agents using each facility 1..m."""
+    out = [0] * m
+    for c in assignment.choices:
+        out[c - 1] += 1
+    return tuple(out)
+
+
+def used_facilities(assignment):
+    return tuple(sorted(set(assignment.choices)))
+
+
+def agents_of(assignment, facility):
+    """0-based indices of the agents assigned to ``facility``."""
+    return tuple(i for i, c in enumerate(assignment.choices) if c == facility)
+
+
 def all_assignments(n, m):
     return itertools.product(range(1, m + 1), repeat=n)
 

@@ -17,7 +17,7 @@ import pytest
 
 import facshare as fs
 from facshare import _blockdp
-from oracles import lattice_instance, oracle_block_partition
+from oracles import lattice_instance, oracle_block_partition, oracle_min_social_cost
 
 DENSE_N = int(_blockdp._DENSE_CELLS ** 0.5)  # largest n on the dense path
 
@@ -255,3 +255,46 @@ def test_row_bound_drops_only_rows_that_cannot_win(scale):
             assert all(best[t - 1] > table[t] for t in drop), (n, scale)
             dropped += len(drop)
     assert dropped > 1000
+
+
+def profile_batches(rng, max_n):
+    """``(sorted profiles, locations, building costs)`` batches: every n and m
+    up to the bounds, a third on a half-unit lattice (exact ties), plus
+    batches of co-located agents, some on a facility."""
+    for case in range(240):
+        n, m = case % max_n + 1, (case // max_n) % 6 + 1
+        if case % 3 == 0:
+            x = rng.integers(0, 12, size=(20, n)) / 2.0
+            locs = np.sort(rng.integers(0, 12, size=m) / 2.0)
+            b = rng.integers(1, 6, size=m) / 2.0
+        else:
+            x = rng.uniform(-5.0, 10.0, size=(20, n))
+            locs = np.sort(rng.uniform(0.0, 10.0, size=m))
+            b = rng.uniform(0.1, 5.0, size=m)
+        if case % 5 == 0:
+            x[:] = x[:, :1]
+            x[:4] = locs[rng.integers(m, size=4)][:, None]
+        yield np.sort(x, axis=1), locs, b
+
+
+def test_batch_values_equal_per_profile_solve():
+    rng = np.random.default_rng(71)
+    for sorted_x, locs, b in profile_batches(rng, 30):
+        w = _blockdp._unit_weights(sorted_x.shape[1])
+        got = _blockdp._block_values(sorted_x, locs, b, w)
+        dist = _blockdp.distance_prefix(sorted_x, locs)
+        for row, value, row_dist in zip(sorted_x, got, dist):
+            assert value == _blockdp.solve_block_partition(row, locs, b, w).value
+            assert (row_dist == _blockdp.distance_prefix(row, locs)).all()
+
+
+def test_batch_values_match_brute_force_optimum():
+    rng = np.random.default_rng(73)
+    for sorted_x, locs, b in profile_batches(rng, 6):
+        if len(locs) > 4:
+            continue
+        w = _blockdp._unit_weights(sorted_x.shape[1])
+        got = _blockdp._block_values(sorted_x, locs, b, w)
+        for row, value in zip(sorted_x[::5], got[::5]):
+            best, _ = oracle_min_social_cost(row.tolist(), locs.tolist(), b.tolist())
+            assert value == pytest.approx(best, rel=1e-12)

@@ -10,6 +10,7 @@ from oracles import (
     oracle_potential_grouped,
     random_assignment,
     suite_dims,
+    used_facilities,
 )
 
 ENV = fs.Environment((0.0, 3.0), (2.0, 4.0))
@@ -60,7 +61,7 @@ def test_social_cost_facility_form_identity():
         env, prof = inst.environment, inst.profile
         a = random_assignment(rng, inst.n, inst.m)
         direct = fs.social_cost(prof, a, env).social_cost
-        facility_form = sum(env.building_costs[f - 1] for f in a.used_facilities())
+        facility_form = sum(env.building_costs[f - 1] for f in used_facilities(a))
         facility_form += sum(abs(x - env.locations[f - 1])
                              for x, f in zip(prof.positions, a.choices))
         assert direct == pytest.approx(facility_form, abs=1e-9)

@@ -33,7 +33,7 @@ from facshare.mechanisms import MechanismSpec
 from oracles import lattice_instance, random_assignment, random_environment, suite_dims
 
 EXPECTED = "98039938f02eef721e7024b45c0e9415370842e676dfda99413ac740cdc737ce"
-AUDIT_EXPECTED = "080af87eb496b224039827a974fe34f65d7328060eb0e030e200bcef91b67467"
+AUDIT_EXPECTED = "732053857878459a96d030933aa7c3aa6e2bdd37ccbca25293b259adfed098ac"
 
 ORDERS = ("round-robin", "max-gain", "seeded-random")
 

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facshare as fs
 from facshare.model import dumps_instance, instance_from_dict, instance_to_dict
+from oracles import agents_of, assignment_counts, used_facilities
 
 
 def test_environment_sorted_by_location():
@@ -56,9 +58,9 @@ def test_profile_validation():
 
 def test_assignment_accessors():
     a = fs.Assignment((2, 1, 2))
-    assert a.counts(3) == (1, 2, 0)
-    assert a.used_facilities() == (1, 2)
-    assert a.agents_of(2) == (0, 2)
+    assert assignment_counts(a, 3) == (1, 2, 0)
+    assert used_facilities(a) == (1, 2)
+    assert agents_of(a, 2) == (0, 2)
 
 
 def test_assignment_validation():
@@ -68,6 +70,15 @@ def test_assignment_validation():
         fs.Assignment((0, 1))
     with pytest.raises(fs.ValidationError):
         fs.Assignment((1.5, 1))
+    # Entries must be int or numpy integers, never bool or integral floats,
+    # the rule the CLI applies to --start files.
+    with pytest.raises(fs.ValidationError, match="integers, got 1.0"):
+        fs.Assignment((1.0, 1))
+    with pytest.raises(fs.ValidationError, match="integers, got True"):
+        fs.Assignment((True, 1))
+    a = fs.Assignment((np.int64(1), 2))
+    assert a.choices == (1, 2)
+    assert all(type(c) is int for c in a.choices)
     with pytest.raises(fs.ValidationError, match="length"):
         fs.Assignment((1,)).validate_for(prof, env)
     with pytest.raises(fs.ValidationError, match="out of range"):
