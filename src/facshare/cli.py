@@ -283,10 +283,14 @@ def _cmd_mech(args) -> int:
         "social_cost": _social_cost(profile.positions, assignment.choices, env),
     }
     if args.audit:
+        wanted = [token.strip() for token in args.audit.split(",") if token.strip()]
+        for token in wanted:
+            if token not in ("sp", "anon", "unanimous", "props"):
+                raise ValidationError(
+                    f"unknown audit {token!r}; expected sp, anon, unanimous, props")
         grid = default_audit_grid(env, extra=args.grid_extra)
         n = profile.n
         audits: dict = {}
-        wanted = [token.strip() for token in args.audit.split(",") if token.strip()]
         for token in wanted:
             if token == "sp":
                 audits["strategyproof"] = _audit_summary(
@@ -297,7 +301,7 @@ def _cmd_mech(args) -> int:
             elif token == "unanimous":
                 audits["unanimous"] = _audit_summary(
                     audit_unanimous(spec, env, grid, n=n, seed=args.seed))
-            elif token == "props":
+            else:
                 report = audit_lemma_properties(spec, env, grid, n=n, seed=args.seed)
                 audits["properties"] = {
                     name: (_audit_summary(r) if r is not None else None)
@@ -305,9 +309,6 @@ def _cmd_mech(args) -> int:
                                     ("P3", report.p3), ("P4", report.p4),
                                     ("P5", report.p5))
                 }
-            else:
-                raise ValidationError(
-                    f"unknown audit {token!r}; expected sp, anon, unanimous, props")
         outputs["audits"] = audits
     name = instance.name or Path(args.input).stem
     _emit(_result("mech", name, outputs, started), args.out)

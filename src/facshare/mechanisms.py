@@ -18,6 +18,33 @@ every altered batch; a spec is audited through its order-statistic form
 (:func:`_order_rule`), evaluated once per distinct position. That form makes
 a spec anonymous by construction: a permutation leaves each row's k-th
 smallest report, and so its outcome, unchanged.
+
+It also lets the strategyproofness and P1-P3 audits of a spec work per
+(profile, agent, facility) instead of per (profile, agent, report). When
+agent i of profile p reports r, everyone goes to ``table[clip(r, lo, hi)]``
+(:class:`_SpecForm`), so the reports that send everyone to facility f,
+S(f), are those at or below lo when ``table[lo] == f``, the interior ones
+``lo < r < hi`` with ``table[r] == f``, and those at or above hi when
+``table[hi] == f``. Every load is n, so an outcome is priced by f alone:
+
+* sp: a report is profitable iff its facility f costs the agent less, by the
+  same float ``_split_costs`` gives at load n; a row has one iff some f with
+  S(f) nonempty does.
+* P1: a report r above x violates it iff ``loc_f < loc_B``,
+  ``not loc_B <= x + tol`` and ``not r <= loc_f + tol``; the last holds for
+  every report above one that satisfies it, since float addition is
+  monotone. So the largest report of S(f) decides the reports above x, and
+  by the mirror argument the smallest decides those below x.
+* P2: ``mid > rhs + tol`` depends on f only, and
+  ``|r - loc_f| - |r - loc_B| > mid + tol`` holds for some report of S(f)
+  iff it holds for the largest such difference. Taking a maximum rounds
+  nothing, so that maximum, over a prefix, a suffix and an interior range
+  (two overlapping sparse-table windows), is exactly a report's value.
+* P3 cannot fire: every load is n.
+
+Only the (profile, agent) rows some f flags get the per-report pass that
+builds counterexamples, with the same expressions a batch callable's loop
+uses, so reports are identical to checking every report.
 """
 
 from __future__ import annotations
@@ -274,12 +301,22 @@ def validate_spec(spec: MechanismSpec, env: Environment, n: int | None = None,
             f"delta = {params.delta}")
 
 
+def _diag_facility(choice: Callable[[float], int], x: float) -> int:
+    """A ``diag_choice`` callable's facility at ``x``: 1 or 2, as an integer
+    that is not a bool; any other answer raises :class:`ValidationError`."""
+    f = choice(x)
+    if isinstance(f, bool) or not isinstance(f, (int, np.integer)) or f not in (1, 2):
+        raise ValidationError(
+            f"diag_choice returned {f!r} at position {x!r}; expected facility 1 or 2")
+    return int(f)
+
+
 def _diagonal(choice: DiagChoice, theta: np.ndarray, onto: np.ndarray,
               other: int) -> np.ndarray:
     """Facility ``other`` at every position, except ``choice`` where ``onto``."""
     fac = np.full(theta.shape, other, dtype=int)
     if callable(choice):
-        fac[onto] = [int(choice(float(v))) for v in theta[onto]]
+        fac[onto] = [_diag_facility(choice, v) for v in theta[onto].tolist()]
     else:
         fac[onto] = int(choice)
     return fac
@@ -361,19 +398,19 @@ def resolve_x_star(spec: MechanismSpec, env: Environment) -> float:
                abs(anchor)) * 4.0
     if spec.kind == "type2":
         lo, hi = anchor - span, anchor
-        if int(choice(hi)) == 1:
+        if _diag_facility(choice, hi) == 1:
             return hi
-        if int(choice(lo)) == 2:
+        if _diag_facility(choice, lo) == 2:
             return -math.inf
     else:
         lo, hi = anchor, anchor + span
-        if int(choice(hi)) == 1:
+        if _diag_facility(choice, hi) == 1:
             return math.inf
-        if int(choice(lo)) == 2:
+        if _diag_facility(choice, lo) == 2:
             return lo
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if int(choice(mid)) == 1:
+        if _diag_facility(choice, mid) == 1:
             lo = mid
         else:
             hi = mid
@@ -489,10 +526,6 @@ def _as_batch_mechanism(mechanism: Mechanism, env: Environment,
     return mechanism
 
 
-# Reports priced together on the spec path: temporaries stay near (P, 8).
-_REPORT_BLOCK = 8
-
-
 def _value_index(profiles: np.ndarray,
                  reports: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sorted distinct values of profiles and reports, and the index of
@@ -513,64 +546,163 @@ def _spec_table(h: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
     return table
 
 
-def _report_changes(mechanism: Mechanism, env: Environment, profiles: np.ndarray,
-                    reports: np.ndarray) -> tuple[np.ndarray, Iterator[tuple]]:
-    """The truthful ``(P, n)`` outcome, and an iterator over each agent's
-    facility and its load when she alone switches to other reports.
+def _batch_changes(mechanism: BatchMechanism, env: Environment, profiles: np.ndarray,
+                   reports: np.ndarray) -> Iterator[tuple]:
+    """Each agent's facility and its load when she alone switches to one
+    report, one altered batch per (agent, report): yields
+    ``(i, rows, block, fac, load)`` with ``rows`` every profile, ``block``
+    the one report and ``fac``/``load`` of shape ``(P, 1)``."""
+    rows = np.arange(len(profiles))
+    for i in range(profiles.shape[1]):
+        for j, report in enumerate(reports):
+            mod = profiles.copy()
+            mod[:, i] = report
+            outcome = mechanism(mod)
+            yield (i, rows, reports[j:j + 1], outcome[:, i, None],
+                   _loads(outcome, env.m)[:, i, None])
 
-    The iterator yields ``(i, block, fac, load)`` in agent-then-report order:
-    ``block`` holds reports and ``fac``/``load`` have shape
-    ``(P, len(block))``. A batch callable is applied to one altered batch per
-    (agent, report). A spec is evaluated in value-index space through its
-    order-statistic form: when agent i reports r, the k-th smallest report
-    becomes ``clip(r, lo, hi)``, where lo and hi are the (k-1)-th and k-th
-    smallest reports of the others, so each outcome is a lookup in a table
-    of ``h`` over the distinct values, and every load is n.
+
+class _SpecForm:
+    """A spec's outcome under every single-agent report change, in
+    value-index space (see the module docstring).
+
+    ``values`` are the sorted distinct profile and report values. When agent
+    i of profile p reports the value of index v, the k-th smallest report
+    becomes ``clip(v, lo[p, i], hi[p, i])``, where lo and hi are the (k-1)-th
+    and k-th smallest reports of the others (-1 and ``size`` stand for -inf
+    and +inf), so everyone goes to ``table[clip(v, lo, hi)]`` and every load
+    is n. ``table`` holds ``h`` on the values that can occur as that order
+    statistic, 0 elsewhere, and one trailing 0 that ``lo = -1`` and
+    ``hi = size`` both read.
     """
-    p, n = profiles.shape
-    if not isinstance(mechanism, MechanismSpec):
-        def batch_changes():
-            for i in range(n):
-                for j, report in enumerate(reports):
-                    mod = profiles.copy()
-                    mod[:, i] = report
-                    outcome = mechanism(mod)
-                    yield (i, reports[j:j + 1], outcome[:, i, None],
-                           _loads(outcome, env.m)[:, i, None])
-        return mechanism(profiles), batch_changes()
 
-    k, h = _order_rule(mechanism, env, n)
-    values, index, r_index = _value_index(profiles, reports)
-    size = len(values)
-    # The others' j-th smallest, for j = k - 1 and k, drops one copy of the
-    # agent's own value from the sorted row; -1 and size stand for -inf, +inf.
-    ranked = np.column_stack((np.full(p, -1), np.sort(index, axis=1),
-                              np.full(p, size)))
-    lo, mid, hi = (ranked[:, j, None] for j in (k - 1, k, k + 1))
-    lo = np.where(lo < index, lo, mid)
-    hi = np.where(mid < index, mid, hi)
+    def __init__(self, spec: MechanismSpec, env: Environment, profiles: np.ndarray,
+                 reports: np.ndarray) -> None:
+        p, n = profiles.shape
+        k, h = _order_rule(spec, env, n)
+        values, index, r_index = _value_index(profiles, reports)
+        size = len(values)
+        # The others' j-th smallest, for j = k - 1 and k, drops one copy of the
+        # agent's own value from the sorted row.
+        ranked = np.column_stack((np.full(p, -1), np.sort(index, axis=1),
+                                  np.full(p, size)))
+        lo, mid, hi = (ranked[:, j, None] for j in (k - 1, k, k + 1))
+        lo = np.where(lo < index, lo, mid)
+        hi = np.where(mid < index, mid, hi)
 
-    seen = np.zeros(size, dtype=bool)
-    seen[mid[:, 0]] = True
-    if len(r_index):
-        # clip(r, lo, hi) is lo for some r below lo, hi for some r above hi,
-        # and r itself when some agent's interval [lo, hi] contains it.
-        seen[lo[lo > r_index.min()]] = True
-        seen[hi[hi < r_index.max()]] = True
-        edges = (np.bincount(np.maximum(lo, 0).ravel(), minlength=size + 1)
-                 - np.bincount(np.minimum(hi, size - 1).ravel() + 1, minlength=size + 1))
-        seen[r_index[np.cumsum(edges)[r_index] > 0]] = True
-    table = _spec_table(h, values, seen)
+        seen = np.zeros(size, dtype=bool)
+        seen[mid[:, 0]] = True
+        if len(r_index):
+            # clip(r, lo, hi) is lo for some r below lo, hi for some r above hi,
+            # and r itself when some agent's interval [lo, hi] contains it.
+            seen[lo[lo > r_index.min()]] = True
+            seen[hi[hi < r_index.max()]] = True
+            edges = (np.bincount(np.maximum(lo, 0).ravel(), minlength=size + 1)
+                     - np.bincount(np.minimum(hi, size - 1).ravel() + 1,
+                                   minlength=size + 1))
+            seen[r_index[np.cumsum(edges)[r_index] > 0]] = True
+        self.table = np.append(_spec_table(h, values, seen), 0)
+        self.truthful = np.broadcast_to(self.table[mid], (p, n))
+        self.values, self.reports, self.r_index = values, reports, r_index
+        self.lo, self.hi = lo, hi
+        self.is_report = np.zeros(size, dtype=bool)
+        self.is_report[r_index] = True
+        # Where reach_max reads each (p, i) in a row of its table: the
+        # interior reports lo < v < hi as two windows of a sparse table,
+        # [lo + 1, lo + 2**l] and [hi - 2**l, hi - 1]; the reports at or below
+        # lo; those at or above hi; and a trailing -inf for an empty part.
+        count = hi - lo - 1
+        level = np.array([max(c, 1).bit_length() - 1 for c in range(size + 1)])
+        level = level[np.maximum(count, 0)]
+        self.levels = int(level.max(initial=0)) + 1
+        end = (self.levels + 2) * size
+        interior = count > 0
+        # int32 offsets: these four (P, n) arrays set the audit's peak memory
+        self.at = tuple(part.ravel().astype(np.int32) for part in (
+            np.where(interior, level * size + lo + 1, end),
+            np.where(interior, level * size + hi - (1 << level), end),
+            np.where(lo >= 0, self.levels * size + lo, end),
+            np.where(hi < size, end - size + hi, end)))
 
-    def spec_changes():
+    def reach_max(self, weight: np.ndarray, key: np.ndarray) -> Iterator[np.ndarray]:
+        """For each facility f in turn, ``max weight[c, key[p], f, v]`` over
+        the reports v by which agent i of profile p sends everyone to f, as a
+        ``(C, P, n)`` array; -inf where no report reaches f. ``weight`` has
+        shape ``(C, K, m, size)`` and ``key`` selects each profile's K row."""
+        chans, keys, m, size = weight.shape
+        w = np.where(self.is_report, weight, -np.inf)
+        below = np.maximum.accumulate(w, axis=-1)
+        above = np.maximum.accumulate(w[..., ::-1], axis=-1)[..., ::-1]
+        # A report v reaches table[v] from the interior; a report at or below
+        # lo reaches table[lo], one at or above hi reaches table[hi].
+        mine = self.table[:-1] == np.arange(1, m + 1)[:, None]
+        parts = [np.where(mine, w, -np.inf)]
+        for half in (1 << l for l in range(self.levels - 1)):
+            w = parts[-1].copy()
+            np.maximum(w[..., :-half], w[..., half:], out=w[..., :-half])
+            parts.append(w)
+        parts += [np.where(mine, below, -np.inf), np.where(mine, above, -np.inf),
+                  np.full(weight.shape[:-1] + (1,), -np.inf)]
+        flat = np.concatenate(parts, axis=-1)
+        width = flat.shape[-1]
+        flat = flat.ravel()
+        p, n = self.lo.shape
+        row = (np.arange(chans)[:, None] * keys + np.repeat(key, n)) * m
+        for f in range(m):
+            origin = (row + f) * width
+            out = flat.take(origin + self.at[0])
+            for part in self.at[1:]:
+                np.maximum(out, flat.take(origin + part), out=out)
+            yield out.reshape(chans, p, n)
+
+    def changes(self, flagged: np.ndarray) -> Iterator[tuple]:
+        """The outcomes of every report for the flagged ``(P, n)`` rows only:
+        yields ``(i, rows, reports, fac, n)`` per agent with a flagged row."""
+        n = flagged.shape[1]
         for i in range(n):
-            for start in range(0, len(reports), _REPORT_BLOCK):
-                block = slice(start, start + _REPORT_BLOCK)
-                theta = np.minimum(np.maximum(r_index[block], lo[:, i, None]),
-                                   hi[:, i, None])
-                yield i, reports[block], table[theta], n
-    truthful = np.broadcast_to(table[mid], (p, n))
-    return truthful, spec_changes()
+            rows = np.flatnonzero(flagged[:, i])
+            if len(rows):
+                theta = np.minimum(np.maximum(self.r_index, self.lo[rows, i, None]),
+                                   self.hi[rows, i, None])
+                yield i, rows, self.reports, self.table[theta], n
+
+
+def _sp_rows(form: _SpecForm, profiles: np.ndarray, base_cost: np.ndarray,
+             env: Environment, tol: float) -> np.ndarray:
+    """The ``(P, n)`` rows with a profitable report: some facility a report
+    reaches costs less, priced by the float ``_split_costs`` gives at load n."""
+    reach = form.reach_max(np.zeros((1, 1, env.m, len(form.values))),
+                           np.zeros(len(profiles), dtype=int))
+    flagged = np.zeros(profiles.shape, dtype=bool)
+    for (top,), loc, cost in zip(reach, env.locations, env.building_costs):
+        lied_cost = np.abs(profiles - loc) + cost / profiles.shape[1]
+        flagged |= (top > -np.inf) & (base_cost - lied_cost > tol)
+    return flagged
+
+
+def _lemma_rows(form: _SpecForm, profiles: np.ndarray, truthful_share: np.ndarray,
+                env: Environment, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(P, n)`` rows with a report that breaks P1, and those with one
+    that breaks P2, by the comparisons of :func:`audit_lemma_properties` on
+    each facility's extreme reports (see the module docstring)."""
+    locs = np.asarray(env.locations, dtype=float)
+    x = profiles
+    to = form.truthful[:, 0] - 1
+    base = locs[to][:, None]
+    dist = np.abs(form.values - locs[:, None])
+    reach = form.reach_max(
+        np.stack(np.broadcast_arrays(form.values, -form.values, dist - dist[:, None])), to)
+    p1 = np.zeros(x.shape, dtype=bool)
+    p2 = np.zeros(x.shape, dtype=bool)
+    for (top, neg_bottom, lhs_max), loc, cost in zip(reach, locs, env.building_costs):
+        bottom = -neg_bottom
+        p1 |= (((top > x) & ~(top <= loc + tol) & (loc < base) & ~(base <= x + tol))
+               | ((bottom < x) & ~(loc <= bottom + tol) & (base < loc)
+                  & ~(x <= base + tol)))
+        mid = truthful_share - cost / x.shape[1]
+        rhs = np.abs(x - loc) - np.abs(x - base)
+        p2 |= (lhs_max > mid + tol) | ((top > -np.inf) & (mid > rhs + tol))
+    return p1, p2
 
 
 @dataclass(frozen=True)
@@ -613,6 +745,9 @@ def audit_strategyproof(mechanism: Mechanism, env: Environment,
     Every (profile, agent, misreport) triple over the grid is checked: the
     agent's true cost under the truthful outcome must not exceed her true
     cost under the outcome of the altered report by more than ``tol``.
+
+    A spec prices each (profile, agent, facility) once: a row is checked
+    report by report only when some facility its reports reach is cheaper.
     """
     if grid is None:
         grid = default_audit_grid(env)
@@ -621,24 +756,28 @@ def audit_strategyproof(mechanism: Mechanism, env: Environment,
     _check_mechanism(mechanism, env, n)
     profiles = _profiles_from_grid(grid, n, max_profiles, seed)
     reports = _audit_positions(misreports, "misreport")
-    truthful, changes = _report_changes(mechanism, env, profiles, reports)
+    spec = isinstance(mechanism, MechanismSpec)
+    form = _SpecForm(mechanism, env, profiles, reports) if spec else None
+    truthful = form.truthful if spec else mechanism(profiles)
     base_cost = np.add(*_split_costs(profiles, truthful, env))
+    if spec:
+        changes = form.changes(_sp_rows(form, profiles, base_cost, env, tol))
+    else:
+        changes = _batch_changes(mechanism, env, profiles, reports)
     locs = np.asarray(env.locations)
     b = np.asarray(env.building_costs)
 
     bad: list[Counterexample] = []
-    checked = 0
-    for i, block, fac, load in changes:
+    for i, rows, block, fac, load in changes:
         # agent i's true cost under the altered outcome, as _split_costs prices it
-        lied_cost = np.abs(profiles[:, i, None] - locs[fac - 1]) + b[fac - 1] / load
-        checked += lied_cost.size
-        mask = base_cost[:, i, None] - lied_cost > tol
+        lied_cost = np.abs(profiles[rows, i, None] - locs[fac - 1]) + b[fac - 1] / load
+        mask = base_cost[rows, i, None] - lied_cost > tol
         for j, r in zip(*np.nonzero(mask.T)):
             bad.append(Counterexample(
-                profile=_plain(profiles[r]), agent=i, deviation=float(block[j]),
-                cost_before=float(base_cost[r, i]),
+                profile=_plain(profiles[rows[r]]), agent=i, deviation=float(block[j]),
+                cost_before=float(base_cost[rows[r], i]),
                 cost_after=float(lied_cost[r, j])))
-    return _finish("strategyproof", bad, checked)
+    return _finish("strategyproof", bad, profiles.size * len(reports))
 
 
 def audit_anonymous(mechanism: Mechanism, env: Environment,
@@ -757,23 +896,28 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
     _check_mechanism(mechanism, env, n)
     profiles = _profiles_from_grid(grid, n, max_profiles, seed)
     reports = np.asarray(grid, dtype=float)
-    truthful, changes = _report_changes(mechanism, env, profiles, reports)
+    spec = isinstance(mechanism, MechanismSpec)
+    form = _SpecForm(mechanism, env, profiles, reports) if spec else None
+    truthful = form.truthful if spec else mechanism(profiles)
     truthful_load = _loads(truthful, env.m)
     _, truthful_share = _split_costs(profiles, truthful, env)
     locs = np.asarray(env.locations, dtype=float)
     b = np.asarray(env.building_costs)
+    if spec:
+        changes = form.changes(np.logical_or(
+            *_lemma_rows(form, profiles, truthful_share, env, tol)))
+    else:
+        changes = _batch_changes(mechanism, env, profiles, reports)
 
     bad1: list[Counterexample] = []
     bad2: list[Counterexample] = []
     bad3: list[Counterexample] = []
-    checked = 0
-    for i, block, alt_fac, alt_load in changes:
-        base_fac = truthful[:, i, None]
-        base_load = truthful_load[:, i, None]
+    for i, rows, block, alt_fac, alt_load in changes:
+        base_fac = truthful[rows, i, None]
+        base_load = truthful_load[rows, i, None]
         alt_share = b[alt_fac - 1] / alt_load
-        xi = profiles[:, i, None]
+        xi = profiles[rows, i, None]
         report = block[None, :]
-        checked += alt_fac.size
 
         # P1, oriented so the report increases.
         up = xi < report
@@ -785,22 +929,22 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
         ok = ((high <= locs[second - 1] + tol)
               | (locs[first - 1] <= low + tol))
         for j, r in zip(*np.nonzero((moved_left & ~ok & (xi != report)).T)):
-            bad1.append(Counterexample(_plain(profiles[r]), i, float(block[j])))
+            bad1.append(Counterexample(_plain(profiles[rows[r]]), i, float(block[j])))
 
         # P2 sandwich on the share difference.
-        mid = truthful_share[:, i, None] - alt_share
+        mid = truthful_share[rows, i, None] - alt_share
         lhs = (np.abs(report - locs[alt_fac - 1])
                - np.abs(report - locs[base_fac - 1]))
         rhs = (np.abs(xi - locs[alt_fac - 1])
                - np.abs(xi - locs[base_fac - 1]))
         for j, r in zip(*np.nonzero(((lhs > mid + tol) | (mid > rhs + tol)).T)):
-            bad2.append(Counterexample(_plain(profiles[r]), i, float(block[j]),
+            bad2.append(Counterexample(_plain(profiles[rows[r]]), i, float(block[j]),
                                        cost_before=float(lhs[r, j]),
                                        cost_after=float(rhs[r, j])))
 
         # P3: unchanged facility implies unchanged load.
         for j, r in zip(*np.nonzero(((base_fac == alt_fac) & (base_load != alt_load)).T)):
-            bad3.append(Counterexample(_plain(profiles[r]), i, float(block[j])))
+            bad3.append(Counterexample(_plain(profiles[rows[r]]), i, float(block[j])))
 
     p4 = p5 = None
     if n == 2 and env.m == 2:
@@ -821,6 +965,7 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
         p4 = _finish("P4", bad4, int((distinct & ~overlap).sum()))
         p5 = _finish("P5", bad5, int((distinct & overlap).sum()))
 
+    checked = profiles.size * len(reports)
     return LemmaPropertyReport(
         p1=_finish("P1", bad1, checked),
         p2=_finish("P2", bad2, checked),

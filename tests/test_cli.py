@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -303,6 +305,18 @@ class TestMech:
                              "--audit", "sp,frobnicate")
         assert code == 2
 
+    def test_audit_list_is_checked_before_any_audit_runs(self, capsys, running_file,
+                                                         monkeypatch):
+        ran = []
+        for name in ("audit_strategyproof", "audit_anonymous", "audit_unanimous",
+                     "audit_lemma_properties"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: ran.append(name))
+        code, out, err = run_cli(capsys, "mech", running_file,
+                                 "--mech", '{"kind": "krank", "params": {"k": 1}}',
+                                 "--audit", "sp,props,bogus")
+        assert code == 2 and out == "" and ran == []
+        assert "unknown audit 'bogus'; expected sp, anon, unanimous, props" in err
+
 
 class TestRatio:
     def test_table_values(self, capsys):
@@ -320,6 +334,23 @@ class TestRatio:
         code, _, err = run_cli(capsys, "ratio", "--epsilon", "1.5")
         assert code == 2
         assert "epsilon" in err
+
+
+def test_python_m_runs_the_cli(capsys):
+    # `python -m facshare` from a checkout, with only the source tree on the path
+    src = os.path.dirname(os.path.dirname(fs.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = [sys.executable, "-m", "facshare"]
+    helped = subprocess.run([*run, "--help"], env=env, capture_output=True, text=True)
+    assert helped.returncode == 0 and "usage: facshare" in helped.stdout
+    ratio = subprocess.run([*run, "ratio", "--epsilon", "0.5"], env=env,
+                           capture_output=True, text=True)
+    assert ratio.returncode == 0
+    code, out, _ = run_cli(capsys, "ratio", "--epsilon", "0.5")
+    assert code == 0
+    by_module, in_process = parse(ratio.stdout), parse(out)
+    del by_module["elapsed_ms"], in_process["elapsed_ms"]
+    assert by_module == in_process
 
 
 def test_bad_flags_exit_code(capsys):

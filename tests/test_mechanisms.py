@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import facshare as fs
 import facshare.mechanisms as mechanisms
-from facshare.mechanisms import MechanismSpec
+from facshare.mechanisms import Counterexample, MechanismSpec
 from oracles import random_environment
 
 ENV = fs.Environment((0.0, 3.0), (2.0, 4.0))          # 0 < M < delta
@@ -263,6 +263,38 @@ class TestXStar:
         assert fs.resolve_x_star(mono, ENV_M0) == pytest.approx(-2.0, abs=1e-9)
 
 
+class TestDiagChoiceRange:
+    """A diag_choice callable must answer facility 1 or 2 with an integer
+    that is not a bool; every entry point that asks it says which answer, at
+    which position, was wrong."""
+
+    ENTRY_POINTS = {
+        "apply_mechanism": lambda spec, env: fs.apply_mechanism(
+            spec, fs.Profile((-1.0, 0.5)), env),
+        "audit_unanimous": lambda spec, env: fs.audit_unanimous(spec, env, n=2),
+        "audit_strategyproof": lambda spec, env: fs.audit_strategyproof(spec, env, n=2),
+        "audit_lemma_properties": lambda spec, env: fs.audit_lemma_properties(
+            spec, env, n=2),
+        "empirical_ratio": lambda spec, env: fs.empirical_ratio(spec, env, n=2),
+        "audit_anonymous": lambda spec, env: fs.audit_anonymous(spec, env, n=2),
+        "resolve_x_star": lambda spec, env: fs.resolve_x_star(spec, env),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("answer", [3, 0, -1, True, 1.0])
+    def test_bad_answers_raise_validation_error(self, entry, answer):
+        env = fs.Environment((0.0, 1.0), (3.0, 1.0))  # M = 0: type2
+        spec = MechanismSpec("type2", diag_choice=lambda x: answer)
+        with pytest.raises(fs.ValidationError,
+                           match=rf"diag_choice returned {answer!r} at position -?\d"):
+            self.ENTRY_POINTS[entry](spec, env)
+
+    def test_numpy_integer_answers_are_accepted(self):
+        env = fs.Environment((0.0, 1.0), (3.0, 1.0))
+        spec = MechanismSpec("type2", diag_choice=lambda x: np.int64(1))
+        assert fs.apply_mechanism(spec, fs.Profile((-1.0, 0.5)), env).choices == (1, 1)
+
+
 class TestAudits:
     def constructible_specs(self, env):
         admitted = fs.classify_environment(env).admitted_types
@@ -424,23 +456,25 @@ class TestOrderStatisticPath:
                 boundary_choice=choice if kind in ("type4", "type5") else None)
             n = 2
         else:
-            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
             env = random_environment(rng, m=m)
             spec = MechanismSpec("krank", k=int(rng.integers(1, n + 1)))
         grid = fs.default_audit_grid(env)
-        if rng.random() < 0.5:  # a lattice: ties in nearly every profile
+        if rng.random() < 0.5:  # a lattice: ties, and repeated sampled rows
             grid = tuple(sorted({*rng.integers(-3, 9, size=4).tolist(),
                                  *rng.choice(grid, size=3).tolist()}))
         misreports = None
-        if rng.random() < 0.5:
-            misreports = [*rng.choice(grid, size=3).tolist(), float(rng.uniform(-5, 15)),
-                          min(grid) - 1.0, max(grid) + 1.0]
+        if rng.random() < 0.5:  # repeated, off-grid and outlying reports
+            twice = float(rng.choice(grid))
+            misreports = [*rng.choice(grid, size=3).tolist(), twice, twice,
+                          float(rng.uniform(-5, 15)), min(grid) - 1.0, max(grid) + 1.0]
         return spec, env, n, grid, misreports
 
     def test_spec_audits_match_the_generic_loop(self):
         rng = np.random.default_rng(41)
-        failing = 0
-        for case in range(60):
+        failing = {"sp": 0, "P1": 0, "P2": 0}
+        repeated_rows = 0
+        for case in range(210):
             spec, env, n, grid, misreports = self.random_case(rng, case)
             generic = lambda profiles: mechanisms._batch_apply(spec, env, profiles)
             kw = dict(n=n, max_profiles=int(rng.choice([60, 400])), seed=case)
@@ -454,8 +488,88 @@ class TestOrderStatisticPath:
             same = repr(reports[0]) == repr(reports[1])
             assert same, f"case {case}"
             sp, _, props = reports[0]
-            failing += not (sp.passed and props.all_passed)
-        assert failing >= 3  # the comparison covers counterexamples too
+            failing["sp"] += not sp.passed
+            failing["P1"] += not props.p1.passed
+            failing["P2"] += not props.p2.passed
+            profiles = mechanisms._profiles_from_grid(grid, n, kw["max_profiles"], case)
+            repeated_rows += len(np.unique(profiles, axis=0)) < len(profiles)
+        # the comparison covers counterexamples of every kind, and sampled
+        # profiles that repeat a row
+        assert min(failing.values()) >= 3, failing
+        assert repeated_rows >= 3
+
+    def test_flagged_rows_are_the_rows_with_counterexamples(self):
+        # Each flag is exact on its own: a (profile, agent) row is flagged for
+        # sp, P1 or P2 iff the per-report loop finds a counterexample there.
+        rng = np.random.default_rng(53)
+        for case in range(120):
+            spec, env, n, grid, misreports = self.random_case(rng, case)
+            generic = lambda profiles: mechanisms._batch_apply(spec, env, profiles)
+            profiles = mechanisms._profiles_from_grid(grid, n, 120, case)
+            reports = np.asarray(grid if misreports is None else misreports)
+            truthful = generic(profiles)
+            distance, share = mechanisms._split_costs(profiles, truthful, env)
+            sp_rows = mechanisms._sp_rows(mechanisms._SpecForm(spec, env, profiles, reports),
+                                          profiles, distance + share, env, fs.EPS_CMP)
+            form = mechanisms._SpecForm(spec, env, profiles, np.asarray(grid))
+            p1_rows, p2_rows = mechanisms._lemma_rows(form, profiles, share, env,
+                                                      fs.EPS_CMP)
+            kw = dict(n=n, max_profiles=120, seed=case)
+            props = fs.audit_lemma_properties(generic, env, grid, **kw)
+            for rows, report in (
+                    (sp_rows, fs.audit_strategyproof(generic, env, grid, misreports, **kw)),
+                    (p1_rows, props.p1), (p2_rows, props.p2)):
+                flagged = {(mechanisms._plain(profiles[r]), i)
+                           for r, i in zip(*np.nonzero(rows))}
+                found = {(c.profile, c.agent) for c in report.counterexamples}
+                assert flagged == found, f"case {case}, {report.property}"
+
+    def test_p2_uses_the_exact_maximum_over_a_facilitys_reports(self):
+        # Beyond both facilities |r - loc_2| - |r - loc_1| is constant in exact
+        # arithmetic, but its float value moves with r's binade: 12.0 gives a
+        # larger difference than 3.0 and 48.0, the extreme reports that move
+        # everyone to facility 2, and only it exceeds the share difference
+        # b1/2 - b2/2 at tol = 0.
+        env = fs.Environment((0.1, 0.7), (1.0, 2.2))
+        spec = MechanismSpec("type3", diag_choice=2)
+        generic = lambda profiles: mechanisms._batch_apply(spec, env, profiles)
+        grid = (0.0, 3.0, 12.0, 48.0)
+        by_spec = fs.audit_lemma_properties(spec, env, grid, n=2, tol=0.0)
+        assert Counterexample((0.0, 48.0), 0, 12.0, -0.5999999999999996,
+                              0.6) in by_spec.p2.counterexamples
+        same = repr(by_spec) == repr(fs.audit_lemma_properties(generic, env, grid,
+                                                               n=2, tol=0.0))
+        assert same
+
+    def test_reach_matches_per_report_enumeration(self):
+        # For every (facility, profile, agent): the largest and smallest report
+        # that sends everyone to the facility, and the largest P2 difference
+        # |r - loc_f| - |r - loc_B| over those reports, against applying the
+        # spec to each altered profile.
+        rng = np.random.default_rng(47)
+        for case in range(90):
+            spec, env, n, grid, misreports = self.random_case(rng, case)
+            profiles = mechanisms._profiles_from_grid(grid, n, 80, case)
+            reports = np.asarray(grid if misreports is None else misreports)
+            form = mechanisms._SpecForm(spec, env, profiles, reports)
+            base = mechanisms._batch_apply(spec, env, profiles)[:, 0] - 1
+            locs = np.asarray(env.locations)
+            dist = np.abs(form.values - locs[:, None])
+            got = np.stack(list(form.reach_max(np.stack(np.broadcast_arrays(
+                form.values, -form.values, dist - dist[:, None])), base)), axis=1)
+
+            want = np.full((3, env.m) + profiles.shape, -np.inf)
+            for i in range(n):
+                for r in reports:
+                    altered = profiles.copy()
+                    altered[:, i] = r
+                    fac = mechanisms._batch_apply(spec, env, altered)[:, i] - 1
+                    diff = np.abs(r - locs[fac]) - np.abs(r - locs[base])
+                    for c, v in enumerate((r, -r, diff)):
+                        cell = want[c, fac, np.arange(len(profiles)), i]
+                        want[c, fac, np.arange(len(profiles)), i] = np.maximum(cell, v)
+            same = np.array_equal(got, want)
+            assert same, f"case {case}"
 
     def test_order_statistic_outcomes_match_batch_apply(self):
         rng = np.random.default_rng(43)
@@ -464,20 +578,23 @@ class TestOrderStatisticPath:
             profiles = mechanisms._profiles_from_grid(grid, n, 300, case)
             reports = np.asarray(grid if misreports is None else misreports)
             generic = lambda batch: mechanisms._batch_apply(spec, env, batch)
-            routes = [mechanisms._report_changes(mech, env, profiles, reports)
-                      for mech in (spec, generic)]
+            form = mechanisms._SpecForm(spec, env, profiles, reports)
             truthful = mechanisms._batch_apply(spec, env, profiles)
-            assert np.array_equal(routes[0][0], truthful)
-            assert np.array_equal(routes[1][0], truthful)
-            outcomes = []
-            for _, changes in routes:
-                fac = [[] for _ in range(n)]
-                for i, block, f, load in changes:
-                    assert np.all(load == n) and f.shape == (len(profiles), len(block))
-                    fac[i].append(f)
-                outcomes.append([np.hstack(f) for f in fac])
-            for spec_fac, loop_fac in zip(*outcomes):
-                assert np.array_equal(spec_fac, loop_fac)
+            assert np.array_equal(form.truthful, truthful)
+            every_row = np.ones(profiles.shape, dtype=bool)
+            by_form = {}
+            for i, rows, block, fac, load in form.changes(every_row):
+                assert load == n and np.array_equal(rows, np.arange(len(profiles)))
+                assert fac.shape == (len(profiles), len(block))
+                by_form[i] = fac
+            by_loop = {i: [] for i in range(n)}
+            for i, rows, block, fac, load in mechanisms._batch_changes(
+                    generic, env, profiles, reports):
+                assert np.all(load == n) and fac.shape == (len(profiles), len(block))
+                by_loop[i].append(fac)
+            assert sorted(by_form) == list(range(n))
+            for i in range(n):
+                assert np.array_equal(by_form[i], np.hstack(by_loop[i]))
 
     @pytest.mark.parametrize("kind, env", [("type2", ENV_M0), ("type3", ENV_MD)])
     def test_diag_callable_is_asked_once_per_occurring_value(self, kind, env):
