@@ -56,18 +56,21 @@ the float the scan itself gives. The later layers follow from ``w`` and
   ``mid..hi-1`` and columns ``lo..mid-1``, and every pair ``i < t`` lies in
   exactly one rectangle. A prefix count of the live rows gives each
   rectangle's live rows, and the rectangle bound below drops those that
-  cannot hold the row's minimum. A rectangle prices its first and last
-  remaining rows over all its columns, and the rows between them search
-  ``A(last)..A(first)``: the two-sided search. From then on a task, a run
-  of remaining rows with a column range, finishes in one pass when its
-  range is one column or its rows times columns are at most
-  ``_FINISH_CELLS``: it prices every cell. Any other task prices its middle
-  row, then searches the earlier rows from that argmin rightwards and the
-  later rows from it leftwards. All tasks of all rectangles run together,
-  one level at a time, each level one ragged ``np.minimum.reduceat``. A
-  row's minimum over its rectangles is the least value, taken from the
-  shallowest rectangle on ties: shallower rectangles hold smaller columns.
-  O(n log^2 n) per layer in O(log n) vectorised levels, in the worst case.
+  cannot hold the row's minimum. A task is a run of remaining rows with a
+  column range; each rectangle starts as one. All tasks of all rectangles
+  run together, one level per pass, each pass one ragged
+  ``np.minimum.reduceat``. A pass whose tasks hold at most
+  ``_FINISH_CELLS`` cells in all (rows times columns, summed over the
+  tasks) prices every cell and ends the layer. In any other pass a task of
+  one row or one column prices every cell. In the first pass any other
+  rectangle prices its first and last remaining rows over all its columns,
+  and the rows between them search ``A(last)..A(first)``: the two-sided
+  search. In later passes any other task prices its middle row, then
+  searches the earlier rows from that argmin rightwards and the later rows
+  from it leftwards. A row's minimum over its rectangles is the least
+  value, taken from the shallowest rectangle on ties: shallower rectangles
+  hold smaller columns. O(n log^2 n) per layer in O(log n) passes in the
+  worst case, plus at most ``_FINISH_CELLS`` cells in the last pass.
 
 Row bound. Every input is nonnegative, ``D_f`` is nondecreasing from
 ``D_f[0] = 0`` and ``G_{f-1}[0] = 0``. With ``p = fl(b_f * min(w[1:]))``
@@ -85,17 +88,27 @@ rectangle bound is the same test over a rectangle's columns against
 ``U[t]``, the candidate at the first argmin of ``G_{f-1}[i] - D_f[i]``
 over ``i < t``, which is at least ``R_f[t]``: a rectangle that fails it
 holds no candidate at or below the row's minimum, so the row's minimum and
-smallest argmin are unchanged. The margin's argument, with ``u = 2**-53``
-and ``h`` the held value (``G_{f-1}[t]`` or ``U[t]``): suppose a float
-candidate ``c = cand_f(t, i) <= h``. Its three roundings act on
-nonnegative operands and rounding is monotone, so ``p <= c`` and, exactly,
-``p + (D_f[t] - D_f[i]) + G_{f-1}[i] <= c / (1 - u)**3 <= h * (1 + 4u)``.
-Every key ``G_{f-1}[j] - D_f[j]`` is at least ``-D_f[t]``, and the one at
-``i`` at most ``h - D_f[t]``, so each of the three roundings in the float
-bound (the key, ``p + D_f[t]`` and their sum) errs by at most about ``u *
-(h + D_f[t])``. The float bound is then at most ``h + 7u * (h + D_f[t])``,
-far inside the margin; the margin's absolute term covers subnormal sums. A
-row with ``G_{f-1}[t] = +inf`` is always live.
+smallest argmin are unchanged. It is size-aware: a column ``i <= mid - 1``
+of row ``t`` closes a block of ``t - i >= t - mid + 1`` agents, so the
+rectangle bound uses ``p = fl(b_f * least[t - mid + 1])``, ``least[s]``
+the least ``w[s']`` over ``s' >= s``, and ``p <= fl(b_f * w[t - i])``
+still holds for every column by monotone rounding. The margin's argument,
+with ``u = 2**-53`` and ``h`` the held value (``G_{f-1}[t]`` or
+``U[t]``): suppose a float candidate ``c = cand_f(t, i) <= h``. Its three
+roundings act on nonnegative operands and rounding is monotone, so ``p <=
+fl(b_f * w[t - i]) <= c`` and, exactly, ``p + (D_f[t] - D_f[i]) +
+G_{f-1}[i] <= c / (1 - u)**3 <= h * (1 + 4u)``. Every key ``G_{f-1}[j] -
+D_f[j]`` is at least ``-D_f[t]``, and the one at ``i`` at most ``h -
+D_f[t]``, so each of the three roundings in the float bound (the key, ``p
++ D_f[t]`` and their sum) errs by at most about ``u * (h + D_f[t])``. The
+float bound is then at most ``h + 7u * (h + D_f[t])``, far inside the
+margin; the margin's absolute term covers subnormal sums. A row with
+``G_{f-1}[t] = +inf`` is always live. Each layer computes the keys and
+their running minimum once, for the row bound, ``U`` and the rectangle
+floors (the least key over each rectangle's columns). The floors come from
+one ``np.minimum.reduceat``: the rectangles are stored by decreasing
+``lo``, so the cuts ``lo, mid`` of consecutive rectangles ascend only
+within a rectangle's columns.
 
 Traceback at ``(t, cap)``: the least ``R_f[t]`` over ``f <= cap``, then the
 smallest stored argmin among the layers attaining it, then the smallest such
@@ -122,7 +135,7 @@ __all__ = ["BruteForceLimitError", "distance_prefix", "PartitionSolution",
 
 
 _DENSE_CELLS = 1 << 17  # candidate cells of one dense layer scan
-_FINISH_CELLS = 256     # a monotone search task this small prices every cell
+_FINISH_CELLS = 1 << 13  # a monotone search pass with this few cells left prices them all
 
 
 class BruteForceLimitError(RuntimeError):
@@ -180,8 +193,9 @@ def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
         if flat:
             rowmin[f, 1:], argmin[f, 1:] = layer(table, dist[f], building_costs[f])
         else:
-            rows = _live_rows(table, dist[f], building_costs[f] * lightest)
-            rowmin[f, 1:], argmin[f, 1:] = layer(table, dist[f], building_costs[f], rows)
+            keys = _keys(table, dist[f])
+            rows = _live_rows(table, dist[f], building_costs[f] * lightest, keys[1])
+            rowmin[f, 1:], argmin[f, 1:] = layer(table, dist[f], building_costs[f], rows, keys)
         np.minimum(table, rowmin[f], out=table)
     value = float(table[n])
 
@@ -199,12 +213,30 @@ def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
     return PartitionSolution(value, tuple(blocks))
 
 
-def _live_rows(table: np.ndarray, dist: np.ndarray, cheapest: float) -> np.ndarray:
+def _keys(table: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The key ``table - dist`` of every column and its running minimum."""
+    key = table - dist
+    return key, np.minimum.accumulate(key, axis=-1)
+
+
+def _running_argmin(key: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """The first argmin of ``key[..., :j + 1]`` for every ``j``, from the
+    running minimum ``run`` of ``key``."""
+    new = np.ones(key.shape, dtype=bool)
+    np.less(key[..., 1:], run[..., :-1], out=new[..., 1:])
+    return np.maximum.accumulate(np.where(new, np.arange(key.shape[-1]), 0), axis=-1)
+
+
+def _live_rows(table: np.ndarray, dist: np.ndarray, cheapest: float,
+               run: np.ndarray | None = None) -> np.ndarray:
     """The rows ``t`` whose candidates may attain or tie ``table[t]``: all but
     those whose lower bound ``cheapest + D[t] + min_{i < t}(table[i] - D[i])``
-    exceeds ``table[t]`` by the rounding margin (see the module docstring)."""
+    exceeds ``table[t]`` by the rounding margin (see the module docstring).
+    ``run`` is the running minimum of ``table - dist``, when known."""
     n = len(table) - 1
-    bound = (cheapest + dist[1:]) + np.minimum.accumulate(table[:n] - dist[:n])
+    if run is None:
+        run = _keys(table, dist)[1]
+    bound = (cheapest + dist[1:]) + run[:n]
     return np.flatnonzero(_may_reach(bound, table[1:], dist[1:])) + 1
 
 
@@ -221,11 +253,7 @@ def _prefix_minima(table: np.ndarray, dist: np.ndarray, b: float,
     weights, and at least the row minimum for any weights. Leading axes of
     ``table`` and ``dist`` are batch axes."""
     n = table.shape[-1] - 1
-    key = table[..., :n] - dist[..., :n]
-    run = np.minimum.accumulate(key, axis=-1)
-    new = np.ones(key.shape, dtype=bool)
-    np.less(key[..., 1:], run[..., :-1], out=new[..., 1:])
-    arg = np.maximum.accumulate(np.where(new, np.arange(n), 0), axis=-1)
+    arg = _running_argmin(*_keys(table[..., :n], dist[..., :n]))
     return ((b * weight[np.arange(1, n + 1) - arg]
              + (dist[..., 1:] - np.take_along_axis(dist, arg, -1)))
             + np.take_along_axis(table, arg, -1)), arg
@@ -268,9 +296,10 @@ class _DenseMinima:
         self.block_weight = np.lib.stride_tricks.sliding_window_view(sizes, n)
         self.rows = np.arange(1, n + 1)
 
-    def __call__(self, table, dist, b, rows=None):
+    def __call__(self, table, dist, b, rows=None, keys=None):
         """Minima and smallest argmins of ``rows`` (ascending, within
-        ``1..n``; all rows by default), ``+inf`` and 0 on every other row."""
+        ``1..n``; all rows by default), ``+inf`` and 0 on every other row.
+        The scan needs no ``keys``."""
         n = len(self.rows)
         given = self.rows if rows is None else rows
         cand = self.block_weight[n - given] * b
@@ -288,6 +317,8 @@ class _MonotoneMinima:
     def __init__(self, weight: np.ndarray):
         n = len(weight) - 1
         self.weight = weight
+        # least[s]: the least weight of a block of at least s agents.
+        self.least = np.minimum.accumulate(weight[::-1])[::-1]
         # One rectangle per CDQ interval: rows mid..hi-1, columns lo..mid-1,
         # and its depth.
         lo, hi = np.array([0]), np.array([n + 1])
@@ -298,59 +329,60 @@ class _MonotoneMinima:
             mid = (lo + hi) >> 1
             rects.append(np.stack([mid, hi, lo, mid - 1, np.full_like(lo, len(rects))]))
             lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        self.rects = np.concatenate(rects, axis=1)
         self.depths = len(rects)
+        # By decreasing lo, so that one reduceat over the cuts lo, mid, lo',
+        # mid', ... gives every floor at the even slots; an odd slot reads
+        # one key, as mid > lo >= lo'.
+        rects = np.concatenate(rects, axis=1)
+        self.rects = rects[:, np.lexsort((rects[0], -rects[2]))]
+        self.cuts = self.rects[[2, 0]].T.ravel()
         self.rows = np.arange(1, n + 1)
-        self.lightest = weight[1:].min()
-        # A rectangle's columns lo..mid-1 are two overlapping runs of 2**k
-        # columns, k = floor(log2(mid - lo)): the slots of their minima in
-        # the per-call table of run minima (see _rectangle_floor).
-        mid, _, lo, _, _ = self.rects
-        k = np.frexp(mid - lo)[1] - 1
-        self.runs = (k * n + lo, k * n + mid - (1 << k))
-        self.levels = int(k.max()) + 1
 
-    def _rectangle_floor(self, key: np.ndarray) -> np.ndarray:
-        """The least ``key[i]`` over each rectangle's columns, by a sparse
-        table: level k holds the minima of every run of 2**k keys."""
-        n = len(key)
-        runs = np.empty((self.levels, n))
-        runs[0] = key
-        for k in range(1, self.levels):
-            h = 1 << (k - 1)
-            v = n - 2 * h + 1
-            np.minimum(runs[k - 1, :v], runs[k - 1, h:h + v], out=runs[k, :v])
-        flat = runs.reshape(-1)
-        return np.minimum(flat[self.runs[0]], flat[self.runs[1]])
+    def _floors(self, key: np.ndarray) -> np.ndarray:
+        """The least ``key[i]`` over each rectangle's columns."""
+        return np.minimum.reduceat(key, self.cuts)[::2]
 
-    def __call__(self, table, dist, b, rows=None):
-        """Minima and smallest argmins of ``rows`` (ascending, within
-        ``1..n``; all rows by default), ``+inf`` and 0 on every other row."""
-        given = self.rows if rows is None else rows
-        size = len(given)
+    def _pairs(self, table, dist, b, given, keys):
+        """Every (rectangle, row) pair of the rows ``given``, as an index into
+        ``given``, grouped by rectangle: ``count`` pairs from ``start`` each.
+        ``keep`` marks the pairs whose row bound over the rectangle's columns
+        may reach the row's upper bound U, a candidate at or above its
+        minimum; no other pair can hold the row's minimum."""
+        key, run = keys
         # below[k]: how many given rows lie below row k, so a rectangle's
         # rows mid..hi-1 are given[below[mid]:below[hi]].
         below = np.zeros(len(self.rows) + 2, dtype=np.intp)
         below[given + 1] = 1
         np.cumsum(below, out=below)
-        mid, hi, clo, chi, depth = self.rects
-        # Each (rectangle, given row) pair, as an index into ``given``. A pair
-        # is kept unless the row bound over the rectangle's columns exceeds
-        # the row's upper bound, a candidate at or above its minimum.
+        mid, hi = self.rects[:2]
         head = below[mid]
         count = below[hi] - head
         start = count.cumsum() - count
         pair = np.arange(start[-1] + count[-1]) + (head - start).repeat(count)
+        at = _running_argmin(key, run)[given - 1]
+        upper = ((b * self.weight[given - at] + (dist[given] - dist[at]))
+                 + table[at])[pair]
         t = given[pair]
-        upper = _prefix_minima(table, dist, b, self.weight)[0][t - 1]
-        bound = ((b * self.lightest + dist[t])
-                 + self._rectangle_floor(table[:-1] - dist[:-1]).repeat(count))
+        reach = dist[t]
+        # Row t closes a block of at least t - mid + 1 agents in this rectangle.
+        bound = ((b * self.least[t - mid.repeat(count) + 1] + reach)
+                 + self._floors(key).repeat(count))
+        return pair, start, count, _may_reach(bound, upper, reach)
+
+    def __call__(self, table, dist, b, rows=None, keys=None):
+        """Minima and smallest argmins of ``rows`` (ascending, within
+        ``1..n``; all rows by default), ``+inf`` and 0 on every other row.
+        ``keys`` is ``table - dist`` and its running minimum, when known."""
+        given = self.rows if rows is None else rows
+        size = len(given)
+        pair, start, count, keep = self._pairs(
+            table, dist, b, given, _keys(table, dist) if keys is None else keys)
         kept = np.zeros(len(pair) + 1, dtype=np.intp)
-        keep = _may_reach(bound, upper, dist[t])
         np.cumsum(keep, out=kept[1:])
         pair = pair[keep]
         # A task: kept pairs ra..rb and columns clo..chi, all inclusive, and
         # the base of its depth's slots in the result buffers.
+        _, _, clo, chi, depth = self.rects
         tasks = np.stack([kept[start], kept[start + count] - 1, clo, chi, depth * size])
         tasks = tasks.compress(tasks[0] <= tasks[1], axis=1)
         bw = b * self.weight
@@ -361,10 +393,12 @@ class _MonotoneMinima:
             ra, rb, clo, chi, base = tasks
             count = rb - ra + 1
             width = chi - clo + 1
-            done = (count * width <= _FINISH_CELLS) | (np.minimum(count, width) == 1)
-            # Every row of a finishing task is priced; a rectangle that does
-            # not finish prices its first and last rows, a later task its
-            # middle row. seg: the priced pairs.
+            # The pass that finds the remaining cells within the budget
+            # prices them all; until then only one-row and one-column tasks
+            # finish. A rectangle that does not finish prices its first and
+            # last rows, a later task its middle row. seg: the priced pairs.
+            last = count @ width <= _FINISH_CELLS
+            done = True if last else np.minimum(count, width) == 1
             if ends_first:
                 first, per = ra, np.where(done, count, 2)
                 stride = np.where(done, 1, count - 1)
@@ -377,19 +411,12 @@ class _MonotoneMinima:
                 seg *= stride[owner]
             seg += first[owner]
             seg = pair[seg]
-            t = given[seg]
-            w = width[owner]
-            ends = w.cumsum()
-            starts = ends - w
-            cols = np.arange(ends[-1]) - (starts - clo[owner]).repeat(w)
-            cand = ((bw[t.repeat(w) - cols] + (dist[t].repeat(w) - dist[cols]))
-                    + table[cols])
-            low = np.minimum.reduceat(cand, starts)
-            hits = np.flatnonzero(cand == low.repeat(w))
-            arg = cols[hits[hits.searchsorted(starts)]]     # smallest argmin
+            low, arg = _price(given[seg], clo[owner], width[owner], table, dist, bw)
             seg += base[owner]
             best.reshape(-1)[seg] = low
             where.reshape(-1)[seg] = arg
+            if last:
+                break
 
             split = np.flatnonzero(~done)
             lead = arg[offset[split]]
@@ -418,6 +445,20 @@ class _MonotoneMinima:
         low = best.min(axis=0)
         arg = where[(best == low).argmax(axis=0), np.arange(size)]
         return (low, arg) if rows is None else _spread(len(self.rows), rows, low, arg)
+
+
+def _price(t, lo, width, table, dist, bw):
+    """The least candidate of each row ``t[j]`` over the columns ``lo[j]``
+    to ``lo[j] + width[j] - 1``, and its smallest argmin; ``bw`` is ``b * w``.
+    One pass of the monotone search."""
+    ends = width.cumsum()
+    starts = ends - width
+    cols = np.arange(ends[-1]) - (starts - lo).repeat(width)
+    cand = ((bw[t.repeat(width) - cols] + (dist[t].repeat(width) - dist[cols]))
+            + table[cols])
+    low = np.minimum.reduceat(cand, starts)
+    hits = np.flatnonzero(cand == low.repeat(width))
+    return low, cols[hits[hits.searchsorted(starts)]]
 
 
 def _block_assignment(instance: Instance, size_weight: np.ndarray) -> Assignment:

@@ -313,10 +313,13 @@ def _diag_facility(choice: Callable[[float], int], x: float) -> int:
 
 def _diagonal(choice: DiagChoice, theta: np.ndarray, onto: np.ndarray,
               other: int) -> np.ndarray:
-    """Facility ``other`` at every position, except ``choice`` where ``onto``."""
+    """Facility ``other`` at every position, except ``choice`` where ``onto``;
+    a callable ``choice`` is asked once per distinct position, ascending."""
     fac = np.full(theta.shape, other, dtype=int)
     if callable(choice):
-        fac[onto] = [_diag_facility(choice, v) for v in theta[onto].tolist()]
+        values, index = np.unique(theta[onto], return_inverse=True)
+        fac[onto] = np.array([_diag_facility(choice, v) for v in values.tolist()],
+                             dtype=int)[index]
     else:
         fac[onto] = int(choice)
     return fac

@@ -298,3 +298,127 @@ def test_batch_values_match_brute_force_optimum():
         for row, value in zip(sorted_x[::5], got[::5]):
             best, _ = oracle_min_social_cost(row.tolist(), locs.tolist(), b.tolist())
             assert value == pytest.approx(best, rel=1e-12)
+
+
+def test_rectangle_floors_are_column_minima():
+    # One reduceat over the cuts gives every rectangle's least key, and the
+    # rectangles hold every pair i < t exactly once.
+    rng = np.random.default_rng(13)
+    sizes = [*range(1, 71), *(2 ** k + d for k in range(7, 11) for d in (-1, 1))]
+    for n in sizes:
+        kernel = _blockdp._MonotoneMinima(fs.harmonic_numbers(n))
+        mid, hi, lo, _, _ = kernel.rects
+        key = rng.integers(-20, 20, size=n + 1).astype(float)
+        key[rng.random(n + 1) < 0.1] = np.inf
+        assert kernel._floors(key).tolist() == [key[a:b].min() for a, b in zip(lo, mid)], n
+        if n <= 70:
+            cover = np.zeros((n + 1, n + 1), dtype=int)
+            for a, b, c in zip(lo, mid, hi):
+                cover[b:c, a:b] += 1
+            assert (cover == np.tri(n + 1, k=-1, dtype=int)).all(), n
+
+
+def monotone_layers(seed, count):
+    """``(kernel, table, dist, b, rows)`` of every harmonic layer that the
+    monotone path solves on ``count`` clustered instances, n in 100..299."""
+    layers = []
+    call = _blockdp._MonotoneMinima.__call__
+
+    def record(self, table, dist, b, rows=None, keys=None):
+        layers.append((self, table.copy(), dist, b, rows))
+        return call(self, table, dist, b, rows, keys)
+
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_blockdp, "_DENSE_CELLS", 0)
+        patch.setattr(_blockdp._MonotoneMinima, "__call__", record)
+        for _ in range(count):
+            inst = clustered_instance(rng, int(rng.integers(100, 300)), 8)
+            _blockdp.solve_block_partition(*partition_args(inst), fs.harmonic_numbers(inst.n))
+    return layers
+
+
+def rectangle_pairs(kernel, table, dist, b, rows):
+    """Each (rectangle, row) pair of ``rows``: its rectangle, its row, the
+    row's U and whether the rectangle bound keeps it."""
+    pair, _, count, keep = kernel._pairs(table, dist, b, rows, _blockdp._keys(table, dist))
+    t = rows[pair]
+    upper = _blockdp._prefix_minima(table, dist, b, kernel.weight)[0][t - 1]
+    return np.arange(len(count)).repeat(count), t, upper, keep
+
+
+def assert_drops_only_pairs_that_cannot_win(kernel, table, dist, b, rows):
+    """Every pair the rectangle bound drops has every candidate over the
+    rectangle's columns strictly above the row's U; returns their count."""
+    mid, _, lo, _, _ = kernel.rects
+    rect, t, upper, keep = rectangle_pairs(kernel, table, dist, b, rows)
+    for r, row, u in zip(rect[~keep], t[~keep], upper[~keep]):
+        i = np.arange(lo[r], mid[r])
+        cand = (b * kernel.weight[row - i] + (dist[row] - dist[i])) + table[i]
+        assert cand.min() > u, (r, row)
+    return int((~keep).sum())
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_rectangle_bound_drops_only_pairs_that_cannot_win(scale):
+    rng = np.random.default_rng(int(scale) % 1000 + 3)
+    dropped = 0
+    for n in (2, 7, 40, 130):
+        for _ in range(40):
+            table, dist, b, weight = near_tie_layer(rng, n, scale)
+            rows = _blockdp._live_rows(table, dist, b * weight[1])
+            dropped += assert_drops_only_pairs_that_cannot_win(
+                _blockdp._MonotoneMinima(weight), table, dist, b, rows)
+    assert dropped > 5000
+
+
+def test_size_aware_bound_drops_more_pairs_than_the_lightest_weight():
+    # On clustered instances the bound b * least[t - mid + 1] drops every
+    # pair that b * min(w[1:]) drops, and more, and still none that can win.
+    flat_dropped = dropped = 0
+    for kernel, table, dist, b, rows in monotone_layers(17, 6):
+        rect, t, upper, keep = rectangle_pairs(kernel, table, dist, b, rows)
+        floors = kernel._floors(_blockdp._keys(table, dist)[0])
+        flat = (b * kernel.weight[1:].min() + dist[t]) + floors[rect]
+        flat_keep = _blockdp._may_reach(flat, upper, dist[t])
+        assert not (keep & ~flat_keep).any()
+        flat_dropped += int((~flat_keep).sum())
+        dropped += assert_drops_only_pairs_that_cannot_win(kernel, table, dist, b, rows)
+    assert dropped > flat_dropped > 0
+
+
+@pytest.mark.parametrize("budget", FINISH_BUDGETS)
+def test_first_pass_prices_rectangle_ends_unless_all_cells_fit(monkeypatch, budget):
+    # The first pass prices every kept cell when they total at most the
+    # budget. Otherwise it prices one-row and one-column rectangles whole and
+    # the first and last kept rows of every other rectangle.
+    monkeypatch.setattr(_blockdp, "_FINISH_CELLS", budget)
+    priced = []  # cells priced by each pass
+    price = _blockdp._price
+
+    def record(t, lo, width, *rest):
+        priced.append(int(width.sum()))
+        return price(t, lo, width, *rest)
+
+    monkeypatch.setattr(_blockdp, "_price", record)
+    split = single = 0
+    for kernel, table, dist, b, rows in monotone_layers(19, 3):
+        mid, _, lo, _, _ = kernel.rects
+        rect, _, _, keep = rectangle_pairs(kernel, table, dist, b, rows)
+        count = np.bincount(rect[keep], minlength=len(mid))
+        width = mid - lo
+        total = int(count @ width)
+        ends = np.where(np.minimum(count, width) == 1, count * width,
+                        np.minimum(count, 2) * width)
+        priced.clear()
+        got = kernel(table, dist, b, rows)
+        if total <= budget:
+            assert priced == ([total] if total else [])
+            single += 1
+        else:
+            assert priced[0] == ends.sum() and len(priced) > 1
+            split += 1
+        best, arg = map(np.array, scan_layer(table, dist, b, kernel.weight))
+        assert got[0][rows - 1].tolist() == best[rows - 1].tolist()
+        assert got[1][rows - 1].tolist() == arg[rows - 1].tolist()
+    assert (split > 3 or budget > 1 << 16) and (single > 3 or budget == 0)

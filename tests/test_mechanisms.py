@@ -616,6 +616,30 @@ class TestOrderStatisticPath:
             assert set(by_spec) == set(asked)
             asked.clear()
 
+    @pytest.mark.parametrize("kind, env", [("type2", ENV_M0), ("type3", ENV_MD)])
+    def test_batch_entry_points_ask_each_value_once_ascending(self, kind, env):
+        # apply_mechanism, audit_unanimous and empirical_ratio apply a spec
+        # through _batch_apply; the callable is asked once per distinct order
+        # statistic on the diagonal, in ascending order.
+        asked = []
+
+        def island(x):
+            asked.append(x)
+            return 1 if -1.0 <= x <= 0.0 or 1.5 <= x <= 2.0 else 2
+
+        spec = MechanismSpec(kind, diag_choice=island)
+        grid = fs.default_audit_grid(env)
+        on_diagonal = [v for v in grid if (v <= 0.0 if kind == "type2" else v >= 1.0)]
+        for x, fac in ((-0.5, 1), (-3.0, 2)) if kind == "type2" else ((1.75, 1), (3.0, 2)):
+            assert fs.apply_mechanism(spec, fs.Profile((x + 1.0, x)), env).choices == (fac, fac)
+            assert asked == [x]
+            asked.clear()
+        fs.audit_unanimous(spec, env, grid, n=2)
+        assert asked == sorted(set(asked)) and len(asked) > 3
+        asked.clear()
+        fs.empirical_ratio(spec, env, grid, n=2)
+        assert asked == sorted(on_diagonal)
+
 
 class TestPermutationConsistency:
     @settings(max_examples=60, deadline=None)
