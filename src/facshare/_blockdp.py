@@ -228,14 +228,12 @@ def _running_argmin(key: np.ndarray, run: np.ndarray) -> np.ndarray:
 
 
 def _live_rows(table: np.ndarray, dist: np.ndarray, cheapest: float,
-               run: np.ndarray | None = None) -> np.ndarray:
+               run: np.ndarray) -> np.ndarray:
     """The rows ``t`` whose candidates may attain or tie ``table[t]``: all but
     those whose lower bound ``cheapest + D[t] + min_{i < t}(table[i] - D[i])``
     exceeds ``table[t]`` by the rounding margin (see the module docstring).
-    ``run`` is the running minimum of ``table - dist``, when known."""
+    ``run`` is the running minimum of ``table - dist``."""
     n = len(table) - 1
-    if run is None:
-        run = _keys(table, dist)[1]
     bound = (cheapest + dist[1:]) + run[:n]
     return np.flatnonzero(_may_reach(bound, table[1:], dist[1:])) + 1
 
@@ -294,20 +292,17 @@ class _DenseMinima:
         # at n - t of w[n], ..., w[1], +inf, ..., +inf.
         sizes = np.concatenate((weight[:0:-1], np.full(n - 1, math.inf)))
         self.block_weight = np.lib.stride_tricks.sliding_window_view(sizes, n)
-        self.rows = np.arange(1, n + 1)
 
-    def __call__(self, table, dist, b, rows=None, keys=None):
+    def __call__(self, table, dist, b, rows, keys):
         """Minima and smallest argmins of ``rows`` (ascending, within
-        ``1..n``; all rows by default), ``+inf`` and 0 on every other row.
-        The scan needs no ``keys``."""
-        n = len(self.rows)
-        given = self.rows if rows is None else rows
-        cand = self.block_weight[n - given] * b
-        cand += np.subtract.outer(dist[given], dist[:n])
+        ``1..n``), ``+inf`` and 0 on every other row. The scan needs no
+        ``keys``."""
+        n = len(table) - 1
+        cand = self.block_weight[n - rows] * b
+        cand += np.subtract.outer(dist[rows], dist[:n])
         cand += table[:n]
         arg = cand.argmin(axis=1)
-        low = cand[np.arange(len(given)), arg]
-        return (low, arg) if rows is None else _spread(n, rows, low, arg)
+        return _spread(n, rows, cand[np.arange(len(rows)), arg], arg)
 
 
 class _MonotoneMinima:
@@ -336,7 +331,6 @@ class _MonotoneMinima:
         rects = np.concatenate(rects, axis=1)
         self.rects = rects[:, np.lexsort((rects[0], -rects[2]))]
         self.cuts = self.rects[[2, 0]].T.ravel()
-        self.rows = np.arange(1, n + 1)
 
     def _floors(self, key: np.ndarray) -> np.ndarray:
         """The least ``key[i]`` over each rectangle's columns."""
@@ -351,7 +345,7 @@ class _MonotoneMinima:
         key, run = keys
         # below[k]: how many given rows lie below row k, so a rectangle's
         # rows mid..hi-1 are given[below[mid]:below[hi]].
-        below = np.zeros(len(self.rows) + 2, dtype=np.intp)
+        below = np.zeros(len(table) + 1, dtype=np.intp)
         below[given + 1] = 1
         np.cumsum(below, out=below)
         mid, hi = self.rects[:2]
@@ -369,14 +363,12 @@ class _MonotoneMinima:
                  + self._floors(key).repeat(count))
         return pair, start, count, _may_reach(bound, upper, reach)
 
-    def __call__(self, table, dist, b, rows=None, keys=None):
+    def __call__(self, table, dist, b, rows, keys):
         """Minima and smallest argmins of ``rows`` (ascending, within
-        ``1..n``; all rows by default), ``+inf`` and 0 on every other row.
-        ``keys`` is ``table - dist`` and its running minimum, when known."""
-        given = self.rows if rows is None else rows
-        size = len(given)
-        pair, start, count, keep = self._pairs(
-            table, dist, b, given, _keys(table, dist) if keys is None else keys)
+        ``1..n``), ``+inf`` and 0 on every other row. ``keys`` is
+        ``table - dist`` and its running minimum."""
+        size = len(rows)
+        pair, start, count, keep = self._pairs(table, dist, b, rows, keys)
         kept = np.zeros(len(pair) + 1, dtype=np.intp)
         np.cumsum(keep, out=kept[1:])
         pair = pair[keep]
@@ -411,7 +403,7 @@ class _MonotoneMinima:
                 seg *= stride[owner]
             seg += first[owner]
             seg = pair[seg]
-            low, arg = _price(given[seg], clo[owner], width[owner], table, dist, bw)
+            low, arg = _price(rows[seg], clo[owner], width[owner], table, dist, bw)
             seg += base[owner]
             best.reshape(-1)[seg] = low
             where.reshape(-1)[seg] = arg
@@ -444,7 +436,7 @@ class _MonotoneMinima:
         # shallower rectangles hold smaller columns.
         low = best.min(axis=0)
         arg = where[(best == low).argmax(axis=0), np.arange(size)]
-        return (low, arg) if rows is None else _spread(len(self.rows), rows, low, arg)
+        return _spread(len(table) - 1, rows, low, arg)
 
 
 def _price(t, lo, width, table, dist, bw):

@@ -15,10 +15,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +39,6 @@ from .mechanisms import (
     audit_unanimous,
     default_audit_grid,
     env_params,
-    ratio_lower_bound,
     ratio_lower_bound_terms,
     spec_from_dict,
 )
@@ -75,8 +72,11 @@ def _result(command: str, instance_name: str, outputs: dict,
     }
 
 
-def _emit(doc: dict, out: str | None, compact: bool = False) -> None:
-    text = json.dumps(doc, indent=None if compact else 2) + "\n"
+def _emit(doc: dict, out: str | None) -> None:
+    _write(json.dumps(doc, indent=2) + "\n", out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -163,28 +163,13 @@ def _solve_one(path: str, mode: str, verify: bool) -> dict:
     return _result("solve", name, outputs, started)
 
 
-def _worker_count(jobs: int, inputs: int) -> int:
-    # More workers than files or cores only adds process start-up cost.
-    return min(jobs, inputs, os.cpu_count() or 1)
-
-
 def _cmd_solve(args) -> int:
-    if len(args.inputs) == 1:
-        _emit(_solve_one(args.inputs[0], args.mode, args.verify), args.out)
-        return EXIT_OK
-    jobs = _worker_count(args.jobs, len(args.inputs))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_solve_one, args.inputs,
-                                    [args.mode] * len(args.inputs),
-                                    [args.verify] * len(args.inputs)))
+    # One input gives one indented document, several give one line each.
+    results = [_solve_one(p, args.mode, args.verify) for p in args.inputs]
+    if len(results) == 1:
+        _emit(results[0], args.out)
     else:
-        results = [_solve_one(p, args.mode, args.verify) for p in args.inputs]
-    lines = "".join(json.dumps(r) + "\n" for r in results)
-    if args.out:
-        Path(args.out).write_text(lines, encoding="utf-8")
-    else:
-        sys.stdout.write(lines)
+        _write("".join(json.dumps(r) + "\n" for r in results), args.out)
     return EXIT_OK
 
 
@@ -202,10 +187,6 @@ def _parse_start(token: str, instance: Instance) -> Assignment:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, list):
             raise ValidationError("assignment file must be a JSON array")
-        for v in doc:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValidationError(
-                    f"assignment file entries must be integers, got {v!r}")
         return Assignment(tuple(doc))
     raise ValidationError(
         f"invalid start spec {token!r}; expected all-1, random:SEED, or file:PATH")
@@ -328,7 +309,6 @@ def _cmd_ratio(args) -> int:
         env = Environment((0.0, 1.0 / eps - eps), (eps, eps))
         params = env_params(env)
         pooling_term, threshold_term = ratio_lower_bound_terms(env)
-        bound = ratio_lower_bound(env)
         reference = 1.0 / (2.0 * eps * eps)
         matches = abs(pooling_term - reference) <= 1e-9 * max(1.0, reference)
         all_match &= matches
@@ -337,7 +317,7 @@ def _cmd_ratio(args) -> int:
             "L": params.L, "M": params.M, "R": params.R, "delta": params.delta,
             "pooling_term": pooling_term,
             "threshold_term": threshold_term,
-            "lower_bound": bound,
+            "lower_bound": max(pooling_term, threshold_term),
             "reference": reference,
             "matches": matches,
         })
@@ -378,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=("pne", "opt", "both"), default="both")
     solve.add_argument("--verify", action="store_true",
                        help="re-check results (brute force where sizes permit)")
-    solve.add_argument("--jobs", type=_count(1), default=1,
-                       help="parallelize across multiple input files")
     solve.add_argument("-o", "--out")
     solve.set_defaults(func=_cmd_solve)
 

@@ -129,6 +129,24 @@ def env_params(env: Environment) -> EnvParams:
     )
 
 
+# The precondition of each two-facility family, as its error messages name it.
+_NEEDS = {"type2": "M = 0", "type3": "M = delta",
+          "type4": "0 < M < delta", "type5": "0 < M < delta"}
+
+
+def _two_facility_types(params: EnvParams, tol: float) -> tuple[str, ...]:
+    """The two-facility families whose precondition holds within ``tol``:
+    type2 at M = 0, type3 at M = delta, type4 and type5 at 0 < M < delta."""
+    types = ()
+    if abs(params.M) <= tol:
+        types += ("type2",)
+    if abs(params.M - params.delta) <= tol:
+        types += ("type3",)
+    if tol < params.M < params.delta - tol:
+        types += ("type4", "type5")
+    return types
+
+
 @dataclass(frozen=True)
 class EnvironmentClass:
     """Which algebraic conditions on (2*delta, b1 - b2) hold, and which
@@ -169,17 +187,10 @@ def classify_environment(env: Environment, tol: float = EPS_CMP) -> EnvironmentC
     if not eq_high and two_delta > b2 - b1:
         conditions.append("2delta>b2-b1")
 
-    admitted = ["type1"]
-    if abs(params.M) <= tol:
-        admitted.append("type2")
-    if abs(params.M - params.delta) <= tol:
-        admitted.append("type3")
-    if tol < params.M < params.delta - tol:
-        admitted.extend(["type4", "type5"])
     return EnvironmentClass(
         params=params,
         conditions=tuple(conditions),
-        admitted_types=tuple(admitted),
+        admitted_types=("type1", *_two_facility_types(params, tol)),
         boundary_gaps={"M=0": abs(params.M), "M=delta": abs(params.M - params.delta)},
     )
 
@@ -289,15 +300,9 @@ def validate_spec(spec: MechanismSpec, env: Environment, n: int | None = None,
     if n is not None and n != 2:
         raise MechanismPreconditionError(f"{spec.kind} is defined for n = 2")
     params = env_params(env)
-    if spec.kind == "type2" and abs(params.M) > tol:
+    if spec.kind not in _two_facility_types(params, tol):
         raise MechanismPreconditionError(
-            f"type2 requires M = 0, got M = {params.M}")
-    if spec.kind == "type3" and abs(params.M - params.delta) > tol:
-        raise MechanismPreconditionError(
-            f"type3 requires M = delta, got M = {params.M}, delta = {params.delta}")
-    if spec.kind in ("type4", "type5") and not tol < params.M < params.delta - tol:
-        raise MechanismPreconditionError(
-            f"{spec.kind} requires 0 < M < delta, got M = {params.M}, "
+            f"{spec.kind} requires {_NEEDS[spec.kind]}, got M = {params.M}, "
             f"delta = {params.delta}")
 
 
@@ -540,15 +545,6 @@ def _value_index(profiles: np.ndarray,
     return values, inverse[:split].reshape(profiles.shape), inverse[split:]
 
 
-def _spec_table(h: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
-                seen: np.ndarray) -> np.ndarray:
-    """``h`` at every value marked in ``seen``, one call for all of them;
-    values never marked are never passed to ``h``."""
-    table = np.zeros(len(values), dtype=int)
-    table[seen] = h(values[seen])
-    return table
-
-
 def _batch_changes(mechanism: BatchMechanism, env: Environment, profiles: np.ndarray,
                    reports: np.ndarray) -> Iterator[tuple]:
     """Each agent's facility and its load when she alone switches to one
@@ -604,7 +600,9 @@ class _SpecForm:
                      - np.bincount(np.minimum(hi, size - 1).ravel() + 1,
                                    minlength=size + 1))
             seen[r_index[np.cumsum(edges)[r_index] > 0]] = True
-        self.table = np.append(_spec_table(h, values, seen), 0)
+        # One call of h for every seen value; no other value reaches h.
+        self.table = np.zeros(size + 1, dtype=int)
+        self.table[:-1][seen] = h(values[seen])
         self.truthful = np.broadcast_to(self.table[mid], (p, n))
         self.values, self.reports, self.r_index = values, reports, r_index
         self.lo, self.hi = lo, hi
@@ -815,11 +813,7 @@ def audit_anonymous(mechanism: Mechanism, env: Environment,
 
     bad: list[Counterexample] = []
     if isinstance(mechanism, MechanismSpec):
-        k, h = _order_rule(mechanism, env, n)
-        values, index, _ = _value_index(profiles, np.empty(0))
-        seen = np.zeros(len(values), dtype=bool)
-        seen[np.partition(index, k - 1, axis=1)[:, k - 1]] = True
-        _spec_table(h, values, seen)
+        _batch_apply(mechanism, env, profiles)
         # no hits: the k-th smallest of a row does not depend on its order
     else:
         def outcome_key(perm):
@@ -992,9 +986,9 @@ def ratio_lower_bound_terms(env: Environment) -> tuple[float, float]:
     ``((e, e), (0, 1/e - e))`` the first term equals ``1 / (2 e^2)``.
     """
     params = env_params(env)
-    if not EPS_CMP < params.M < params.delta - EPS_CMP:
+    if "type4" not in _two_facility_types(params, EPS_CMP):
         raise MechanismPreconditionError(
-            f"ratio lower bound requires 0 < M < delta, got M = {params.M}, "
+            f"ratio lower bound requires {_NEEDS['type4']}, got M = {params.M}, "
             f"delta = {params.delta}")
     b1, b2 = env.building_costs
     small, big = min(b1, b2), max(b1, b2)

@@ -128,7 +128,9 @@ def test_layer_kernels_match_row_scan(kind):
             dist = np.cumsum(rng.integers(0, 3, size=n + 1)).astype(float)
             b = float(rng.integers(1, 4))
             expected = scan_layer(table, dist, b, weight)
-            kernels = [_blockdp._DenseMinima(weight), _blockdp._MonotoneMinima(weight)]
+            given = dict(rows=np.arange(1, n + 1), keys=_blockdp._keys(table, dist))
+            kernels = [partial(_blockdp._DenseMinima(weight), **given),
+                       partial(_blockdp._MonotoneMinima(weight), **given)]
             if kind == "unit":
                 kernels.append(partial(_blockdp._prefix_minima, weight=weight))
             for layer in kernels:
@@ -189,7 +191,7 @@ def test_harmonic_kernels_on_row_subsets(monkeypatch, budget, kind):
             rows = np.flatnonzero(rng.random(n) < rng.random()) + 1
             off = np.setdiff1d(np.arange(1, n + 1), rows) - 1
             for layer in (_blockdp._DenseMinima(weight), _blockdp._MonotoneMinima(weight)):
-                got, at = layer(table, dist, b, rows)
+                got, at = layer(table, dist, b, rows, _blockdp._keys(table, dist))
                 assert got[rows - 1].tolist() == best[rows - 1].tolist(), (layer, n)
                 assert at[rows - 1].tolist() == arg[rows - 1].tolist(), (layer, n)
                 assert np.all(got[off] == np.inf) and not at[off].any()
@@ -250,7 +252,8 @@ def test_row_bound_drops_only_rows_that_cannot_win(scale):
     for n in (2, 7, 40, 130):
         for _ in range(40):
             table, dist, b, weight = near_tie_layer(rng, n, scale)
-            live = _blockdp._live_rows(table, dist, b * weight[1])
+            live = _blockdp._live_rows(table, dist, b * weight[1],
+                                       _blockdp._keys(table, dist)[1])
             best, _ = scan_layer(table, dist, b, weight)
             drop = np.setdiff1d(np.arange(1, n + 1), live)
             assert all(best[t - 1] > table[t] for t in drop), (n, scale)
@@ -325,7 +328,7 @@ def monotone_layers(seed, count):
     layers = []
     call = _blockdp._MonotoneMinima.__call__
 
-    def record(self, table, dist, b, rows=None, keys=None):
+    def record(self, table, dist, b, rows, keys):
         layers.append((self, table.copy(), dist, b, rows))
         return call(self, table, dist, b, rows, keys)
 
@@ -367,7 +370,8 @@ def test_rectangle_bound_drops_only_pairs_that_cannot_win(scale):
     for n in (2, 7, 40, 130):
         for _ in range(40):
             table, dist, b, weight = near_tie_layer(rng, n, scale)
-            rows = _blockdp._live_rows(table, dist, b * weight[1])
+            rows = _blockdp._live_rows(table, dist, b * weight[1],
+                                       _blockdp._keys(table, dist)[1])
             dropped += assert_drops_only_pairs_that_cannot_win(
                 _blockdp._MonotoneMinima(weight), table, dist, b, rows)
     assert dropped > 5000
@@ -412,7 +416,7 @@ def test_first_pass_prices_rectangle_ends_unless_all_cells_fit(monkeypatch, budg
         ends = np.where(np.minimum(count, width) == 1, count * width,
                         np.minimum(count, 2) * width)
         priced.clear()
-        got = kernel(table, dist, b, rows)
+        got = kernel(table, dist, b, rows, _blockdp._keys(table, dist))
         if total <= budget:
             assert priced == ([total] if total else [])
             single += 1

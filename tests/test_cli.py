@@ -1,13 +1,16 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import facshare as fs
 from facshare import cli
-from facshare.cli import _worker_count, main
+from facshare.cli import main
 
 
 def run_cli(capsys, *args):
@@ -142,22 +145,29 @@ class TestSolve:
         assert [d["instance_name"] for d in lines] == [
             "gen-n3-m2-s1", "gen-n3-m2-s2", "gen-n3-m2-s3"]
 
-    def test_jobs_flag_parallel(self, capsys, tmp_path):
+    def test_jobs_flag_is_not_accepted(self, capsys, running_file):
+        code, out, err = run_cli(capsys, "solve", running_file, "--jobs", "2")
+        assert code == 2
+        assert out == "" and "--jobs" in err
+
+    def test_out_file_takes_the_stdout_layout(self, capsys, tmp_path):
+        # One input: the indented document. Several: one JSON line each.
         paths = []
         for seed in (1, 2):
-            p = tmp_path / f"j{seed}.json"
+            p = tmp_path / f"o{seed}.json"
             fs.save_instance(fs.generate_instance(3, 2, seed=seed), p)
             paths.append(str(p))
-        code, out, _ = run_cli(capsys, "solve", *paths, "--mode", "pne",
-                               "--jobs", "2")
-        assert code == 0
-        assert len(out.splitlines()) == 2
-
-    def test_jobs_clamped_to_inputs_and_cores(self):
-        cores = os.cpu_count() or 1
-        assert _worker_count(10**6, 3) == min(3, cores)
-        assert _worker_count(10**6, 10**6) == cores
-        assert _worker_count(1, 5) == 1
+        out_path = tmp_path / "out.json"
+        code, out, _ = run_cli(capsys, "solve", *paths, "-o", str(out_path))
+        assert code == 0 and out == ""
+        lines = out_path.read_text().splitlines()
+        assert [json.loads(line)["instance_name"] for line in lines] == [
+            "gen-n3-m2-s1", "gen-n3-m2-s2"]
+        code, out, _ = run_cli(capsys, "solve", paths[0], "-o", str(out_path))
+        assert code == 0 and out == ""
+        text = out_path.read_text()
+        assert text.startswith('{\n  "command": "solve",') and text.endswith("}\n")
+        assert parse(text)["instance_name"] == "gen-n3-m2-s1"
 
 
 class TestDynamics:
@@ -360,8 +370,6 @@ def test_bad_flags_exit_code(capsys):
 
 @pytest.mark.parametrize("args", [
     ("dynamics", "--start", "all-1", "--max-steps", "-1"),
-    ("solve", "--jobs", "0"),
-    ("solve", "--jobs", "-4"),
     ("mech", "--mech", '{"kind": "krank", "params": {"k": 1}}',
      "--grid-extra", "-5"),
 ])
@@ -369,6 +377,19 @@ def test_count_flags_reject_out_of_range(capsys, running_file, args):
     code, _, err = run_cli(capsys, args[0], running_file, *args[1:])
     assert code == 2
     assert "must be >=" in err
+
+
+def test_readme_command_line_flags_exist():
+    # Every --flag the README's "Command line" section names is an option of
+    # some subcommand, so a removed option cannot linger in the docs.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Command line\n(.*?)^## ", readme, re.S | re.M).group(1)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    known = {flag for sub in subparsers.choices.values()
+             for flag in sub._option_string_actions}
+    assert named and named <= known, named - known
 
 
 class TestParserReuse:
