@@ -371,6 +371,9 @@ def test_bad_flags_exit_code(capsys):
 @pytest.mark.parametrize("args", [
     ("dynamics", "--start", "all-1", "--max-steps", "-1"),
     ("mech", "--mech", '{"kind": "krank", "params": {"k": 1}}',
+     "--grid-extra", "-1"),
+    ("dynamics", "--start", "all-1", "--max-steps", "-4"),
+    ("mech", "--mech", '{"kind": "krank", "params": {"k": 1}}',
      "--grid-extra", "-5"),
 ])
 def test_count_flags_reject_out_of_range(capsys, running_file, args):
