@@ -195,7 +195,9 @@ def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
         else:
             keys = _keys(table, dist[f])
             rows = _live_rows(table, dist[f], building_costs[f] * lightest, keys[1])
-            rowmin[f, 1:], argmin[f, 1:] = layer(table, dist[f], building_costs[f], rows, keys)
+            if len(rows):  # a layer without live rows keeps +inf and 0
+                rowmin[f, 1:], argmin[f, 1:] = layer(table, dist[f], building_costs[f],
+                                                     rows, keys)
         np.minimum(table, rowmin[f], out=table)
     value = float(table[n])
 
@@ -468,7 +470,7 @@ def _block_assignment(instance: Instance, size_weight: np.ndarray) -> Assignment
     choices = np.empty(len(positions), dtype=int)
     for lo, hi, fac in solution.blocks:
         choices[order[lo:hi]] = fac
-    return Assignment(tuple(choices.tolist()))
+    return Assignment._trusted(choices.tolist())
 
 
 def _brute_force_min(instance: Instance, size_weight: np.ndarray,
@@ -499,4 +501,4 @@ def _brute_force_min(instance: Instance, size_weight: np.ndarray,
             best_value = float(value[at])
             best_id = int(ids[at])
     digits = (best_id // divisors) % m
-    return best_value, Assignment(tuple((digits + 1).tolist()))
+    return best_value, Assignment._trusted((digits + 1).tolist())

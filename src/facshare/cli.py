@@ -21,22 +21,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .costs import _potential, _social_cost, harmonic_numbers
+from .costs import EPS_CMP, _potential, _social_cost, harmonic_numbers
 from .equilibrium import (
+    _harmonic_report,
     brute_force_min_potential,
-    check_harmonic_bound,
     check_no_cross,
     compute_pne_dp,
     is_pne,
     run_dynamics,
 )
 from .mechanisms import (
+    _AUDIT_PERMUTATIONS,
+    _AUDIT_PROFILES,
     MechanismPreconditionError,
+    _audit_anon,
+    _audit_sp,
+    _audit_unanimous,
+    _Draw,
     apply_mechanism,
-    audit_anonymous,
     audit_lemma_properties,
-    audit_strategyproof,
-    audit_unanimous,
     default_audit_grid,
     env_params,
     ratio_lower_bound_terms,
@@ -142,7 +145,8 @@ def _solve_one(path: str, mode: str, verify: bool) -> dict:
             "method": result.method,
         }
     if mode == "both":
-        report = check_harmonic_bound(instance, pne, opt)
+        report = _harmonic_report(outputs["pne"]["social_cost"],
+                                  outputs["opt"]["social_cost"], instance.n)
         outputs["ratio"] = report.ratio
         outputs["harmonic_bound"] = report.bound
         outputs["bound_holds"] = report.holds
@@ -271,18 +275,11 @@ def _cmd_mech(args) -> int:
                     f"unknown audit {token!r}; expected sp, anon, unanimous, props")
         grid = default_audit_grid(env, extra=args.grid_extra)
         n = profile.n
+        # sp, anon and unanimous share one draw of their default profile set
+        draw = None
         audits: dict = {}
         for token in wanted:
-            if token == "sp":
-                audits["strategyproof"] = _audit_summary(
-                    audit_strategyproof(spec, env, grid, n=n, seed=args.seed))
-            elif token == "anon":
-                audits["anonymous"] = _audit_summary(
-                    audit_anonymous(spec, env, grid, n=n, seed=args.seed))
-            elif token == "unanimous":
-                audits["unanimous"] = _audit_summary(
-                    audit_unanimous(spec, env, grid, n=n, seed=args.seed))
-            else:
+            if token == "props":
                 report = audit_lemma_properties(spec, env, grid, n=n, seed=args.seed)
                 audits["properties"] = {
                     name: (_audit_summary(r) if r is not None else None)
@@ -290,6 +287,16 @@ def _cmd_mech(args) -> int:
                                     ("P3", report.p3), ("P4", report.p4),
                                     ("P5", report.p5))
                 }
+                continue
+            if draw is None:
+                draw = _Draw(spec, env, grid, n, _AUDIT_PROFILES, args.seed)
+            if token == "sp":
+                audits["strategyproof"] = _audit_summary(_audit_sp(draw, grid, EPS_CMP))
+            elif token == "anon":
+                audits["anonymous"] = _audit_summary(
+                    _audit_anon(draw, _AUDIT_PERMUTATIONS))
+            else:
+                audits["unanimous"] = _audit_summary(_audit_unanimous(draw, EPS_CMP))
         outputs["audits"] = audits
     name = instance.name or Path(args.input).stem
     _emit(_result("mech", name, outputs, started), args.out)

@@ -180,7 +180,7 @@ def run_dynamics(instance: Instance, start: Assignment,
             agent=i, from_facility=old, to_facility=fac, cost_delta=-float(best[i]),
             potential_after=_potential(positions, choices, env, harmonic),
         ))
-    return DynamicsTrace(tuple(steps), converged, Assignment(tuple(choices.tolist())),
+    return DynamicsTrace(tuple(steps), converged, Assignment._trusted(choices.tolist()),
                          initial_potential)
 
 
@@ -274,7 +274,12 @@ def check_harmonic_bound(instance: Instance, pne: Assignment,
     profile, env = instance.profile, instance.environment
     for assignment in (pne, opt):
         assignment.validate_for(profile, env)
-    ratio = (_social_cost(profile.positions, pne.choices, env)
-             / _social_cost(profile.positions, opt.choices, env))
-    bound = float(harmonic_numbers(instance.n)[instance.n])
+    return _harmonic_report(_social_cost(profile.positions, pne.choices, env),
+                            _social_cost(profile.positions, opt.choices, env), instance.n)
+
+
+def _harmonic_report(pne_cost: float, opt_cost: float, n: int) -> HarmonicBoundReport:
+    """The bound check of :func:`check_harmonic_bound` on the two social costs."""
+    ratio = pne_cost / opt_cost
+    bound = float(harmonic_numbers(n)[n])
     return HarmonicBoundReport(ratio, bound, ratio <= bound + EPS_CMP)

@@ -45,10 +45,25 @@ S(f), are those at or below lo when ``table[lo] == f``, the interior ones
 Only the (profile, agent) rows some f flags get the per-report pass that
 builds counterexamples, with the same expressions a batch callable's loop
 uses, so reports are identical to checking every report.
+
+The sp, anon and unanimous audits draw the same profiles for the same grid,
+n, profile cap and seed, so they share one :class:`_Draw`: the profiles, the
+truthful outcome (taken from sp's form when sp built one, else from one
+:func:`_batch_apply`) and every agent's cost at every facility at load n.
+Each public audit builds its own draw; ``facshare mech`` builds one for all
+three. The costs are laid out facility-major, ``(m, P, n)``, so that work
+across facilities is m - 1 elementwise passes over ``(P, n)`` arrays, and
+work across agents n - 1 passes over columns: no reduction runs along a
+trailing axis of length m or n, where numpy is slowest. sp reads each
+facility's cost from it, and unanimity finds each agent's favorite and the
+cost gap to her runner-up in one pass over the facilities. P1-P5 and
+:func:`empirical_ratio` take draws of their own: their default profile caps
+differ, and so would their profiles.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -90,6 +105,9 @@ __all__ = [
 
 BatchMechanism = Callable[[np.ndarray], np.ndarray]
 Mechanism = Union["MechanismSpec", BatchMechanism]
+
+_AUDIT_PROFILES = 2048  # the sp, anon and unanimous audits' default profile cap
+_AUDIT_PERMUTATIONS = 100  # anon's default permutation sample for n > 5
 
 
 class MechanismPreconditionError(ValueError):
@@ -526,14 +544,6 @@ def _check_mechanism(mechanism: Mechanism, env: Environment, n: int) -> None:
         raise ValidationError("mechanism must be a MechanismSpec or a batch callable")
 
 
-def _as_batch_mechanism(mechanism: Mechanism, env: Environment,
-                        n: int) -> BatchMechanism:
-    _check_mechanism(mechanism, env, n)
-    if isinstance(mechanism, MechanismSpec):
-        return lambda profiles: _batch_apply(mechanism, env, profiles)
-    return mechanism
-
-
 def _value_index(profiles: np.ndarray,
                  reports: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sorted distinct values of profiles and reports, and the index of
@@ -668,15 +678,44 @@ class _SpecForm:
                 yield i, rows, self.reports, self.table[theta], n
 
 
-def _sp_rows(form: _SpecForm, profiles: np.ndarray, base_cost: np.ndarray,
-             env: Environment, tol: float) -> np.ndarray:
+class _Draw:
+    """One profile set of an audit, and what the audits price on it (see the
+    module docstring): the truthful outcome, computed once, and the
+    ``(m, P, n)`` cost of every agent at every facility at load n. ``form``
+    is the spec's :class:`_SpecForm` once an audit has built one."""
+
+    def __init__(self, mechanism: Mechanism, env: Environment, grid: Sequence[float],
+                 n: int, max_profiles: int, seed: int) -> None:
+        _check_mechanism(mechanism, env, n)
+        self.mechanism, self.env, self.seed = mechanism, env, seed
+        self.profiles = _profiles_from_grid(grid, n, max_profiles, seed)
+        self.form: _SpecForm | None = None
+
+    @functools.cached_property
+    def outcome(self) -> np.ndarray:
+        """The ``(P, n)`` truthful facilities."""
+        if self.form is not None:
+            return self.form.truthful
+        if isinstance(self.mechanism, MechanismSpec):
+            return _batch_apply(self.mechanism, self.env, self.profiles)
+        return self.mechanism(self.profiles)
+
+    @functools.cached_property
+    def costs(self) -> np.ndarray:
+        """``|x - loc| + b / n``, :func:`_facility_costs`' float, facility first."""
+        locs = np.asarray(self.env.locations)[:, None, None]
+        share = np.asarray(self.env.building_costs) / self.profiles.shape[1]
+        return np.abs(self.profiles - locs) + share[:, None, None]
+
+
+def _sp_rows(form: _SpecForm, costs: np.ndarray, base_cost: np.ndarray,
+             tol: float) -> np.ndarray:
     """The ``(P, n)`` rows with a profitable report: some facility a report
-    reaches costs less, priced by the float ``_split_costs`` gives at load n."""
-    reach = form.reach_max(np.zeros((1, 1, env.m, len(form.values))),
-                           np.zeros(len(profiles), dtype=int))
-    flagged = np.zeros(profiles.shape, dtype=bool)
-    for (top,), loc, cost in zip(reach, env.locations, env.building_costs):
-        lied_cost = np.abs(profiles - loc) + cost / profiles.shape[1]
+    reaches costs less, by the draw's ``(m, P, n)`` costs at load n."""
+    reach = form.reach_max(np.zeros((1, 1, len(costs), len(form.values))),
+                           np.zeros(len(base_cost), dtype=int))
+    flagged = np.zeros(base_cost.shape, dtype=bool)
+    for (top,), lied_cost in zip(reach, costs):
         flagged |= (top > -np.inf) & (base_cost - lied_cost > tol)
     return flagged
 
@@ -739,7 +778,7 @@ def _finish(prop: str, bad: list[Counterexample], checked: int) -> AuditReport:
 def audit_strategyproof(mechanism: Mechanism, env: Environment,
                         grid: Sequence[float] | None = None,
                         misreports: Sequence[float] | None = None, *,
-                        n: int = 2, max_profiles: int = 2048, seed: int = 0,
+                        n: int = 2, max_profiles: int = _AUDIT_PROFILES, seed: int = 0,
                         tol: float = EPS_CMP) -> AuditReport:
     """Search for a profitable misreport.
 
@@ -754,17 +793,21 @@ def audit_strategyproof(mechanism: Mechanism, env: Environment,
         grid = default_audit_grid(env)
     if misreports is None:
         misreports = grid
-    _check_mechanism(mechanism, env, n)
-    profiles = _profiles_from_grid(grid, n, max_profiles, seed)
+    return _audit_sp(_Draw(mechanism, env, grid, n, max_profiles, seed), misreports, tol)
+
+
+def _audit_sp(draw: _Draw, misreports: Sequence[float], tol: float) -> AuditReport:
+    """:func:`audit_strategyproof` on a draw; a spec leaves its form there."""
+    profiles, env = draw.profiles, draw.env
     reports = _audit_positions(misreports, "misreport")
-    spec = isinstance(mechanism, MechanismSpec)
-    form = _SpecForm(mechanism, env, profiles, reports) if spec else None
-    truthful = form.truthful if spec else mechanism(profiles)
-    base_cost = np.add(*_split_costs(profiles, truthful, env))
-    if spec:
-        changes = form.changes(_sp_rows(form, profiles, base_cost, env, tol))
+    if isinstance(draw.mechanism, MechanismSpec):
+        draw.form = _SpecForm(draw.mechanism, env, profiles, reports)
+        # every load is n, so the truthful cost is the draw's at that facility
+        base_cost = draw.costs[draw.outcome[:, 0] - 1, np.arange(len(profiles))]
+        changes = draw.form.changes(_sp_rows(draw.form, draw.costs, base_cost, tol))
     else:
-        changes = _batch_changes(mechanism, env, profiles, reports)
+        base_cost = np.add(*_split_costs(profiles, draw.outcome, env))
+        changes = _batch_changes(draw.mechanism, env, profiles, reports)
     locs = np.asarray(env.locations)
     b = np.asarray(env.building_costs)
 
@@ -783,8 +826,9 @@ def audit_strategyproof(mechanism: Mechanism, env: Environment,
 
 def audit_anonymous(mechanism: Mechanism, env: Environment,
                     grid: Sequence[float] | None = None, *,
-                    n: int = 2, max_profiles: int = 2048,
-                    max_permutations: int = 100, seed: int = 0) -> AuditReport:
+                    n: int = 2, max_profiles: int = _AUDIT_PROFILES,
+                    max_permutations: int = _AUDIT_PERMUTATIONS,
+                    seed: int = 0) -> AuditReport:
     """Check that the position-to-facility outcome is permutation invariant.
 
     Outcomes are compared as multisets of (position, facility) pairs, so
@@ -793,14 +837,20 @@ def audit_anonymous(mechanism: Mechanism, env: Environment,
 
     A spec sends every agent to ``h(theta)``, where ``theta`` is the k-th
     smallest report (:func:`_order_rule`), and a permutation does not move
-    the k-th smallest: a spec has no counterexample. ``h`` is still evaluated
-    once per occurring ``theta``, so a spec whose ``h`` fails on the grid fails
-    here too. A batch callable is checked one permutation at a time.
+    the k-th smallest: a spec has no counterexample. Its truthful outcome is
+    still computed, so a spec whose ``h`` fails on the grid fails here too.
+    A batch callable is checked one permutation at a time.
     """
     if grid is None:
         grid = default_audit_grid(env)
-    _check_mechanism(mechanism, env, n)
-    profiles = _profiles_from_grid(grid, n, max_profiles, seed)
+    return _audit_anon(_Draw(mechanism, env, grid, n, max_profiles, seed),
+                       max_permutations)
+
+
+def _audit_anon(draw: _Draw, max_permutations: int) -> AuditReport:
+    """:func:`audit_anonymous` on a draw."""
+    profiles, mechanism = draw.profiles, draw.mechanism
+    n = profiles.shape[1]
     if n <= 5:
         perms = [p for p in itertools.permutations(range(n))
                  if p != tuple(range(n))]
@@ -808,13 +858,14 @@ def audit_anonymous(mechanism: Mechanism, env: Environment,
         if max_permutations < 0:
             raise ValidationError(
                 f"max_permutations must be ≥ 0, got {max_permutations}")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(draw.seed)
         perms = [tuple(rng.permutation(n).tolist()) for _ in range(max_permutations)]
 
     bad: list[Counterexample] = []
     if isinstance(mechanism, MechanismSpec):
-        _batch_apply(mechanism, env, profiles)
-        # no hits: the k-th smallest of a row does not depend on its order
+        # No hits: the k-th smallest of a row does not depend on its order.
+        # The outcome is still computed, so an h that fails here fails the audit.
+        draw.outcome
     else:
         def outcome_key(perm):
             permuted = profiles[:, perm]
@@ -831,7 +882,7 @@ def audit_anonymous(mechanism: Mechanism, env: Environment,
 
 def audit_unanimous(mechanism: Mechanism, env: Environment,
                     grid: Sequence[float] | None = None, *,
-                    n: int = 2, max_profiles: int = 2048, seed: int = 0,
+                    n: int = 2, max_profiles: int = _AUDIT_PROFILES, seed: int = 0,
                     tol: float = EPS_CMP) -> AuditReport:
     """On profiles where every agent strictly prefers the same all-to-one
     facility, the mechanism must output it.
@@ -842,24 +893,35 @@ def audit_unanimous(mechanism: Mechanism, env: Environment,
     """
     if grid is None:
         grid = default_audit_grid(env)
-    apply_batch = _as_batch_mechanism(mechanism, env, n)
-    profiles = _profiles_from_grid(grid, n, max_profiles, seed)
-    cost = _facility_costs(profiles, env, n)  # (P, n, m)
-    favorite = cost.argmin(axis=2)
-    if env.m >= 2:
-        ordered = np.sort(cost, axis=2)
-        strict = ordered[:, :, 1] - ordered[:, :, 0] > tol
-    else:
-        strict = np.ones(profiles.shape[:2], dtype=bool)
-    unanimous = strict.all(axis=1) & (favorite == favorite[:, :1]).all(axis=1)
+    return _audit_unanimous(_Draw(mechanism, env, grid, n, max_profiles, seed), tol)
 
-    outcome = apply_batch(profiles)
+
+def _audit_unanimous(draw: _Draw, tol: float) -> AuditReport:
+    """:func:`audit_unanimous` on a draw, facility-major: each agent's
+    favorite is the first least facility (``argmin``'s rule), and her gap
+    the least cost over the other facilities minus the least cost, the two
+    floats a sort's first two entries subtract."""
+    costs = draw.costs
+    least, favorite = costs[0], np.zeros(costs.shape[1:], dtype=int)
+    runner_up = np.full(least.shape, np.inf)
+    for f, cost in enumerate(costs[1:], 1):
+        np.minimum(runner_up, np.maximum(least, cost), out=runner_up)
+        favorite[cost < least] = f
+        least = np.minimum(least, cost)
+    # one facility (runner_up = +inf) is strictly best
+    strict = runner_up - least > tol
+
     expected = favorite[:, 0] + 1
-    violated = unanimous & np.any(outcome != expected[:, None], axis=1)
-    bad = [Counterexample(profile=_plain(profiles[r]), agent=None,
+    outcome = draw.outcome
+    unanimous = strict[:, 0].copy()
+    differs = outcome[:, 0] != expected
+    for i in range(1, costs.shape[2]):
+        unanimous &= strict[:, i] & (favorite[:, i] == favorite[:, 0])
+        differs |= outcome[:, i] != expected
+    bad = [Counterexample(profile=_plain(draw.profiles[r]), agent=None,
                           deviation=int(expected[r]))
-           for r in np.nonzero(violated)[0]]
-    return _finish("unanimous", bad, int(unanimous.sum()))
+           for r in np.flatnonzero(unanimous & differs)]
+    return _finish("unanimous", bad, int(np.count_nonzero(unanimous)))
 
 
 @dataclass(frozen=True)
@@ -890,19 +952,20 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
     when the agent gap meets the facility gap)."""
     if grid is None:
         grid = default_audit_grid(env)
-    _check_mechanism(mechanism, env, n)
-    profiles = _profiles_from_grid(grid, n, max_profiles, seed)
+    draw = _Draw(mechanism, env, grid, n, max_profiles, seed)
+    profiles = draw.profiles
     reports = np.asarray(grid, dtype=float)
     spec = isinstance(mechanism, MechanismSpec)
-    form = _SpecForm(mechanism, env, profiles, reports) if spec else None
-    truthful = form.truthful if spec else mechanism(profiles)
+    if spec:
+        draw.form = _SpecForm(mechanism, env, profiles, reports)
+    truthful = draw.outcome
     truthful_load = _loads(truthful, env.m)
     _, truthful_share = _split_costs(profiles, truthful, env)
     locs = np.asarray(env.locations, dtype=float)
     b = np.asarray(env.building_costs)
     if spec:
-        changes = form.changes(np.logical_or(
-            *_lemma_rows(form, profiles, truthful_share, env, tol)))
+        changes = draw.form.changes(np.logical_or(
+            *_lemma_rows(draw.form, profiles, truthful_share, env, tol)))
     else:
         changes = _batch_changes(mechanism, env, profiles, reports)
 
@@ -946,8 +1009,8 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
     p4 = p5 = None
     if n == 2 and env.m == 2:
         l1, l2 = env.locations
-        x_lo = profiles.min(axis=1)
-        x_hi = profiles.max(axis=1)
+        x_lo = np.minimum(profiles[:, 0], profiles[:, 1])
+        x_hi = np.maximum(profiles[:, 0], profiles[:, 1])
         distinct = profiles[:, 0] != profiles[:, 1]
         lo_col = (profiles[:, 0] > profiles[:, 1]).astype(int)
         rows = np.arange(len(profiles))
@@ -1018,9 +1081,8 @@ def empirical_ratio(mechanism: Mechanism, env: Environment,
     in one batch."""
     if grid is None:
         grid = default_audit_grid(env)
-    apply_batch = _as_batch_mechanism(mechanism, env, n)
-    profiles = _profiles_from_grid(grid, n, max_profiles, seed)
-    outcome = apply_batch(profiles)
+    draw = _Draw(mechanism, env, grid, n, max_profiles, seed)
+    profiles, outcome = draw.profiles, draw.outcome
     mech_cost = np.add(*_split_costs(profiles, outcome, env)).sum(axis=1)
 
     opt = _block_values(np.sort(profiles, axis=1), np.asarray(env.locations, dtype=float),

@@ -132,6 +132,14 @@ class Assignment:
         _require(all(c >= 1 for c in ch), "facility indices are 1-based (must be >= 1)")
         object.__setattr__(self, "choices", ch)
 
+    @classmethod
+    def _trusted(cls, choices: list[int]) -> Assignment:
+        """An assignment of ints >= 1 that the library built itself, taken
+        without the entry checks of the public constructor."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "choices", tuple(choices))
+        return self
+
     @property
     def n(self) -> int:
         return len(self.choices)

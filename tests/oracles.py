@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import facshare as fs
+from facshare.mechanisms import AuditReport, Counterexample
 
 
 def oracle_agent_cost(positions, choices, locations, building_costs, i):
@@ -364,3 +365,28 @@ def oracle_block_partition(sorted_x, locations, building_costs, size_weight):
         j, cap = start, fac
     blocks.reverse()
     return float(table[n, m]), tuple(blocks), ties
+
+
+def oracle_unanimous(profiles, outcome, locations, building_costs, tol):
+    """The unanimity audit by sorting each agent's costs at every facility
+    shared n ways, ``(P, n, m)``: a profile counts when every agent has the
+    same least facility (``argmin``'s first) and its cost is below her
+    second-least by more than ``tol``; it fails when ``outcome`` sends some
+    agent elsewhere. Counterexamples in the library's order."""
+    profiles = np.asarray(profiles, dtype=float)
+    cost = (np.abs(profiles[..., None] - np.asarray(locations))
+            + np.asarray(building_costs) / profiles.shape[1])
+    favorite = cost.argmin(axis=2)
+    if cost.shape[2] >= 2:
+        ordered = np.sort(cost, axis=2)
+        strict = ordered[:, :, 1] - ordered[:, :, 0] > tol
+    else:
+        strict = np.ones(profiles.shape, dtype=bool)
+    unanimous = strict.all(axis=1) & (favorite == favorite[:, :1]).all(axis=1)
+    expected = favorite[:, 0] + 1
+    violated = unanimous & np.any(np.asarray(outcome) != expected[:, None], axis=1)
+    bad = sorted((Counterexample(tuple(float(v) for v in profiles[r]), None,
+                                 int(expected[r]))
+                  for r in np.nonzero(violated)[0]),
+                 key=lambda c: (c.profile, -1, repr(c.deviation)))
+    return AuditReport("unanimous", not bad, tuple(bad), int(unanimous.sum()))

@@ -100,6 +100,27 @@ def test_dense_budget_boundary(n):
     assert_same_partition([fs.generate_instance(n, 4, seed=n)])
 
 
+@pytest.mark.parametrize("n", [30, DENSE_N + 1])
+def test_layer_without_live_rows_runs_no_kernel(monkeypatch, n):
+    # A far, costly third facility: no row of its layer can reach the table,
+    # so only the second layer's kernel runs, and the partition is still the
+    # exhaustive scan's.
+    sizes = []
+    for kernel in (_blockdp._DenseMinima, _blockdp._MonotoneMinima):
+        def spy(self, table, dist, b, rows, keys, price=kernel.__call__):
+            sizes.append(len(rows))
+            return price(self, table, dist, b, rows, keys)
+        monkeypatch.setattr(kernel, "__call__", spy)
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(0.0, 1.0, size=n))
+    locations, costs = np.array([0.2, 0.8, 1000.0]), np.array([1.0, 1.0, 1000.0])
+    w = fs.harmonic_numbers(n)
+    value, blocks, _ = oracle_block_partition(x, locations, costs, w)
+    got = _blockdp.solve_block_partition(x, locations, costs, w)
+    assert (got.value, got.blocks) == (value, blocks)
+    assert len(sizes) == 1 and sizes[0] > 0
+
+
 def scan_layer(table, dist, b, weight):
     """Row minima and smallest argmins of one layer, row by row."""
     best, arg = [], []
@@ -427,3 +448,14 @@ def test_first_pass_prices_rectangle_ends_unless_all_cells_fit(monkeypatch, budg
         assert got[0][rows - 1].tolist() == best[rows - 1].tolist()
         assert got[1][rows - 1].tolist() == arg[rows - 1].tolist()
     assert (split > 3 or budget > 1 << 16) and (single > 3 or budget == 0)
+
+
+def test_solver_assignments_equal_checked_ones(suite500):
+    # The solvers build their assignments without the public constructor's
+    # entry checks; each must still equal, and hash as, a checked one.
+    for inst in suite500[::10]:
+        for got in (fs.compute_pne_dp(inst), fs.optimal_block_dp(inst).assignment,
+                    fs.optimal_brute_force(inst).assignment):
+            checked = fs.Assignment(got.choices)
+            assert got == checked and hash(got) == hash(checked)
+            assert all(type(c) is int and 1 <= c <= inst.m for c in got.choices)

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import re
@@ -315,10 +316,60 @@ class TestMech:
                              "--audit", "sp,frobnicate")
         assert code == 2
 
+    # (environment, positions, spec) per spec kind: one draw serves sp, anon
+    # and unanimous, so every audit order must report what each audit does
+    # on its own.
+    SHARED_DRAW_CASES = {
+        "type1": (((0.0, 3.0), (2.0, 4.0)), (0.5, 2.0), {"kind": "type1",
+                                                          "params": {"target": 2}}),
+        "type2": (((0.0, 1.0), (4.0, 2.0)), (-0.5, 0.7),
+                  {"kind": "type2", "params": {"diag_choice": "fac1"}}),
+        "type3": (((0.0, 1.0), (2.0, 4.0)), (0.2, 1.5),
+                  {"kind": "type3", "params": {"diag_choice": "fac2"}}),
+        "type4": (((0.0, 3.0), (2.0, 4.0)), (0.5, 2.0),
+                  {"kind": "type4", "params": {"boundary_choice": 1}}),
+        "type5": (((0.0, 3.0), (2.0, 4.0)), (0.5, 2.0),
+                  {"kind": "type5", "params": {"boundary_choice": 2}}),
+        "krank-n3": (((0.0, 2.0, 5.0), (1.0, 3.0, 2.0)), (0.5, 2.5, 4.0),
+                     {"kind": "krank", "params": {"k": 2}}),
+        "krank-n5": (((0.0, 1.0, 4.0, 6.0), (2.0, 1.0, 3.0, 0.5)),
+                     (0.5, 1.0, 3.5, 5.0, 6.5), {"kind": "krank", "params": {"k": 3}}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SHARED_DRAW_CASES))
+    def test_every_audit_order_matches_the_audits_alone(self, capsys, tmp_path, case):
+        (locs, costs), positions, doc = self.SHARED_DRAW_CASES[case]
+        env = fs.Environment(locs, costs)
+        path = tmp_path / "inst.json"
+        fs.save_instance(fs.Instance(env, fs.Profile(positions)), path)
+        spec, n, seed = fs.spec_from_dict(doc), len(positions), 7
+        grid = fs.default_audit_grid(env)
+        props = fs.audit_lemma_properties(spec, env, grid, n=n, seed=seed)
+        alone = {
+            "sp": ("strategyproof", cli._audit_summary(
+                fs.audit_strategyproof(spec, env, grid, n=n, seed=seed))),
+            "anon": ("anonymous", cli._audit_summary(
+                fs.audit_anonymous(spec, env, grid, n=n, seed=seed))),
+            "unanimous": ("unanimous", cli._audit_summary(
+                fs.audit_unanimous(spec, env, grid, n=n, seed=seed))),
+            "props": ("properties", {
+                name: None if r is None else cli._audit_summary(r)
+                for name, r in (("P1", props.p1), ("P2", props.p2), ("P3", props.p3),
+                                ("P4", props.p4), ("P5", props.p5))}),
+        }
+        alone = json.loads(json.dumps(alone))
+        for size in range(1, 5):
+            for order in itertools.permutations(alone, size):
+                code, out, _ = run_cli(capsys, "mech", str(path), "--mech", json.dumps(doc),
+                                       "--audit", ",".join(order), "--seed", str(seed))
+                assert code == 0
+                audits = parse(out)["outputs"]["audits"]
+                assert list(audits.items()) == [tuple(alone[t]) for t in order], order
+
     def test_audit_list_is_checked_before_any_audit_runs(self, capsys, running_file,
                                                          monkeypatch):
         ran = []
-        for name in ("audit_strategyproof", "audit_anonymous", "audit_unanimous",
+        for name in ("_audit_sp", "_audit_anon", "_audit_unanimous",
                      "audit_lemma_properties"):
             monkeypatch.setattr(cli, name, lambda *a, name=name, **k: ran.append(name))
         code, out, err = run_cli(capsys, "mech", running_file,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import facshare as fs
 import facshare.mechanisms as mechanisms
 from facshare.mechanisms import Counterexample, MechanismSpec
-from oracles import random_environment
+from oracles import oracle_unanimous, random_environment
 
 ENV = fs.Environment((0.0, 3.0), (2.0, 4.0))          # 0 < M < delta
 ENV_M0 = fs.Environment((0.0, 1.0), (4.0, 2.0))       # M = 0
@@ -509,8 +509,9 @@ class TestOrderStatisticPath:
             reports = np.asarray(grid if misreports is None else misreports)
             truthful = generic(profiles)
             distance, share = mechanisms._split_costs(profiles, truthful, env)
+            costs = np.moveaxis(mechanisms._facility_costs(profiles, env, n), -1, 0)
             sp_rows = mechanisms._sp_rows(mechanisms._SpecForm(spec, env, profiles, reports),
-                                          profiles, distance + share, env, fs.EPS_CMP)
+                                          costs, distance + share, fs.EPS_CMP)
             form = mechanisms._SpecForm(spec, env, profiles, np.asarray(grid))
             p1_rows, p2_rows = mechanisms._lemma_rows(form, profiles, share, env,
                                                       fs.EPS_CMP)
@@ -773,6 +774,62 @@ class TestAnonymityAudit:
         for c in report.counterexamples:
             assert sorted(c.deviation) == list(range(6))
             assert all(type(v) is int for v in c.deviation)
+
+
+class TestUnanimityAudit:
+    """The facility-major unanimity audit against the sort-based reference,
+    on random cost grids and on exact-tie ones: integer locations, building
+    costs that n divides and half-integer grids, so two facilities often
+    cost the same at load n, and sometimes one facility twice."""
+
+    @staticmethod
+    def random_case(rng, case):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        if case % 2:
+            env = random_environment(rng, m=m)
+            grid = fs.default_audit_grid(env)
+        else:
+            locs = rng.integers(0, 7, size=m).astype(float)
+            costs = (n * rng.integers(1, 5, size=m)).astype(float)
+            if m >= 2 and rng.random() < 0.3:  # one facility twice
+                locs[1], costs[1] = locs[0], costs[0]
+            env = fs.Environment(tuple(locs.tolist()), tuple(costs.tolist()))
+            grid = tuple(np.arange(-2.0, 9.0, 0.5).tolist())
+        pick = case % 4
+        if pick == 0:
+            mechanism = MechanismSpec("krank", k=int(rng.integers(1, n + 1)))
+        elif pick == 1:
+            mechanism = fs.nearest_facility_mechanism(env)
+        elif pick == 2:  # a constant facility: fails wherever another is unanimous
+            target = int(rng.integers(1, m + 1))
+            mechanism = lambda profiles: np.full(profiles.shape, target)
+        else:  # per-agent facilities that depend on the position's cell
+            mechanism = lambda profiles: ((np.floor(profiles * 3).astype(int)
+                                           + np.arange(profiles.shape[1])) % m) + 1
+        return mechanism, env, n, grid
+
+    def test_matches_the_sort_based_reference(self):
+        rng = np.random.default_rng(61)
+        seen = {"failed": 0, "tied": 0, "counted": 0}
+        for case in range(240):
+            mechanism, env, n, grid = self.random_case(rng, case)
+            # a negative tol counts exact ties, where the favorite's tie rule shows
+            tol = (fs.EPS_CMP, 0.0, -fs.EPS_CMP)[case % 3]
+            kw = dict(n=n, max_profiles=int(rng.choice([50, 700])), seed=case)
+            report = fs.audit_unanimous(mechanism, env, grid, tol=tol, **kw)
+            profiles = mechanisms._profiles_from_grid(grid, n, kw["max_profiles"], case)
+            outcome = (mechanisms._batch_apply(mechanism, env, profiles)
+                       if isinstance(mechanism, MechanismSpec) else mechanism(profiles))
+            want = oracle_unanimous(profiles, outcome, env.locations,
+                                    env.building_costs, tol)
+            same = repr(report) == repr(want)
+            assert same, f"case {case}"
+            cost = np.sort(mechanisms._facility_costs(profiles, env, n), axis=2)
+            seen["failed"] += not report.passed
+            seen["tied"] += env.m >= 2 and bool(np.any(cost[..., 1] == cost[..., 0]))
+            seen["counted"] += report.checked > 0
+        # violations, exact ties at load n and counted profiles all occur
+        assert min(seen.values()) >= 40, seen
 
 
 class TestAuditCounts:
