@@ -2,8 +2,8 @@
 
 Subcommands: ``gen`` (random instances), ``solve`` (equilibrium / optimum),
 ``dynamics`` (best-response traces), ``mech`` (apply and audit mechanisms),
-``ratio`` (the unbounded-ratio environment family). Results are emitted as
-JSON so downstream scripts never screen-scrape.
+``ratio`` (the unbounded-ratio environment family). Each result is one
+compact JSON line, so downstream scripts never screen-scrape.
 
 Exit codes are a stable contract: 0 success, 1 I/O failure, 2 validation
 failure (bad flags, malformed or invalid instance), 3 mechanism/environment
@@ -75,11 +75,9 @@ def _result(command: str, instance_name: str, outputs: dict,
     }
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    _write(json.dumps(doc, indent=2) + "\n", out)
-
-
-def _write(text: str, out: str | None) -> None:
+def _emit(docs: list[dict], out: str | None) -> None:
+    """Write each result as one compact JSON line, to ``out`` or stdout."""
+    text = "".join(json.dumps(doc) + "\n" for doc in docs)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -105,7 +103,7 @@ def _cmd_gen(args) -> int:
     else:
         from .model import instance_to_dict
         outputs = {"instance": instance_to_dict(instance)}
-    _emit(_result("gen", instance.name or "", outputs, started), None)
+    _emit([_result("gen", instance.name or "", outputs, started)], None)
     return EXIT_OK
 
 
@@ -168,12 +166,7 @@ def _solve_one(path: str, mode: str, verify: bool) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    # One input gives one indented document, several give one line each.
-    results = [_solve_one(p, args.mode, args.verify) for p in args.inputs]
-    if len(results) == 1:
-        _emit(results[0], args.out)
-    else:
-        _write("".join(json.dumps(r) + "\n" for r in results), args.out)
+    _emit([_solve_one(p, args.mode, args.verify) for p in args.inputs], args.out)
     return EXIT_OK
 
 
@@ -233,7 +226,7 @@ def _cmd_dynamics(args) -> int:
                                             instance.environment)),
     }
     name = instance.name or Path(args.input).stem
-    _emit(_result("dynamics", name, outputs, started), args.out)
+    _emit([_result("dynamics", name, outputs, started)], args.out)
     return EXIT_OK
 
 
@@ -299,7 +292,7 @@ def _cmd_mech(args) -> int:
                 audits["unanimous"] = _audit_summary(_audit_unanimous(draw, EPS_CMP))
         outputs["audits"] = audits
     name = instance.name or Path(args.input).stem
-    _emit(_result("mech", name, outputs, started), args.out)
+    _emit([_result("mech", name, outputs, started)], args.out)
     return EXIT_OK
 
 
@@ -328,7 +321,7 @@ def _cmd_ratio(args) -> int:
             "reference": reference,
             "matches": matches,
         })
-    _emit(_result("ratio", "epsilon-sweep", {"rows": rows}, started), args.out)
+    _emit([_result("ratio", "epsilon-sweep", {"rows": rows}, started)], args.out)
     return EXIT_OK if all_match else EXIT_VALIDATION
 
 
@@ -352,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a random instance")
     gen.add_argument("-n", type=int, required=True, help="number of agents")
     gen.add_argument("-m", type=int, required=True, help="number of facilities")
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=_count(0), required=True)
     gen.add_argument("-o", "--out", help="output path (stdout JSON when omitted)")
     gen.add_argument("--pos-range", type=float, nargs=2, default=(0.0, 10.0),
                      metavar=("LO", "HI"))
@@ -374,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="all-1 | random:SEED | file:PATH")
     dyn.add_argument("--order", choices=("round-robin", "max-gain", "seeded-random"),
                      default="round-robin")
-    dyn.add_argument("--seed", type=int, help="required for seeded-random order")
+    dyn.add_argument("--seed", type=_count(0), help="required for seeded-random order")
     dyn.add_argument("--max-steps", type=_count(0), default=100_000)
     dyn.add_argument("-o", "--out")
     dyn.set_defaults(func=_cmd_dynamics)
@@ -386,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     mech.add_argument("--audit", help="comma list from: sp, anon, unanimous, props")
     mech.add_argument("--grid-extra", type=_count(0), default=0,
                       help="extra uniform audit grid points")
-    mech.add_argument("--seed", type=int, default=0,
+    mech.add_argument("--seed", type=_count(0), default=0,
                       help="seed for sampled audit profiles")
     mech.add_argument("-o", "--out")
     mech.set_defaults(func=_cmd_mech)

@@ -141,6 +141,8 @@ def run_dynamics(instance: Instance, start: Assignment,
         raise ValidationError(f"unknown order {order!r}; expected one of {_ORDERS}")
     if order == "seeded-random" and seed is None:
         raise ValidationError("seeded-random order requires an explicit seed")
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be ≥ 0, got {seed}")
     if max_steps < 0:
         raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
     profile, env = instance.profile, instance.environment
@@ -184,7 +186,7 @@ def run_dynamics(instance: Instance, start: Assignment,
                          initial_potential)
 
 
-def compute_pne_dp(instance: Instance, *, verify: bool = False) -> Assignment:
+def compute_pne_dp(instance: Instance) -> Assignment:
     """Compute a potential-minimizing assignment, which is always a pure Nash
     equilibrium, in O(m * n log^2 n) time after sorting (see
     :mod:`facshare._blockdp` for each path's cost).
@@ -193,17 +195,17 @@ def compute_pne_dp(instance: Instance, *, verify: bool = False) -> Assignment:
     order and land in one block), facilities are already location-sorted, and
     the consecutive-block dynamic program of :mod:`facshare._blockdp` is run
     with harmonic size weights. The result is mapped back to the caller's
-    agent order. Under ``python -O`` the equilibrium self-check only runs
-    when ``verify`` is set; in normal (debug) runs it always does.
+    agent order. Every call, ``python -O`` included, then checks the result
+    with :func:`is_pne` and raises ``RuntimeError`` naming the instance and
+    the improving deviation if the check fails.
     """
     assignment = _block_assignment(instance, harmonic_numbers(instance.n))
-    if verify or __debug__:
-        verdict = is_pne(instance.profile, assignment, instance.environment)
-        if not verdict:
-            raise RuntimeError(
-                f"internal error: solver output admits an improving deviation "
-                f"{verdict.witness} on instance {instance.name!r} "
-                f"(n={instance.n}, m={instance.m})")
+    verdict = is_pne(instance.profile, assignment, instance.environment)
+    if not verdict:
+        raise RuntimeError(
+            f"internal error: solver output admits an improving deviation "
+            f"{verdict.witness} on instance {instance.name!r} "
+            f"(n={instance.n}, m={instance.m})")
     return assignment
 
 

@@ -518,6 +518,8 @@ def _profiles_from_grid(grid: Sequence[float], n: int, max_profiles: int,
     seeded uniform sample of ``max_profiles`` profiles from the grid."""
     if max_profiles < 1:
         raise ValidationError(f"max_profiles must be ≥ 1, got {max_profiles}")
+    if seed < 0:
+        raise ValidationError(f"seed must be ≥ 0, got {seed}")
     arr = _audit_positions(grid, "audit grid")
     g = len(arr)
     if g == 0:

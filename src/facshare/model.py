@@ -248,6 +248,7 @@ def generate_instance(n: int, m: int, seed: int,
     """
     _require(n >= 1, "n must be ≥ 1")
     _require(m >= 1, "m must be ≥ 1")
+    _require(seed >= 0, f"seed must be ≥ 0, got {seed}")
     plo, phi = (float(v) for v in position_range)
     clo, chi = (float(v) for v in cost_range)
     _require(all(math.isfinite(v) for v in (plo, phi, clo, chi)),

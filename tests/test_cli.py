@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import facshare as fs
 from facshare import cli
 from facshare.cli import main
+from facshare.model import dumps_instance
 
 
 def run_cli(capsys, *args):
@@ -152,7 +154,7 @@ class TestSolve:
         assert out == "" and "--jobs" in err
 
     def test_out_file_takes_the_stdout_layout(self, capsys, tmp_path):
-        # One input: the indented document. Several: one JSON line each.
+        # One JSON line per input, a single input included.
         paths = []
         for seed in (1, 2):
             p = tmp_path / f"o{seed}.json"
@@ -167,7 +169,8 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", paths[0], "-o", str(out_path))
         assert code == 0 and out == ""
         text = out_path.read_text()
-        assert text.startswith('{\n  "command": "solve",') and text.endswith("}\n")
+        assert text.startswith('{"command": "solve",') and text.endswith("}\n")
+        assert text.count("\n") == 1
         assert parse(text)["instance_name"] == "gen-n3-m2-s1"
 
 
@@ -426,9 +429,15 @@ def test_bad_flags_exit_code(capsys):
     ("dynamics", "--start", "all-1", "--max-steps", "-4"),
     ("mech", "--mech", '{"kind": "krank", "params": {"k": 1}}',
      "--grid-extra", "-5"),
+    ("gen", "-n", "2", "-m", "2", "--seed", "-1"),
+    ("dynamics", "--start", "all-1", "--seed", "-2"),
+    ("dynamics", "--start", "all-1", "--order", "seeded-random", "--seed", "-2"),
+    ("mech", "--mech", '{"kind": "krank", "params": {"k": 1}}',
+     "--audit", "sp", "--seed", "-5"),
 ])
 def test_count_flags_reject_out_of_range(capsys, running_file, args):
-    code, _, err = run_cli(capsys, args[0], running_file, *args[1:])
+    inputs = () if args[0] == "gen" else (running_file,)
+    code, _, err = run_cli(capsys, args[0], *inputs, *args[1:])
     assert code == 2
     assert "must be >=" in err
 
@@ -444,6 +453,85 @@ def test_readme_command_line_flags_exist():
     known = {flag for sub in subparsers.choices.values()
              for flag in sub._option_string_actions}
     assert named and named <= known, named - known
+
+
+def test_readme_command_line_runs(capsys, tmp_path, monkeypatch):
+    # Every `facshare ...` line of the section's command block runs as written
+    # and prints one JSON line; `gen ... -o inst.json` comes first.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Command line\n(.*?)^## ", readme, re.S | re.M).group(1)
+    block = re.search(r"^```sh\n(.*?)^```", section, re.S | re.M).group(1)
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert commands[0][:2] == ["facshare", "gen"] and "inst.json" in commands[0]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "facshare"
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+        assert out.count("\n") == 1 and out.endswith("}\n"), argv
+        parse(out)
+
+
+class TestJsonLines:
+    """Every command writes each result as one compact JSON line, to stdout
+    or to ``-o``."""
+
+    ARGV = {
+        "solve-1": lambda paths: ("solve", paths[0]),
+        "solve-3": lambda paths: ("solve", *paths),
+        "dynamics": lambda paths: ("dynamics", paths[0], "--start", "random:3",
+                                   "--order", "max-gain"),
+        "mech": lambda paths: ("mech", paths[0], "--mech",
+                               '{"kind": "krank", "params": {"k": 1}}',
+                               "--audit", "sp,anon,unanimous,props"),
+        "ratio": lambda paths: ("ratio", "--epsilon", "0.5", "0.2"),
+    }
+
+    @staticmethod
+    def lines(text, results):
+        assert text.endswith("\n") and text.count("\n") == results
+        docs = [json.loads(line) for line in text.splitlines()]
+        # compact: each line is exactly what json.dumps writes, no indent
+        assert text == "".join(json.dumps(doc) + "\n" for doc in docs)
+        return docs
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_stdout_and_out_file(self, capsys, tmp_path, command):
+        paths = []
+        for seed in (1, 2, 3):
+            path = tmp_path / f"i{seed}.json"
+            fs.save_instance(fs.generate_instance(5, 3, seed=seed), path)
+            paths.append(str(path))
+        argv = self.ARGV[command](paths)
+        results = 3 if command == "solve-3" else 1
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        shown = self.lines(out, results)
+        out_path = tmp_path / "out.jsonl"
+        code, out, _ = run_cli(capsys, *argv, "-o", str(out_path))
+        assert code == 0 and out == ""
+        written = self.lines(out_path.read_text(encoding="utf-8"), results)
+        for doc in shown + written:
+            doc.pop("elapsed_ms")
+        assert written == shown
+
+    def test_gen(self, capsys, tmp_path):
+        # gen's -o names the instance file; the result line stays on stdout
+        flags = ("gen", "-n", "4", "-m", "2", "--seed", "9")
+        code, out, _ = run_cli(capsys, *flags)
+        assert code == 0
+        [shown] = self.lines(out, 1)
+        path = tmp_path / "inst.json"
+        code, out, _ = run_cli(capsys, *flags, "-o", str(path))
+        assert code == 0
+        [written] = self.lines(out, 1)
+        assert written["outputs"]["path"] == str(path)
+        # the instance file is an input format and keeps its own layout
+        text = path.read_text(encoding="utf-8")
+        assert text == dumps_instance(fs.load_instance(path))
+        assert json.loads(text) == shown["outputs"]["instance"]
 
 
 class TestParserReuse:

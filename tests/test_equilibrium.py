@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +185,13 @@ class TestDynamics:
             fs.run_dynamics(running_instance, fs.Assignment((1, 1)),
                             order="seeded-random")
 
+    @pytest.mark.parametrize("order", ["round-robin", "seeded-random"])
+    def test_negative_seed_rejected(self, running_instance, order):
+        # round-robin never draws, yet a given seed obeys the same rule
+        with pytest.raises(fs.ValidationError, match="seed must be ≥ 0, got -2"):
+            fs.run_dynamics(running_instance, fs.Assignment((1, 1)),
+                            order=order, seed=-2)
+
     def test_unknown_order(self, running_instance):
         with pytest.raises(fs.ValidationError, match="order"):
             fs.run_dynamics(running_instance, fs.Assignment((1, 1)), order="bogus")
@@ -248,7 +258,29 @@ class TestComputePneDp:
                             lambda instance, w: fs.Assignment((2, 2)))
         with pytest.raises(RuntimeError, match=r"Deviation\(agent=0.*"
                            r"on instance 'running' \(n=2, m=2\)"):
-            fs.compute_pne_dp(running_instance, verify=True)
+            fs.compute_pne_dp(running_instance)
+
+    def test_self_check_runs_under_optimize_flag(self, running_instance, tmp_path):
+        path = tmp_path / "running.json"
+        fs.save_instance(running_instance, path)
+        script = (
+            "import sys\n"
+            "import facshare as fs\n"
+            "from facshare import equilibrium\n"
+            "assert not __debug__\n"
+            "equilibrium._block_assignment = lambda instance, w: fs.Assignment((2, 2))\n"
+            "try:\n"
+            "    fs.compute_pne_dp(fs.load_instance(sys.argv[1]))\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    sys.exit('no RuntimeError')\n")
+        src = os.path.dirname(os.path.dirname(fs.__file__))
+        run = subprocess.run([sys.executable, "-O", "-c", script, str(path)],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert "on instance 'running' (n=2, m=2)" in run.stdout
 
 
 class TestBruteForcePotential:

@@ -843,6 +843,14 @@ class TestAuditCounts:
         with pytest.raises(fs.ValidationError, match="max_profiles must be ≥ 1"):
             audit(spec, ENV, n=2, max_profiles=count)
 
+    @pytest.mark.parametrize("audit", AUDITS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("n", [2, 3], ids=["full-grid", "sampled"])
+    def test_negative_seed_rejected(self, audit, n):
+        # n = 2 enumerates the whole grid and never builds the generator
+        spec = MechanismSpec("krank", k=1)
+        with pytest.raises(fs.ValidationError, match="seed must be ≥ 0, got -1"):
+            audit(spec, ENV, n=n, seed=-1)
+
     def test_negative_max_permutations_rejected(self):
         spec = MechanismSpec("krank", k=2)
         with pytest.raises(fs.ValidationError, match="max_permutations must be ≥ 0"):

@@ -202,6 +202,11 @@ def test_generate_validation():
         fs.generate_instance(2, 2, seed=1, position_range=(0.0, float("inf")))
 
 
+def test_generate_rejects_negative_seed():
+    with pytest.raises(fs.ValidationError, match="seed must be ≥ 0, got -1"):
+        fs.generate_instance(2, 2, seed=-1)
+
+
 def test_instance_dict_omits_missing_name(running_instance):
     doc = instance_to_dict(fs.Instance(running_instance.environment,
                                        running_instance.profile))
