@@ -42,7 +42,8 @@ the float the scan itself gives. The later layers follow from ``w`` and
   ``_block_values`` runs these layers on a batch of profiles at once, for
   the values only.
 * Otherwise (the harmonic weights) a layer prices only its live rows, those
-  that pass the row bound below. If ``n * n`` is at most ``_DENSE_CELLS``,
+  that pass the row bound below and, for the equilibrium, lie in its window
+  (the equilibrium windows below). If ``n * n`` is at most ``_DENSE_CELLS``,
   one broadcast prices each live row against ``i in 0..n-1``, the cells
   with ``i >= t`` held at +inf, and takes its minimum. O(n^2) per layer,
   with a fixed memory bound.
@@ -110,6 +111,66 @@ one ``np.minimum.reduceat``: the rectangles are stored by decreasing
 ``lo``, so the cuts ``lo, mid`` of consecutive rectangles ascend only
 within a rectangle's columns.
 
+Equilibrium windows (the harmonic weights only). An agent at ``x`` who uses
+facility ``f`` in a pure Nash equilibrium pays at least ``|x - l_f| + b_f /
+n``, and leaving for any ``g != f`` would cost her at most ``|x - l_g| +
+b_g``. A deviation changes the potential by exactly the deviator's cost
+change, so in an assignment whose potential is within ``e`` of the least
+every agent passes, for every ``g``::
+
+    |x - l_f| - |x - l_g| <= c_fg = b_g - b_f / n + e
+
+The left side is monotone in ``x``: it falls from ``l_f - l_g`` to ``l_g -
+l_f`` as ``x`` crosses ``[l_g, l_f]`` when ``l_g < l_f``, and rises when
+``l_g > l_f``. So each test holds on a ray ``x >= (l_f + l_g - c_fg) / 2``
+(resp. ``x <= (l_f + l_g + c_fg) / 2``), on every ``x`` when that point lies
+beyond ``l_g``, and on none when it lies beyond ``l_f``; with ``l_g = l_f``
+it holds for all ``x`` or for none. Facility ``f``'s window is the
+intersection over ``g``, one interval, and two ``searchsorted`` calls on the
+sorted agents turn it into a range of agents ``first_f .. stop_f - 1``. A
+block ``[i, t)`` at ``f`` lies inside it only if ``first_f + 1 <= t <=
+stop_f``: the window's rows. ``_equilibrium_windows`` computes them in
+O(m^2); ``compute_pne_dp`` passes them, and a concave layer 2..m intersects
+its live rows with them. The optimum and ``_block_values`` take none: the
+test is a property of the potential, not of other weights. Layer 1 stays
+whole, as it is closed form and a finite ``G_1`` only helps later row bounds.
+
+Why the windowed table gives the same result. Let ``P`` be the path the
+unwindowed traceback follows and suppose its every block ends at a
+window's row. Windowing stores +inf in some rows and float operations are
+monotone, so every windowed ``R'`` and ``G'`` is at least the unwindowed
+one. Along ``P``, from the left, each state's inputs are unchanged, so its
+chosen candidate is priced to the same float, the windowed table holds the
+same value there, and the stored argmin is the same: a smaller column
+tying in ``R'`` would tie in ``R``. At a traceback state every other
+layer's windowed minimum is at least its old one, and where it ties, its
+argmin is at least the old argmin. The old choice, the least value, then
+the smallest argmin, then the smallest ``f``, therefore still wins: the
+traceback picks the same blocks and ``G'_m[n] = G_m[n]``. Ties need nothing
+more: whichever tied candidate the tie rule picks lies on ``P``, and ``P``
+is a float minimizer of the potential, so it lies inside the windows (the
+margin below). The row bound then acts on the windowed table as on any
+other.
+
+The margin. ``P`` minimizes the float DP, which differs from the exact
+potential of any block partition by at most ``E``: a first-order sum over
+the roundings of each distance, of the sequential prefix sums ``D_f`` (a
+block's ``D_f[t] - D_f[i]`` errs by at most ``(t - i) * u * D_f[n]``), of
+the harmonic sums and of each candidate's three operations, ``E <= u * (n *
+max_f D_f[n] + (n + m + 5) * potential)``. Some exact minimizer is a block
+partition, so ``P``'s exact potential is within ``2E`` of the least, and
+``e = 2E`` above makes every agent of ``P`` pass. With ``S = n * (reach +
+min_f b_f)``, ``reach`` the largest distance between an end agent and a
+facility, both ``max_f D_f[n]`` and the least potential (all agents at the
+cheapest facility) are at most ``S``, so ``2E <= 2u * (2n + m + 5) * S``,
+below ``1e-9 * S`` for ``n`` up to about ``2 * 10**6``. The window test
+adds the margin ``1e-9 * ((1 + S) + (|l_f| + b_f) + (|l_g| + b_g))`` to
+``c_fg``, in the style of the row bound's margin; its pair term covers the
+few roundings of the ray's end point, which err by ``u`` times the operands'
+magnitudes. Every rounded end point then lies on the far side of the exact
+one, so the float windows contain the exact ones, and every float
+near-minimizer, ``P`` included, lies inside them.
+
 Traceback at ``(t, cap)``: the least ``R_f[t]`` over ``f <= cap``, then the
 smallest stored argmin among the layers attaining it, then the smallest such
 ``f``, which is the block ``[A_f[t], t)`` at ``f``; continue at
@@ -166,11 +227,17 @@ class PartitionSolution:
 
 
 def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
-                          building_costs: np.ndarray,
-                          size_weight: np.ndarray) -> PartitionSolution:
+                          building_costs: np.ndarray, size_weight: np.ndarray,
+                          rows: np.ndarray | None = None) -> PartitionSolution:
     """Cheapest consecutive-block partition of ``sorted_x`` (ascending) over
     the location-sorted facilities, priced by ``size_weight`` (``w[0] = 0``,
-    at least ``n + 1`` entries, nonnegative, flat or concave on ``s >= 1``)."""
+    at least ``n + 1`` entries, nonnegative, flat or concave on ``s >= 1``).
+
+    ``rows``, an ``(m, 2)`` array, promises that the block the traceback
+    picks at facility ``f`` ends at a row ``t`` with ``rows[f - 1, 0] <= t <
+    rows[f - 1, 1]``, as :func:`_equilibrium_windows` does for the harmonic
+    weights. The concave layers 2..m then price no other row; the result is
+    the same."""
     n = len(sorted_x)
     m = len(locations)
     dist = distance_prefix(sorted_x, locations)
@@ -194,10 +261,12 @@ def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
             rowmin[f, 1:], argmin[f, 1:] = layer(table, dist[f], building_costs[f])
         else:
             keys = _keys(table, dist[f])
-            rows = _live_rows(table, dist[f], building_costs[f] * lightest, keys[1])
-            if len(rows):  # a layer without live rows keeps +inf and 0
+            live = _live_rows(table, dist[f], building_costs[f] * lightest, keys[1])
+            if rows is not None:
+                live = live[live.searchsorted(rows[f, 0]):live.searchsorted(rows[f, 1])]
+            if len(live):  # a layer without live rows keeps +inf and 0
                 rowmin[f, 1:], argmin[f, 1:] = layer(table, dist[f], building_costs[f],
-                                                     rows, keys)
+                                                     live, keys)
         np.minimum(table, rowmin[f], out=table)
     value = float(table[n])
 
@@ -244,6 +313,32 @@ def _may_reach(bound: np.ndarray, held: np.ndarray, dist: np.ndarray) -> np.ndar
     """``bound <= held`` up to the rounding margin ``1e-9 * (1 + held + D[t])``
     of the module docstring, ``dist`` holding each row's ``D[t]``."""
     return bound <= held + 1e-9 * ((1.0 + held) + dist)
+
+
+def _equilibrium_windows(sorted_x: np.ndarray, locations: np.ndarray,
+                         building_costs: np.ndarray) -> np.ndarray:
+    """The ``rows`` of :func:`solve_block_partition` for the harmonic weights:
+    ``rows[f - 1]`` holds the rows ``t`` of the blocks ``[i, t)`` that lie
+    inside facility ``f``'s window, the agents that may use ``f`` in a
+    near-minimizer of the potential (see the module docstring). O(m^2)."""
+    n = len(sorted_x)
+    loc, b = locations, building_costs
+    reach = np.maximum(abs(sorted_x[0] - loc), abs(sorted_x[-1] - loc)).max()
+    size = abs(loc) + b
+    margin = 1e-9 * ((1.0 + n * (reach + b.min())) + np.add.outer(size, size))
+    # Row f, column g: an agent at x may stay at f only if |x - l_f| - |x -
+    # l_g| <= c. For l_g <= l_f that is x >= half, for l_g > l_f x <= half,
+    # unless half lies beyond l_g (every x) or beyond l_f (none). The
+    # diagonal, with c > 0, holds every x.
+    c = (b - (b / n)[:, None]) + margin
+    lf, lg = loc[:, None], loc[None, :]
+    left = lg <= lf
+    half = np.where(left, (lf + lg) - c, (lf + lg) + c) / 2
+    lo = np.where(left & (half > lg), np.where(half > lf, math.inf, half), -math.inf)
+    hi = np.where(~left & (half < lg), np.where(half < lf, -math.inf, half), math.inf)
+    first = sorted_x.searchsorted(lo.max(axis=1), "left")
+    stop = sorted_x.searchsorted(hi.min(axis=1), "right")
+    return np.stack((first + 1, stop + 1), axis=1)
 
 
 def _prefix_minima(table: np.ndarray, dist: np.ndarray, b: float,
@@ -455,18 +550,19 @@ def _price(t, lo, width, table, dist, bw):
     return low, cols[hits[hits.searchsorted(starts)]]
 
 
-def _block_assignment(instance: Instance, size_weight: np.ndarray) -> Assignment:
+def _block_assignment(instance: Instance, size_weight: np.ndarray, *,
+                      windows: bool = False) -> Assignment:
     """Solve the block DP on stably sorted agents and map the blocks back to
-    the caller's agent order."""
+    the caller's agent order. ``windows`` restricts the layers to
+    :func:`_equilibrium_windows`, valid only for the harmonic weights."""
     positions = np.asarray(instance.profile.positions, dtype=float)
     env = instance.environment
     order = np.argsort(positions, kind="stable")
-    solution = solve_block_partition(
-        positions[order],
-        np.asarray(env.locations, dtype=float),
-        np.asarray(env.building_costs, dtype=float),
-        size_weight,
-    )
+    sorted_x = positions[order]
+    locations = np.asarray(env.locations, dtype=float)
+    costs = np.asarray(env.building_costs, dtype=float)
+    rows = _equilibrium_windows(sorted_x, locations, costs) if windows else None
+    solution = solve_block_partition(sorted_x, locations, costs, size_weight, rows)
     choices = np.empty(len(positions), dtype=int)
     for lo, hi, fac in solution.blocks:
         choices[order[lo:hi]] = fac

@@ -176,7 +176,11 @@ def _parse_start(token: str, instance: Instance) -> Assignment:
     if token == "all-1":
         return Assignment((1,) * n)
     if token.startswith("random:"):
-        seed = int(token.split(":", 1)[1])
+        try:  # the seed rule of --seed
+            seed = _count(0)(token.split(":", 1)[1])
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ValidationError(f"invalid start spec {token!r}: "
+                                  f"SEED must be an integer >= 0") from None
         rng = np.random.default_rng(seed)
         return Assignment(tuple(int(v) for v in rng.integers(1, m + 1, size=n)))
     if token.startswith("file:"):

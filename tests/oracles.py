@@ -367,6 +367,27 @@ def oracle_block_partition(sorted_x, locations, building_costs, size_weight):
     return float(table[n, m]), tuple(blocks), ties
 
 
+def oracle_equilibrium_windows(sorted_x, locations, building_costs):
+    """Each facility's window as the list of the sorted agents that pass the
+    equilibrium test one agent and one rival at a time: agent ``a`` may use
+    ``f`` only if ``|x_a - l_f| + b_f / n <= |x_a - l_g| + b_g + margin_fg``
+    for every ``g != f``, with the rounding margin of ``facshare._blockdp``
+    written out again."""
+    n = len(sorted_x)
+    reach = max(abs(x - l) for x in (sorted_x[0], sorted_x[-1]) for l in locations)
+    scale = n * (reach + min(building_costs))
+    windows = []
+    for f, (lf, bf) in enumerate(zip(locations, building_costs)):
+        windows.append([
+            a for a, x in enumerate(sorted_x)
+            if all(abs(x - lf) + bf / n
+                   <= abs(x - lg) + bg
+                   + 1e-9 * ((1.0 + scale) + (abs(lf) + bf) + (abs(lg) + bg))
+                   for g, (lg, bg) in enumerate(zip(locations, building_costs))
+                   if g != f)])
+    return windows
+
+
 def oracle_unanimous(profiles, outcome, locations, building_costs, tol):
     """The unanimity audit by sorting each agent's costs at every facility
     shared n ways, ``(P, n, m)``: a profile counts when every agent has the

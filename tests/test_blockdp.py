@@ -10,6 +10,7 @@ moved by a few ulps: there the harmonic layers' row bound and its rounding
 margin must not drop a row that can still win.
 """
 
+import itertools
 from functools import partial
 
 import numpy as np
@@ -17,7 +18,8 @@ import pytest
 
 import facshare as fs
 from facshare import _blockdp
-from oracles import lattice_instance, oracle_block_partition, oracle_min_social_cost
+from oracles import (lattice_instance, oracle_block_partition, oracle_equilibrium_windows,
+                     oracle_min_social_cost, suite_dims)
 
 DENSE_N = int(_blockdp._DENSE_CELLS ** 0.5)  # largest n on the dense path
 
@@ -459,3 +461,216 @@ def test_solver_assignments_equal_checked_ones(suite500):
             checked = fs.Assignment(got.choices)
             assert got == checked and hash(got) == hash(checked)
             assert all(type(c) is int and 1 <= c <= inst.m for c in got.choices)
+
+
+def window_agents(rows):
+    """Each facility's window as the list of its sorted agents."""
+    return [list(range(start - 1, stop - 1)) for start, stop in rows]
+
+
+def windowed_solves(inst):
+    """``(rows, unwindowed, windowed)`` harmonic solves of ``inst``."""
+    args = partition_args(inst)
+    w = fs.harmonic_numbers(inst.n)
+    rows = _blockdp._equilibrium_windows(*args)
+    return (rows, _blockdp.solve_block_partition(*args, w),
+            _blockdp.solve_block_partition(*args, w, rows))
+
+
+def replaced(inst, x=None, locations=None):
+    """``inst`` with new agent positions or facility locations."""
+    env = inst.environment
+    return fs.Instance(fs.Environment(tuple(env.locations if locations is None else locations),
+                                      env.building_costs),
+                       fs.Profile(tuple(inst.profile.positions if x is None else x)))
+
+
+def edge_windows():
+    """A facility whose window holds every agent (the costly rivals never
+    tempt anyone), one with an empty window (far and costly) and one with an
+    empty window behind a cheaper facility at the same location."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in (3, 50, DENSE_N + 5):
+        x = tuple(rng.uniform(0.0, 1.0, size=n).tolist())
+        cases.append(fs.Instance(fs.Environment((0.0, 1.0, 1000.0), (1.0, 100.0, 1000.0)),
+                                 fs.Profile(x)))
+        cases.append(fs.Instance(fs.Environment((0.2, 0.2, 0.7), (0.5, 400.0, 0.5)),
+                                 fs.Profile(x)))
+    return cases
+
+
+def window_cases(kind):
+    rng = np.random.default_rng(len(kind))
+    if kind.startswith("near-tie"):
+        return near_tie_cases(1e8 if kind.endswith("1e8") else 1.0)
+    if kind == "clustered":
+        return [clustered_instance(rng, int(rng.integers(2, 2 * DENSE_N)),
+                                   int(rng.integers(1, 12))) for _ in range(30)]
+    if kind == "co-located":
+        # Everyone at one point, or every agent on a facility's location.
+        cases = []
+        for seed in range(40):
+            inst = fs.generate_instance(int(rng.integers(1, 60)), int(rng.integers(1, 6)),
+                                        seed=seed)
+            locs = np.asarray(inst.environment.locations)
+            x = (np.full(inst.n, rng.uniform(0.0, 10.0)) if seed % 2
+                 else locs[rng.integers(inst.m, size=inst.n)])
+            cases.append(replaced(inst, x=x.tolist()))
+        return cases
+    if kind == "one-facility":
+        return [fs.generate_instance(n, 1, seed=n) for n in (1, 2, 7, 90, DENSE_N + 3)]
+    if kind == "duplicate-locations":
+        cases = []
+        for seed in range(40):
+            inst = fs.generate_instance(int(rng.integers(2, 80)), int(rng.integers(2, 8)),
+                                        seed=seed)
+            locs = np.asarray(inst.environment.locations)
+            cases.append(replaced(inst, locations=locs[rng.integers(2, size=inst.m)].tolist()))
+        return cases
+    if kind == "large":
+        return [fs.generate_instance(int(rng.integers(DENSE_N + 1, 2 * DENSE_N)),
+                                     int(rng.integers(2, 30)), seed=seed) for seed in range(6)]
+    assert kind == "edges"
+    return edge_windows()
+
+
+WINDOW_KINDS = ["near-tie-1", "near-tie-1e8", "clustered", "co-located",
+                "one-facility", "duplicate-locations", "large", "edges"]
+
+
+@pytest.mark.parametrize("path", ["default", "monotone"])
+@pytest.mark.parametrize("kind", WINDOW_KINDS)
+def test_windows_change_no_partition(monkeypatch, kind, path):
+    # The windowed solve returns the unwindowed value and blocks, compared
+    # with ==, and every block lies inside its facility's window. With no
+    # dense budget the monotone path also sees windows at small n.
+    if path == "monotone":
+        monkeypatch.setattr(_blockdp, "_DENSE_CELLS", 0)
+    cut = 0
+    for inst in window_cases(kind):
+        rows, whole, got = windowed_solves(inst)
+        assert (got.value, got.blocks) == (whole.value, whole.blocks), inst
+        assert all(rows[f - 1, 0] <= i + 1 and t < rows[f - 1, 1]
+                   for i, t, f in got.blocks), inst
+        cut += sum(inst.n - len(agents) for agents in window_agents(rows))
+    assert cut > 0 or kind == "one-facility"
+
+
+def test_edge_windows_hold_all_or_no_agents():
+    for inst in edge_windows():
+        windows = window_agents(windowed_solves(inst)[0])
+        everyone = list(range(inst.n))
+        if inst.environment.locations[2] == 1000.0:
+            assert windows[0] == everyone and windows[2] == []
+        else:
+            assert windows[1] == [] and windows[0] and windows[2]
+
+
+@pytest.mark.parametrize("kind", ["random", "lattice", "clustered", "duplicate-locations"])
+def test_windows_match_per_agent_test(kind):
+    # The closed form agrees with the agent-by-agent test, and so every
+    # window is one run of sorted agents.
+    rng = np.random.default_rng(31 + len(kind))
+    if kind == "random":
+        cases = [fs.generate_instance(int(rng.integers(1, 150)), int(rng.integers(1, 13)),
+                                      seed=seed) for seed in range(40)]
+    elif kind == "lattice":
+        cases = [lattice_instance(rng, int(rng.integers(1, 41)), int(rng.integers(1, 7)))
+                 for _ in range(200)]
+    else:
+        cases = window_cases(kind)
+    cut = 0
+    for inst in cases:
+        args = partition_args(inst)
+        windows = window_agents(_blockdp._equilibrium_windows(*args))
+        assert windows == oracle_equilibrium_windows(*map(list, args)), inst
+        cut += sum(inst.n - len(agents) for agents in windows)
+    assert cut > 0
+
+
+def potential_minimizers(inst):
+    """Every assignment (0-based facilities, caller's agent order) whose
+    potential is within 1e-12 of the least, by enumeration."""
+    x = np.asarray(inst.profile.positions)
+    locs = np.asarray(inst.environment.locations)
+    b = np.asarray(inst.environment.building_costs)
+    digits = np.array(list(itertools.product(range(inst.m), repeat=inst.n)))
+    loads = (digits[:, :, None] == np.arange(inst.m)).sum(axis=1)
+    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, inst.n + 1))))
+    value = np.abs(x - locs[digits]).sum(axis=1) + (b * harmonic[loads]).sum(axis=1)
+    return digits[value <= value.min() * (1.0 + 1e-12)]
+
+
+def test_every_potential_minimizer_lies_inside_the_windows():
+    rng = np.random.default_rng(41)
+    cases = [lattice_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 5)))
+             for _ in range(120)]
+    cases += [fs.generate_instance(*suite_dims(seed), seed=seed) for seed in range(0, 500, 5)]
+    # Lattice cases moved by a few ulps: a near-minimizer may then miss the
+    # window test by a rounding error, which the margin must absorb.
+    cases += near_tie_cases(1.0) + near_tie_cases(1e8)
+    cases = [inst for inst in cases if inst.n <= 8 and inst.m <= 4]
+    tied = 0
+    for inst in cases:
+        windows = window_agents(_blockdp._equilibrium_windows(*partition_args(inst)))
+        rank = np.argsort(np.argsort(inst.profile.positions, kind="stable"), kind="stable")
+        minimizers = potential_minimizers(inst)
+        tied += len(minimizers) > 1
+        for choice in minimizers:
+            assert all(rank[a] in windows[f] for a, f in enumerate(choice)), (inst, choice)
+    assert tied > 10
+
+
+def test_only_the_equilibrium_takes_windows(monkeypatch):
+    # The optimum, a non-harmonic concave weight and the batch values run
+    # unwindowed; compute_pne_dp passes the windows.
+    given, calls = [], []
+    solve, windows = _blockdp.solve_block_partition, _blockdp._equilibrium_windows
+
+    def record_solve(*args):
+        given.append(args[4] if len(args) > 4 else None)
+        return solve(*args)
+
+    def record_windows(*args):
+        calls.append(args)
+        return windows(*args)
+
+    monkeypatch.setattr(_blockdp, "solve_block_partition", record_solve)
+    monkeypatch.setattr(_blockdp, "_equilibrium_windows", record_windows)
+    inst = fs.generate_instance(40, 5, seed=2)
+    capped = np.minimum(np.arange(inst.n + 1), 4).astype(float)
+    fs.optimal_block_dp(inst)
+    _blockdp._block_assignment(inst, capped)
+    args = partition_args(inst)
+    _blockdp._block_values(args[0][None], *args[1:], _blockdp._unit_weights(inst.n))
+    assert given == [None, None] and calls == []
+    fs.compute_pne_dp(inst)
+    assert len(calls) == 1 and given[-1] is not None
+
+
+
+def test_windowed_layers_price_only_window_rows(monkeypatch):
+    # A windowed layer hands its kernel only rows inside its window, and on
+    # clustered instances the windowed solves price under half the rows.
+    given = []
+    for kernel in (_blockdp._DenseMinima, _blockdp._MonotoneMinima):
+        def spy(self, table, dist, b, rows, keys, price=kernel.__call__):
+            given.append((b, rows))
+            return price(self, table, dist, b, rows, keys)
+        monkeypatch.setattr(kernel, "__call__", spy)
+    rng = np.random.default_rng(8)
+    priced = {False: 0, True: 0}
+    for _ in range(6):
+        inst = clustered_instance(rng, int(rng.integers(200, 500)), 30)
+        args = partition_args(inst)
+        rows = _blockdp._equilibrium_windows(*args)
+        for windowed in (False, True):
+            given.clear()
+            _blockdp.solve_block_partition(*args, fs.harmonic_numbers(inst.n),
+                                           rows if windowed else None)
+            priced[windowed] += sum(len(live) for _, live in given)
+        for b, live in given:  # the building costs tell the layers apart
+            start, stop = rows[list(args[2]).index(b)]
+            assert start <= live.min() and live.max() < stop
+    assert priced[True] < priced[False] / 2

@@ -259,6 +259,15 @@ class TestDynamics:
                              "--start", "everything-at-2")
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["random:-3", "random:abc", "random:"])
+    def test_random_start_seed_rule(self, capsys, running_file, spec):
+        # The seed of random:SEED follows the --seed rule, and the message
+        # names the start spec rather than numpy's or int()'s complaint.
+        code, out, err = run_cli(capsys, "dynamics", running_file, "--start", spec)
+        assert (code, out) == (2, "")
+        assert err == (f"error: invalid start spec {spec!r}: "
+                       f"SEED must be an integer >= 0\n")
+
 
 class TestMech:
     def test_krank_inline_spec(self, capsys, running_file):
