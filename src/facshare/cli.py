@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .costs import EPS_CMP, _potential, _social_cost, harmonic_numbers
+from .costs import _potential, _social_cost, harmonic_numbers
 from .equilibrium import (
     _harmonic_report,
     brute_force_min_potential,
@@ -31,8 +31,6 @@ from .equilibrium import (
     run_dynamics,
 )
 from .mechanisms import (
-    _AUDIT_PERMUTATIONS,
-    _AUDIT_PROFILES,
     MechanismPreconditionError,
     _audit_anon,
     _audit_sp,
@@ -234,14 +232,16 @@ def _cmd_dynamics(args) -> int:
     return EXIT_OK
 
 
-def _audit_summary(report) -> dict:
+def _audit_summary(report, facility=None) -> dict:
+    """A report's JSON; ``facility`` maps a facility deviation to file numbering."""
     return {
         "passed": report.passed,
         "checked": report.checked,
         "counterexamples": len(report.counterexamples),
         "examples": [
             {"profile": list(c.profile), "agent": c.agent,
-             "deviation": repr(c.deviation),
+             "deviation": repr(c.deviation if facility is None
+                               else facility(c.deviation)),
              "cost_before": c.cost_before, "cost_after": c.cost_after}
             for c in report.counterexamples[:5]
         ],
@@ -286,14 +286,14 @@ def _cmd_mech(args) -> int:
                 }
                 continue
             if draw is None:
-                draw = _Draw(spec, env, grid, n, _AUDIT_PROFILES, args.seed)
+                draw = _Draw(spec, env, grid, n, seed=args.seed)
             if token == "sp":
-                audits["strategyproof"] = _audit_summary(_audit_sp(draw, grid, EPS_CMP))
+                audits["strategyproof"] = _audit_summary(_audit_sp(draw))
             elif token == "anon":
-                audits["anonymous"] = _audit_summary(
-                    _audit_anon(draw, _AUDIT_PERMUTATIONS))
+                audits["anonymous"] = _audit_summary(_audit_anon(draw))
             else:
-                audits["unanimous"] = _audit_summary(_audit_unanimous(draw, EPS_CMP))
+                audits["unanimous"] = _audit_summary(_audit_unanimous(draw),
+                                                     env.to_input_facility)
         outputs["audits"] = audits
     name = instance.name or Path(args.input).stem
     _emit([_result("mech", name, outputs, started)], args.out)

@@ -1,7 +1,10 @@
 """Cost arithmetic: per-agent cost, social cost and the exact potential.
 
 An agent pays her distance plus an equal share of her facility's building
-cost; the private array helpers below are the only code that prices agents.
+cost. The private array helpers below price agents. Only the mechanism
+audits price inline, with the same float expressions: every agent's cost at
+every facility at load n, facility first; the cost after a misreport; and
+the share at the facility a report moves the agent to.
 
 ``EPS_CMP`` is the global absolute tolerance for cost-equality tests. Strict
 comparisons inside algorithms use raw floating-point values: ties are

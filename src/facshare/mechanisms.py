@@ -34,7 +34,8 @@ S(f), are those at or below lo when ``table[lo] == f``, the interior ones
   ``not loc_B <= x + tol`` and ``not r <= loc_f + tol``; the last holds for
   every report above one that satisfies it, since float addition is
   monotone. So the largest report of S(f) decides the reports above x, and
-  by the mirror argument the smallest decides those below x.
+  by the mirror argument the smallest decides those below x. The below-x
+  clause at the largest fires only if it does at the smallest, and vice versa.
 * P2: ``mid > rhs + tol`` depends on f only, and
   ``|r - loc_f| - |r - loc_B| > mid + tol`` holds for some report of S(f)
   iff it holds for the largest such difference. Taking a maximum rounds
@@ -42,9 +43,10 @@ S(f), are those at or below lo when ``table[lo] == f``, the interior ones
   (two overlapping sparse-table windows), is exactly a report's value.
 * P3 cannot fire: every load is n.
 
-Only the (profile, agent) rows some f flags get the per-report pass that
-builds counterexamples, with the same expressions a batch callable's loop
-uses, so reports are identical to checking every report.
+The flags apply :func:`_sp_breaks`, :func:`_p1_breaks` and :func:`_p2_breaks`
+to those reports. Only the (profile, agent) rows some f flags get the
+per-report pass, which applies them to every report with the expressions a
+batch callable's loop uses, so reports are identical to checking every report.
 
 The sp, anon and unanimous audits draw the same profiles for the same grid,
 n, profile cap and seed, so they share one :class:`_Draw`: the profiles, the
@@ -108,6 +110,7 @@ Mechanism = Union["MechanismSpec", BatchMechanism]
 
 _AUDIT_PROFILES = 2048  # the sp, anon and unanimous audits' default profile cap
 _AUDIT_PERMUTATIONS = 100  # anon's default permutation sample for n > 5
+_GRID_OFFSET = 1e-3  # the audit grid's neighbors on each side of an anchor
 
 
 class MechanismPreconditionError(ValueError):
@@ -422,18 +425,13 @@ def resolve_x_star(spec: MechanismSpec, env: Environment) -> float:
 
     span = max(1.0, abs(env.locations[1] - env.locations[0]),
                abs(anchor)) * 4.0
-    if spec.kind == "type2":
-        lo, hi = anchor - span, anchor
-        if _diag_facility(choice, hi) == 1:
-            return hi
-        if _diag_facility(choice, lo) == 2:
-            return -math.inf
-    else:
-        lo, hi = anchor, anchor + span
-        if _diag_facility(choice, hi) == 1:
-            return math.inf
-        if _diag_facility(choice, lo) == 2:
-            return lo
+    # type2's facility-1 region ends at or left of its anchor, type3's at or right
+    left = spec.kind == "type2"
+    lo, hi = (anchor - span, anchor) if left else (anchor, anchor + span)
+    if _diag_facility(choice, hi) == 1:
+        return hi if left else math.inf
+    if _diag_facility(choice, lo) == 2:
+        return -math.inf if left else lo
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if _diag_facility(choice, mid) == 1:
@@ -486,14 +484,13 @@ def nearest_facility_mechanism(env: Environment) -> BatchMechanism:
 # Audit harness
 
 
-def default_audit_grid(env: Environment, *, offset: float = 1e-3,
-                       extra: int = 0) -> tuple[float, ...]:
+def default_audit_grid(env: Environment, *, extra: int = 0) -> tuple[float, ...]:
     """Positions covering every case boundary of the characterization.
 
     Anchors: facility locations, the L/M/R thresholds shifted to the left
     facility (two-facility environments), midpoints of consecutive anchors,
     and flanking points outside the span. Each anchor also contributes
-    +/- ``offset`` neighbors. ``extra`` appends that many uniform points
+    neighbors at +/- 1e-3. ``extra`` appends that many uniform points
     across the padded span.
     """
     anchors = set(env.locations)
@@ -506,7 +503,7 @@ def default_audit_grid(env: Environment, *, offset: float = 1e-3,
     span = base[-1] - base[0]
     pad = max(1.0, 0.25 * span)
     points = set(base) | set(mids) | {base[0] - pad, base[-1] + pad}
-    grid = {p + d for p in points for d in (-offset, 0.0, offset)}
+    grid = {p + d for p in points for d in (-_GRID_OFFSET, 0.0, _GRID_OFFSET)}
     if extra > 0:
         grid |= set(np.linspace(base[0] - pad, base[-1] + pad, extra).tolist())
     return tuple(sorted(grid))
@@ -537,24 +534,6 @@ def _audit_positions(values: Sequence[float], what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} positions must be finite")
     return arr
-
-
-def _check_mechanism(mechanism: Mechanism, env: Environment, n: int) -> None:
-    if isinstance(mechanism, MechanismSpec):
-        validate_spec(mechanism, env, n=n)
-    elif not callable(mechanism):
-        raise ValidationError("mechanism must be a MechanismSpec or a batch callable")
-
-
-def _value_index(profiles: np.ndarray,
-                 reports: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted distinct values of profiles and reports, and the index of
-    each entry among them."""
-    values, inverse = np.unique(np.concatenate((profiles.ravel(), reports)),
-                                return_inverse=True)
-    inverse = inverse.ravel()
-    split = profiles.size
-    return values, inverse[:split].reshape(profiles.shape), inverse[split:]
 
 
 def _batch_changes(mechanism: BatchMechanism, env: Environment, profiles: np.ndarray,
@@ -591,7 +570,9 @@ class _SpecForm:
                  reports: np.ndarray) -> None:
         p, n = profiles.shape
         k, h = _order_rule(spec, env, n)
-        values, index, r_index = _value_index(profiles, reports)
+        values, inverse = np.unique(np.concatenate((profiles.ravel(), reports)),
+                                    return_inverse=True)
+        index, r_index = inverse.ravel()[:p * n].reshape(p, n), inverse.ravel()[p * n:]
         size = len(values)
         # The others' j-th smallest, for j = k - 1 and k, drops one copy of the
         # agent's own value from the sorted row.
@@ -681,17 +662,29 @@ class _SpecForm:
 
 
 class _Draw:
-    """One profile set of an audit, and what the audits price on it (see the
-    module docstring): the truthful outcome, computed once, and the
-    ``(m, P, n)`` cost of every agent at every facility at load n. ``form``
-    is the spec's :class:`_SpecForm` once an audit has built one."""
+    """One profile set of an audit on ``grid`` (:func:`default_audit_grid` by
+    default), and what the audits price on it, once (see the module
+    docstring). ``form`` is the spec's :class:`_SpecForm` once built."""
 
-    def __init__(self, mechanism: Mechanism, env: Environment, grid: Sequence[float],
-                 n: int, max_profiles: int, seed: int) -> None:
-        _check_mechanism(mechanism, env, n)
+    def __init__(self, mechanism: Mechanism, env: Environment, grid: Sequence[float] | None,
+                 n: int, max_profiles: int = _AUDIT_PROFILES, seed: int = 0) -> None:
+        if isinstance(mechanism, MechanismSpec):
+            validate_spec(mechanism, env, n=n)
+        elif not callable(mechanism):
+            raise ValidationError("mechanism must be a MechanismSpec or a batch callable")
         self.mechanism, self.env, self.seed = mechanism, env, seed
-        self.profiles = _profiles_from_grid(grid, n, max_profiles, seed)
+        self.grid = default_audit_grid(env) if grid is None else grid
+        self.profiles = _profiles_from_grid(self.grid, n, max_profiles, seed)
         self.form: _SpecForm | None = None
+
+    def changes(self, reports: np.ndarray,
+                flagged: Callable[[_SpecForm], np.ndarray]) -> Iterator[tuple]:
+        """:func:`_batch_changes`' outcomes; a spec's, on the rows ``flagged``
+        picks, from its form, built before anything reads :attr:`outcome`."""
+        if isinstance(self.mechanism, MechanismSpec):
+            self.form = _SpecForm(self.mechanism, self.env, self.profiles, reports)
+            return self.form.changes(flagged(self.form))
+        return _batch_changes(self.mechanism, self.env, self.profiles, reports)
 
     @functools.cached_property
     def outcome(self) -> np.ndarray:
@@ -703,11 +696,45 @@ class _Draw:
         return self.mechanism(self.profiles)
 
     @functools.cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each agent's ``(P, n)`` truthful distance and share."""
+        return _split_costs(self.profiles, self.outcome, self.env)
+
+    @functools.cached_property
+    def truthful_cost(self) -> np.ndarray:
+        """Each agent's ``(P, n)`` truthful cost; a spec's loads are all n."""
+        if isinstance(self.mechanism, MechanismSpec):
+            return self.costs[self.outcome[:, 0] - 1, np.arange(len(self.profiles))]
+        return np.add(*self.split)
+
+    @functools.cached_property
     def costs(self) -> np.ndarray:
         """``|x - loc| + b / n``, :func:`_facility_costs`' float, facility first."""
         locs = np.asarray(self.env.locations)[:, None, None]
         share = np.asarray(self.env.building_costs) / self.profiles.shape[1]
         return np.abs(self.profiles - locs) + share[:, None, None]
+
+
+def _sp_breaks(cost: np.ndarray, lied_cost: np.ndarray, tol: float) -> np.ndarray:
+    """A report is profitable: it lowers the agent's true cost by more than ``tol``."""
+    return cost - lied_cost > tol
+
+
+def _p1_breaks(x: np.ndarray, report: np.ndarray, base_loc: np.ndarray,
+               alt_loc: np.ndarray, tol: float) -> np.ndarray:
+    """Moving the report from ``x`` moves the facility, from ``base_loc`` to
+    ``alt_loc``, strictly the other way, although the move starts more than
+    ``tol`` short of the old facility and ends more than ``tol`` past the new
+    one."""
+    return (((report > x) & (alt_loc < base_loc)
+             & ~(report <= alt_loc + tol) & ~(base_loc <= x + tol))
+            | ((report < x) & (base_loc < alt_loc)
+               & ~(x <= base_loc + tol) & ~(alt_loc <= report + tol)))
+
+
+def _p2_breaks(lhs: np.ndarray, mid: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """The share difference ``mid`` leaves ``[lhs, rhs]`` by more than ``tol``."""
+    return (lhs > mid + tol) | (mid > rhs + tol)
 
 
 def _sp_rows(form: _SpecForm, costs: np.ndarray, base_cost: np.ndarray,
@@ -718,33 +745,32 @@ def _sp_rows(form: _SpecForm, costs: np.ndarray, base_cost: np.ndarray,
                            np.zeros(len(base_cost), dtype=int))
     flagged = np.zeros(base_cost.shape, dtype=bool)
     for (top,), lied_cost in zip(reach, costs):
-        flagged |= (top > -np.inf) & (base_cost - lied_cost > tol)
+        flagged |= (top > -np.inf) & _sp_breaks(base_cost, lied_cost, tol)
     return flagged
 
 
 def _lemma_rows(form: _SpecForm, profiles: np.ndarray, truthful_share: np.ndarray,
                 env: Environment, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The ``(P, n)`` rows with a report that breaks P1, and those with one
-    that breaks P2, by the comparisons of :func:`audit_lemma_properties` on
-    each facility's extreme reports (see the module docstring)."""
+    that breaks P2, by :func:`_p1_breaks` at each facility's extreme reports
+    and :func:`_p2_breaks` at its largest difference (see the module
+    docstring), all ``(m, P, n)`` facility rows at once."""
     locs = np.asarray(env.locations, dtype=float)
     x = profiles
     to = form.truthful[:, 0] - 1
     base = locs[to][:, None]
     dist = np.abs(form.values - locs[:, None])
-    reach = form.reach_max(
-        np.stack(np.broadcast_arrays(form.values, -form.values, dist - dist[:, None])), to)
-    p1 = np.zeros(x.shape, dtype=bool)
-    p2 = np.zeros(x.shape, dtype=bool)
-    for (top, neg_bottom, lhs_max), loc, cost in zip(reach, locs, env.building_costs):
-        bottom = -neg_bottom
-        p1 |= (((top > x) & ~(top <= loc + tol) & (loc < base) & ~(base <= x + tol))
-               | ((bottom < x) & ~(loc <= bottom + tol) & (base < loc)
-                  & ~(x <= base + tol)))
-        mid = truthful_share - cost / x.shape[1]
-        rhs = np.abs(x - loc) - np.abs(x - base)
-        p2 |= (lhs_max > mid + tol) | ((top > -np.inf) & (mid > rhs + tol))
-    return p1, p2
+    reach = np.stack(list(form.reach_max(np.stack(np.broadcast_arrays(
+        form.values, -form.values, dist - dist[:, None])), to)), axis=1)
+    np.negative(reach[1], out=reach[1])  # the smallest report, +inf where none
+    top, _, lhs_max = reach
+    loc = locs[:, None, None]
+    share = (np.asarray(env.building_costs) / x.shape[1])[:, None, None]
+    reached = top > -np.inf
+    p1 = reached & _p1_breaks(x, reach[:2], base, loc, tol).any(axis=0)
+    p2 = reached & _p2_breaks(lhs_max, truthful_share - share,
+                              np.abs(x - loc) - np.abs(x - base), tol)
+    return p1.any(axis=0), p2.any(axis=0)
 
 
 @dataclass(frozen=True)
@@ -791,25 +817,18 @@ def audit_strategyproof(mechanism: Mechanism, env: Environment,
     A spec prices each (profile, agent, facility) once: a row is checked
     report by report only when some facility its reports reach is cheaper.
     """
-    if grid is None:
-        grid = default_audit_grid(env)
-    if misreports is None:
-        misreports = grid
     return _audit_sp(_Draw(mechanism, env, grid, n, max_profiles, seed), misreports, tol)
 
 
-def _audit_sp(draw: _Draw, misreports: Sequence[float], tol: float) -> AuditReport:
+def _audit_sp(draw: _Draw, misreports: Sequence[float] | None = None,
+              tol: float = EPS_CMP) -> AuditReport:
     """:func:`audit_strategyproof` on a draw; a spec leaves its form there."""
     profiles, env = draw.profiles, draw.env
-    reports = _audit_positions(misreports, "misreport")
-    if isinstance(draw.mechanism, MechanismSpec):
-        draw.form = _SpecForm(draw.mechanism, env, profiles, reports)
-        # every load is n, so the truthful cost is the draw's at that facility
-        base_cost = draw.costs[draw.outcome[:, 0] - 1, np.arange(len(profiles))]
-        changes = draw.form.changes(_sp_rows(draw.form, draw.costs, base_cost, tol))
-    else:
-        base_cost = np.add(*_split_costs(profiles, draw.outcome, env))
-        changes = _batch_changes(draw.mechanism, env, profiles, reports)
+    reports = _audit_positions(draw.grid if misreports is None else misreports,
+                               "misreport")
+    changes = draw.changes(
+        reports, lambda form: _sp_rows(form, draw.costs, draw.truthful_cost, tol))
+    base_cost = draw.truthful_cost
     locs = np.asarray(env.locations)
     b = np.asarray(env.building_costs)
 
@@ -817,7 +836,7 @@ def _audit_sp(draw: _Draw, misreports: Sequence[float], tol: float) -> AuditRepo
     for i, rows, block, fac, load in changes:
         # agent i's true cost under the altered outcome, as _split_costs prices it
         lied_cost = np.abs(profiles[rows, i, None] - locs[fac - 1]) + b[fac - 1] / load
-        mask = base_cost[rows, i, None] - lied_cost > tol
+        mask = _sp_breaks(base_cost[rows, i, None], lied_cost, tol)
         for j, r in zip(*np.nonzero(mask.T)):
             bad.append(Counterexample(
                 profile=_plain(profiles[rows[r]]), agent=i, deviation=float(block[j]),
@@ -843,13 +862,11 @@ def audit_anonymous(mechanism: Mechanism, env: Environment,
     still computed, so a spec whose ``h`` fails on the grid fails here too.
     A batch callable is checked one permutation at a time.
     """
-    if grid is None:
-        grid = default_audit_grid(env)
     return _audit_anon(_Draw(mechanism, env, grid, n, max_profiles, seed),
                        max_permutations)
 
 
-def _audit_anon(draw: _Draw, max_permutations: int) -> AuditReport:
+def _audit_anon(draw: _Draw, max_permutations: int = _AUDIT_PERMUTATIONS) -> AuditReport:
     """:func:`audit_anonymous` on a draw."""
     profiles, mechanism = draw.profiles, draw.mechanism
     n = profiles.shape[1]
@@ -893,12 +910,10 @@ def audit_unanimous(mechanism: Mechanism, env: Environment,
     are best for the tied agent, so either outcome is consistent with
     unanimity and the profile is skipped.
     """
-    if grid is None:
-        grid = default_audit_grid(env)
     return _audit_unanimous(_Draw(mechanism, env, grid, n, max_profiles, seed), tol)
 
 
-def _audit_unanimous(draw: _Draw, tol: float) -> AuditReport:
+def _audit_unanimous(draw: _Draw, tol: float = EPS_CMP) -> AuditReport:
     """:func:`audit_unanimous` on a draw, facility-major: each agent's
     favorite is the first least facility (``argmin``'s rule), and her gap
     the least cost over the other facilities minus the least cost, the two
@@ -952,24 +967,16 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
     sandwich), P3 (same facility implies same load) over report changes, and
     for n = 2 also P4 (agents on one side pool) and P5 (never cross-assign
     when the agent gap meets the facility gap)."""
-    if grid is None:
-        grid = default_audit_grid(env)
     draw = _Draw(mechanism, env, grid, n, max_profiles, seed)
     profiles = draw.profiles
-    reports = np.asarray(grid, dtype=float)
-    spec = isinstance(mechanism, MechanismSpec)
-    if spec:
-        draw.form = _SpecForm(mechanism, env, profiles, reports)
+    reports = np.asarray(draw.grid, dtype=float)
+    changes = draw.changes(reports, lambda form: np.logical_or(
+        *_lemma_rows(form, profiles, draw.split[1], env, tol)))
     truthful = draw.outcome
     truthful_load = _loads(truthful, env.m)
-    _, truthful_share = _split_costs(profiles, truthful, env)
+    truthful_share = draw.split[1]
     locs = np.asarray(env.locations, dtype=float)
     b = np.asarray(env.building_costs)
-    if spec:
-        changes = draw.form.changes(np.logical_or(
-            *_lemma_rows(draw.form, profiles, truthful_share, env, tol)))
-    else:
-        changes = _batch_changes(mechanism, env, profiles, reports)
 
     bad1: list[Counterexample] = []
     bad2: list[Counterexample] = []
@@ -977,29 +984,18 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
     for i, rows, block, alt_fac, alt_load in changes:
         base_fac = truthful[rows, i, None]
         base_load = truthful_load[rows, i, None]
-        alt_share = b[alt_fac - 1] / alt_load
         xi = profiles[rows, i, None]
         report = block[None, :]
+        base_loc, alt_loc = locs[base_fac - 1], locs[alt_fac - 1]
 
-        # P1, oriented so the report increases.
-        up = xi < report
-        low = np.where(up, xi, report)
-        high = np.where(up, report, xi)
-        first = np.where(up, base_fac, alt_fac)
-        second = np.where(up, alt_fac, base_fac)
-        moved_left = locs[second - 1] < locs[first - 1]
-        ok = ((high <= locs[second - 1] + tol)
-              | (locs[first - 1] <= low + tol))
-        for j, r in zip(*np.nonzero((moved_left & ~ok & (xi != report)).T)):
+        for j, r in zip(*np.nonzero(_p1_breaks(xi, report, base_loc, alt_loc, tol).T)):
             bad1.append(Counterexample(_plain(profiles[rows[r]]), i, float(block[j])))
 
         # P2 sandwich on the share difference.
-        mid = truthful_share[rows, i, None] - alt_share
-        lhs = (np.abs(report - locs[alt_fac - 1])
-               - np.abs(report - locs[base_fac - 1]))
-        rhs = (np.abs(xi - locs[alt_fac - 1])
-               - np.abs(xi - locs[base_fac - 1]))
-        for j, r in zip(*np.nonzero(((lhs > mid + tol) | (mid > rhs + tol)).T)):
+        mid = truthful_share[rows, i, None] - b[alt_fac - 1] / alt_load
+        lhs = np.abs(report - alt_loc) - np.abs(report - base_loc)
+        rhs = np.abs(xi - alt_loc) - np.abs(xi - base_loc)
+        for j, r in zip(*np.nonzero(_p2_breaks(lhs, mid, rhs, tol).T)):
             bad2.append(Counterexample(_plain(profiles[rows[r]]), i, float(block[j]),
                                        cost_before=float(lhs[r, j]),
                                        cost_after=float(rhs[r, j])))
@@ -1081,11 +1077,9 @@ def empirical_ratio(mechanism: Mechanism, env: Environment,
     profiles; returns the first maximizing profile. The optimum of every
     profile is the block DP's value under unit size weights, all profiles
     in one batch."""
-    if grid is None:
-        grid = default_audit_grid(env)
     draw = _Draw(mechanism, env, grid, n, max_profiles, seed)
-    profiles, outcome = draw.profiles, draw.outcome
-    mech_cost = np.add(*_split_costs(profiles, outcome, env)).sum(axis=1)
+    profiles = draw.profiles
+    mech_cost = np.add(*draw.split).sum(axis=1)
 
     opt = _block_values(np.sort(profiles, axis=1), np.asarray(env.locations, dtype=float),
                         np.asarray(env.building_costs, dtype=float), _unit_weights(n))

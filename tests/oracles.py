@@ -411,3 +411,15 @@ def oracle_unanimous(profiles, outcome, locations, building_costs, tol):
                   for r in np.nonzero(violated)[0]),
                  key=lambda c: (c.profile, -1, repr(c.deviation)))
     return AuditReport("unanimous", not bad, tuple(bad), int(unanimous.sum()))
+
+
+def oracle_p1_breaks(x, report, base_loc, alt_loc, tol):
+    """P1 with the move oriented so the report increases: the facility at
+    the low end of ``[low, high]`` must not lie strictly right of the one at
+    the high end, unless ``high`` is within ``tol`` of the second facility
+    or the first facility within ``tol`` of ``low``. Arrays broadcast."""
+    up = x < report
+    low, high = np.where(up, x, report), np.where(up, report, x)
+    first, second = np.where(up, base_loc, alt_loc), np.where(up, alt_loc, base_loc)
+    ok = (high <= second + tol) | (first <= low + tol)
+    return (second < first) & ~ok & (x != report)

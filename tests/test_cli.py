@@ -289,6 +289,25 @@ class TestMech:
         assert audits["anonymous"]["passed"] is True
         assert audits["unanimous"]["passed"] is True
 
+    def test_unanimity_deviation_uses_file_numbering(self, capsys, tmp_path):
+        # Facilities listed right-to-left. The spec's target names facilities
+        # in location order, so target 1 is the facility at 0, which the file
+        # numbers 2; profiles near 6 all favour the file's facility 1.
+        doc = {"facilities": [{"location": 6.0, "building_cost": 2.0},
+                              {"location": 0.0, "building_cost": 2.0}],
+               "agents": [5.5, 6.5]}
+        path = tmp_path / "right-to-left.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "mech", str(path), "--mech",
+                               '{"kind": "type1", "params": {"target": 1}}',
+                               "--audit", "unanimous")
+        assert code == 0
+        outputs = parse(out)["outputs"]
+        assert outputs["assignment"] == [2, 2]
+        examples = outputs["audits"]["unanimous"]["examples"]
+        assert examples and all(e["deviation"] == "1" for e in examples)
+        assert all(min(e["profile"]) > 3.0 for e in examples)
+
     def test_precondition_mismatch_exit_code(self, capsys, tmp_path):
         inst = fs.Instance(fs.Environment((0.0, 1.0), (4.0, 2.0)),
                            fs.Profile((0.0, 1.0)))  # M = 0 environment

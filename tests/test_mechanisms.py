@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import facshare as fs
 import facshare.mechanisms as mechanisms
 from facshare.mechanisms import Counterexample, MechanismSpec
-from oracles import oracle_unanimous, random_environment
+from oracles import oracle_p1_breaks, oracle_unanimous, random_environment
 
 ENV = fs.Environment((0.0, 3.0), (2.0, 4.0))          # 0 < M < delta
 ENV_M0 = fs.Environment((0.0, 1.0), (4.0, 2.0))       # M = 0
@@ -388,6 +388,21 @@ class TestAudits:
                 assert fs.audit_anonymous(spec, env, n=n, max_profiles=100).passed
                 assert fs.audit_unanimous(spec, env, n=n, max_profiles=200).passed
 
+    @pytest.mark.parametrize("spec, n", [
+        (MechanismSpec("type4", boundary_choice=1), 2),
+        (MechanismSpec("type5", boundary_choice=2), 2),
+        (MechanismSpec("krank", k=2), 3),
+    ])
+    def test_exact_ties_are_not_violations_at_zero_tolerance(self, spec, n):
+        # A misreport that keeps everyone at the same facility changes no
+        # cost and no share: at tol = 0 it must not count as profitable for
+        # sp, nor leave the P2 sandwich.
+        generic = lambda profiles: mechanisms._batch_apply(spec, ENV, profiles)
+        for mechanism in (spec, generic):
+            assert fs.audit_strategyproof(mechanism, ENV, n=n, tol=0.0).passed
+            props = fs.audit_lemma_properties(mechanism, ENV, n=n, tol=0.0)
+            assert props.p1.passed and props.p2.passed
+
     def test_type2_diagonal_must_be_monotone(self):
         # A left-ray facility-1 region keeps the mechanism strategyproof; an
         # interior island does not. The diagonal is not independently free.
@@ -524,6 +539,24 @@ class TestOrderStatisticPath:
                            for r, i in zip(*np.nonzero(rows))}
                 found = {(c.profile, c.agent) for c in report.counterexamples}
                 assert flagged == found, f"case {case}, {report.property}"
+
+    def test_p1_predicate_matches_the_oriented_form(self):
+        # Quarter-lattice values, some shifted by +/- tol: report == x, equal
+        # locations and values exactly at loc +/- tol all occur. The
+        # two-clause predicate must agree with the form that orients every
+        # move so the report increases.
+        rng = np.random.default_rng(59)
+        for tol in (0.0, 0.25, fs.EPS_CMP):
+            for _ in range(40):
+                x, report, base_loc, alt_loc = (
+                    rng.integers(-3, 4, size=(4, 200, 1)) * 0.25
+                    + rng.choice([0.0, tol, -tol], size=(4, 200, 1)))
+                report = report.T  # every (x, report) pair of the batch
+                assert (x == report).any() and (base_loc == alt_loc).any()
+                assert (report == alt_loc + tol).any() and (x == base_loc + tol).any()
+                got = mechanisms._p1_breaks(x, report, base_loc, alt_loc, tol)
+                want = oracle_p1_breaks(x, report, base_loc, alt_loc, tol)
+                assert got.any() and np.array_equal(got, want)
 
     def test_p2_uses_the_exact_maximum_over_a_facilitys_reports(self):
         # Beyond both facilities |r - loc_2| - |r - loc_1| is constant in exact
