@@ -189,7 +189,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import Assignment, Instance
+from .model import Assignment, Instance, _integer
 
 __all__ = ["BruteForceLimitError", "distance_prefix", "PartitionSolution",
            "solve_block_partition"]
@@ -575,7 +575,7 @@ def _brute_force_min(instance: Instance, size_weight: np.ndarray,
     smallest assignment attaining it, scanned in chunks of 2**16."""
     n, m = instance.n, instance.m
     total = m ** n
-    if total > limit:
+    if total > _integer(limit, "limit", 0):
         raise BruteForceLimitError(
             f"{m}**{n} = {total} assignments exceed the brute-force guard {limit}")
     x = np.asarray(instance.profile.positions, dtype=float)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -47,7 +48,6 @@ from .model import (
     Assignment,
     Environment,
     Instance,
-    InstanceParseError,
     ValidationError,
     generate_instance,
     load_instance,
@@ -303,17 +303,21 @@ def _cmd_mech(args) -> int:
 def _cmd_ratio(args) -> int:
     # The pooling term of the bound reproduces 1/(2*eps^2) exactly; the full
     # bound is its maximum with the threshold term, which can exceed the
-    # reference for large eps (it does at eps = 0.5).
+    # reference for large eps (it does at eps = 0.5). Below about 5.3e-155
+    # the reference overflows a float (eps^2 may even underflow to 0), so
+    # those eps are rejected.
     started = time.perf_counter()
     rows = []
     all_match = True
     for eps in args.epsilon:
-        if not 0.0 < eps < 1.0:
-            raise ValidationError(f"epsilon must be in (0, 1), got {eps}")
+        square = 2.0 * eps * eps
+        if not (0.0 < eps < 1.0 and square > 0.0 and math.isfinite(1.0 / square)):
+            raise ValidationError(
+                f"epsilon must be in (0, 1) with 1/(2 eps^2) a finite float, got {eps}")
         env = Environment((0.0, 1.0 / eps - eps), (eps, eps))
         params = env_params(env)
         pooling_term, threshold_term = ratio_lower_bound_terms(env)
-        reference = 1.0 / (2.0 * eps * eps)
+        reference = 1.0 / square
         matches = abs(pooling_term - reference) <= 1e-9 * max(1.0, reference)
         all_match &= matches
         rows.append({
@@ -412,8 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     except MechanismPreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ValidationError, InstanceParseError, json.JSONDecodeError,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

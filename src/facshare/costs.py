@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Assignment, Environment, Profile
+from .model import Assignment, Environment, Profile, _integer
 
 __all__ = [
     "EPS_CMP",
@@ -38,7 +38,7 @@ def harmonic_numbers(n: int) -> np.ndarray:
     Computed by direct summation; no closed-form approximation is used
     anywhere, so harmonic terms are exact up to float rounding.
     """
-    out = np.zeros(n + 1)
+    out = np.zeros(_integer(n, "n", 0) + 1)
     if n >= 1:
         out[1:] = np.cumsum(1.0 / np.arange(1, n + 1, dtype=float))
     return out

@@ -19,7 +19,7 @@ import numpy as np
 from ._blockdp import _block_assignment, _brute_force_min
 from .costs import (EPS_CMP, _deviation_costs, _potential, _social_cost,
                     harmonic_numbers)
-from .model import Assignment, Environment, Instance, Profile, ValidationError
+from .model import Assignment, Environment, Instance, Profile, ValidationError, _integer
 
 __all__ = [
     "Deviation",
@@ -141,10 +141,9 @@ def run_dynamics(instance: Instance, start: Assignment,
         raise ValidationError(f"unknown order {order!r}; expected one of {_ORDERS}")
     if order == "seeded-random" and seed is None:
         raise ValidationError("seeded-random order requires an explicit seed")
-    if seed is not None and seed < 0:
-        raise ValidationError(f"seed must be ≥ 0, got {seed}")
-    if max_steps < 0:
-        raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
+    if seed is not None:
+        seed = _integer(seed, "seed", 0)
+    max_steps = _integer(max_steps, "max_steps", 0)
     profile, env = instance.profile, instance.environment
     start.validate_for(profile, env)
     rng = np.random.default_rng(seed) if order == "seeded-random" else None

@@ -75,7 +75,8 @@ import numpy as np
 
 from ._blockdp import _block_values, _unit_weights
 from .costs import EPS_CMP, _facility_costs, _loads, _split_costs
-from .model import Assignment, Environment, Profile, ValidationError
+from .model import (Assignment, Environment, Profile, ValidationError, _integer, _reals,
+                    _require)
 
 __all__ = [
     "MechanismPreconditionError",
@@ -256,9 +257,7 @@ class MechanismSpec:
             value = getattr(self, name)
             if value is None or (name == "diag_choice" and callable(value)):
                 continue
-            # JSON booleans parse as Python bools, which are ints: reject them.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            _integer(value, name, 1)  # a facility number or k
         if self.kind == "type1":
             if self.target not in (1, 2):
                 raise ValidationError("type1 requires target in {1, 2}")
@@ -272,7 +271,7 @@ class MechanismSpec:
                 raise ValidationError(
                     f"{self.kind} requires boundary_choice in {{1, 2}}")
         else:
-            if self.k is None or self.k < 1:
+            if self.k is None:
                 raise ValidationError("krank requires k >= 1")
 
 
@@ -331,9 +330,8 @@ def _diag_facility(choice: Callable[[float], int], x: float) -> int:
     """A ``diag_choice`` callable's facility at ``x``: 1 or 2, as an integer
     that is not a bool; any other answer raises :class:`ValidationError`."""
     f = choice(x)
-    if isinstance(f, bool) or not isinstance(f, (int, np.integer)) or f not in (1, 2):
-        raise ValidationError(
-            f"diag_choice returned {f!r} at position {x!r}; expected facility 1 or 2")
+    what = f"diag_choice returned {f!r} at position {x!r}; its facility"
+    _require(_integer(f, what, 1) <= 2, f"{what} must be 1 or 2")
     return int(f)
 
 
@@ -452,15 +450,14 @@ def best_facility(x: float, env: Environment, n: int) -> int:
     """Facility minimizing ``|x - loc| + cost/n``: the favorite all-to-one
     outcome of a position when the cost is split n ways. Ties break to the
     smaller index (a fixed arbitrary rule)."""
-    if n < 1:
-        raise ValidationError("n must be ≥ 1")
-    return int(_order_rule(_BEST, env, n)[1](float(x)))
+    n = _integer(n, "n", 1)
+    return int(_order_rule(_BEST, env, n)[1](_reals((x,), "position x")[0]))
 
 
 def k_rank(profile: Profile, env: Environment, k: int) -> Assignment:
     """Assign every agent to the best facility of the k-th smallest position."""
-    if not 1 <= k <= profile.n:
-        raise ValidationError(f"k out of range: need 1 <= k <= {profile.n}, got {k}")
+    _require(_integer(k, "k", 1) <= profile.n,
+             f"k out of range: need 1 <= k <= {profile.n}, got {k}")
     theta = sorted(profile.positions)[k - 1]
     return Assignment((best_facility(theta, env, profile.n),) * profile.n)
 
@@ -504,7 +501,7 @@ def default_audit_grid(env: Environment, *, extra: int = 0) -> tuple[float, ...]
     pad = max(1.0, 0.25 * span)
     points = set(base) | set(mids) | {base[0] - pad, base[-1] + pad}
     grid = {p + d for p in points for d in (-_GRID_OFFSET, 0.0, _GRID_OFFSET)}
-    if extra > 0:
+    if _integer(extra, "extra", 0):
         grid |= set(np.linspace(base[0] - pad, base[-1] + pad, extra).tolist())
     return tuple(sorted(grid))
 
@@ -513,11 +510,9 @@ def _profiles_from_grid(grid: Sequence[float], n: int, max_profiles: int,
                         seed: int) -> np.ndarray:
     """All grid^n profiles when that fits under ``max_profiles``, otherwise a
     seeded uniform sample of ``max_profiles`` profiles from the grid."""
-    if max_profiles < 1:
-        raise ValidationError(f"max_profiles must be ≥ 1, got {max_profiles}")
-    if seed < 0:
-        raise ValidationError(f"seed must be ≥ 0, got {seed}")
-    arr = _audit_positions(grid, "audit grid")
+    max_profiles = _integer(max_profiles, "max_profiles", 1)
+    seed = _integer(seed, "seed", 0)
+    arr = np.array(_reals(grid, "audit grid positions"))
     g = len(arr)
     if g == 0:
         raise ValidationError("audit grid must be nonempty")
@@ -527,13 +522,6 @@ def _profiles_from_grid(grid: Sequence[float], n: int, max_profiles: int,
         return np.ascontiguousarray(arr[combos].T)
     rng = np.random.default_rng(seed)
     return arr[rng.integers(0, g, size=(max_profiles, n))]
-
-
-def _audit_positions(values: Sequence[float], what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} positions must be finite")
-    return arr
 
 
 def _batch_changes(mechanism: BatchMechanism, env: Environment, profiles: np.ndarray,
@@ -668,6 +656,7 @@ class _Draw:
 
     def __init__(self, mechanism: Mechanism, env: Environment, grid: Sequence[float] | None,
                  n: int, max_profiles: int = _AUDIT_PROFILES, seed: int = 0) -> None:
+        n = _integer(n, "n", 1)
         if isinstance(mechanism, MechanismSpec):
             validate_spec(mechanism, env, n=n)
         elif not callable(mechanism):
@@ -824,8 +813,8 @@ def _audit_sp(draw: _Draw, misreports: Sequence[float] | None = None,
               tol: float = EPS_CMP) -> AuditReport:
     """:func:`audit_strategyproof` on a draw; a spec leaves its form there."""
     profiles, env = draw.profiles, draw.env
-    reports = _audit_positions(draw.grid if misreports is None else misreports,
-                               "misreport")
+    reports = np.array(_reals(draw.grid if misreports is None else misreports,
+                              "misreport positions"))
     changes = draw.changes(
         reports, lambda form: _sp_rows(form, draw.costs, draw.truthful_cost, tol))
     base_cost = draw.truthful_cost
@@ -874,9 +863,7 @@ def _audit_anon(draw: _Draw, max_permutations: int = _AUDIT_PERMUTATIONS) -> Aud
         perms = [p for p in itertools.permutations(range(n))
                  if p != tuple(range(n))]
     else:
-        if max_permutations < 0:
-            raise ValidationError(
-                f"max_permutations must be ≥ 0, got {max_permutations}")
+        max_permutations = _integer(max_permutations, "max_permutations", 0)
         rng = np.random.default_rng(draw.seed)
         perms = [tuple(rng.permutation(n).tolist()) for _ in range(max_permutations)]
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,9 +48,44 @@ class InstanceParseError(ValueError):
     """An instance document is syntactically malformed."""
 
 
+# The largest cost scale an Instance may have (see Instance).
+_SCALE_LIMIT = sys.float_info.max / 4
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValidationError(message)
+
+
+def _reals(values, what: str) -> tuple[float, ...]:
+    """``values`` as floats, if each is a real: a :class:`numbers.Real` that
+    is not a bool, whose float is finite (an int too large for a float is
+    not). Anything else raises :class:`ValidationError` naming ``what``."""
+    reals = tuple(values)
+    if not {float}.issuperset(map(type, reals)):
+        for v in reals:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValidationError(f"{what} must be real numbers, got {v!r}")
+        try:
+            reals = tuple(map(float, reals))
+        except OverflowError:
+            raise ValidationError(
+                f"{what} must be finite, got an integer too large for a float") from None
+    if not all(map(math.isfinite, reals)):
+        raise ValidationError(f"{what} must be finite")
+    return reals
+
+
+def _integer(value, what: str, minimum: int) -> int:
+    """``value`` as an int, if it is a count: a :class:`numbers.Integral`
+    that is not a bool, at least ``minimum``. Anything else raises
+    :class:`ValidationError` naming ``what``."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise ValidationError(f"{what} must be an integer (only integers, got {value!r})")
+    if value < minimum:
+        raise ValidationError(f"{what} must be ≥ {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -65,18 +102,12 @@ class Environment:
     input_order: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        locs = tuple(float(v) for v in self.locations)
-        costs = tuple(float(v) for v in self.building_costs)
+        locs = _reals(self.locations, "facility locations")
+        costs = _reals(self.building_costs, "building costs")
         _require(len(locs) == len(costs),
                  "locations and building_costs must have equal length")
         _require(len(locs) >= 1, "at least one facility is required")
-        _require(all(math.isfinite(v) for v in locs),
-                 "facility locations must be finite")
-        _require(all(math.isfinite(c) for c in costs),
-                 "building costs must be finite")
-        for c in costs:
-            if c <= 0.0:
-                raise ValidationError("building cost must be > 0")
+        _require(min(costs) > 0.0, "building cost must be > 0")
         order = sorted(range(len(locs)), key=lambda i: (locs[i], costs[i], i))
         object.__setattr__(self, "locations", tuple(locs[i] for i in order))
         object.__setattr__(self, "building_costs", tuple(costs[i] for i in order))
@@ -104,10 +135,8 @@ class Profile:
     positions: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        pos = tuple(float(v) for v in self.positions)
+        pos = _reals(self.positions, "agent positions")
         _require(len(pos) >= 1, "at least one agent is required")
-        _require(all(math.isfinite(v) for v in pos),
-                 "agent positions must be finite")
         object.__setattr__(self, "positions", pos)
 
     @property
@@ -122,14 +151,8 @@ class Assignment:
     choices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        raw = tuple(self.choices)
-        _require(len(raw) >= 1, "assignment must cover at least one agent")
-        for c in raw:
-            # Bools are ints, and an integral float is still a float: reject both.
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
-                raise ValidationError(f"facility indices must be integers, got {c!r}")
-        ch = tuple(int(c) for c in raw)
-        _require(all(c >= 1 for c in ch), "facility indices are 1-based (must be >= 1)")
+        ch = tuple(_integer(c, "facility index", 1) for c in self.choices)
+        _require(len(ch) >= 1, "assignment must cover at least one agent")
         object.__setattr__(self, "choices", ch)
 
     @classmethod
@@ -153,9 +176,30 @@ class Assignment:
 
 @dataclass(frozen=True)
 class Instance:
+    """An environment and a profile whose costs fit in a float.
+
+    With ``X`` the largest coordinate magnitude and ``B`` the largest
+    building cost, every distance is at most ``2X``, and every potential,
+    social cost and distance sum is at most the cost scale ``S = n * (2X +
+    B)``, which also bounds the sum of two locations. The largest
+    intermediate the block DP and :func:`~facshare.equilibrium.is_pne` form
+    is a DP candidate, a block's price plus a table entry: at most ``2S``.
+    ``S`` must therefore stay at most a quarter of the largest float, which
+    leaves a factor of two for rounding.
+    """
+
     environment: Environment
     profile: Profile
     name: str | None = None
+
+    def __post_init__(self) -> None:
+        locs, pos = self.environment.locations, self.profile.positions
+        magnitude = max(-locs[0], locs[-1], -min(pos), max(pos))
+        scale = self.n * (2.0 * magnitude + max(self.environment.building_costs))
+        _require(scale <= _SCALE_LIMIT,
+                 f"instance {self.name!r}: cost scale n * (2 * max |coordinate| "
+                 f"+ max building cost) = {scale!r} exceeds {_SCALE_LIMIT!r}, "
+                 f"so its costs would overflow a float")
 
     @property
     def n(self) -> int:
@@ -179,12 +223,6 @@ def instance_to_dict(instance: Instance) -> dict:
     return doc
 
 
-def _as_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InstanceParseError(f"{what} must be a number")
-    return float(value)
-
-
 def instance_from_dict(doc) -> Instance:
     if not isinstance(doc, dict):
         raise InstanceParseError("instance document must be an object")
@@ -198,14 +236,12 @@ def instance_from_dict(doc) -> Instance:
     for entry in facilities:
         if not isinstance(entry, dict):
             raise InstanceParseError("each facility must be an object")
-        locations.append(_as_number(entry.get("location"), "facility location"))
-        costs.append(_as_number(entry.get("building_cost"), "facility building_cost"))
+        locations.append(entry.get("location"))
+        costs.append(entry.get("building_cost"))
     agents = doc.get("agents")
     if not isinstance(agents, list):
         raise InstanceParseError("'agents' must be an array")
-    positions = [_as_number(v, "agent position") for v in agents]
-    return Instance(Environment(tuple(locations), tuple(costs)),
-                    Profile(tuple(positions)), name=name)
+    return Instance(Environment(locations, costs), Profile(agents), name=name)
 
 
 def _reject_constant(token: str) -> float:
@@ -215,9 +251,15 @@ def _reject_constant(token: str) -> float:
 def load_instance(path) -> Instance:
     """Read and validate an instance file.
 
-    Raises :class:`InstanceParseError` for malformed documents and
-    :class:`ValidationError` for documents that parse but violate a domain
-    invariant. I/O failures propagate as ``OSError``.
+    Every location, building cost and agent position must be a real number:
+    a JSON integer or float, not a bool, string or null, whose value is a
+    finite float. Raises :class:`InstanceParseError` for text that is not
+    JSON, a document of the wrong shape and the ``NaN``/``Infinity``
+    literals, and :class:`ValidationError` for a value that is not a real
+    number (a 400-digit integer or an overflowing float literal included)
+    and for any other violated invariant, such as a cost that is not
+    positive or costs that overflow (see :class:`Instance`). I/O failures
+    propagate as ``OSError``.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -246,13 +288,10 @@ def generate_instance(n: int, m: int, seed: int,
     are an artifact convention (the model itself puts no bounds on
     coordinates).
     """
-    _require(n >= 1, "n must be ≥ 1")
-    _require(m >= 1, "m must be ≥ 1")
-    _require(seed >= 0, f"seed must be ≥ 0, got {seed}")
-    plo, phi = (float(v) for v in position_range)
-    clo, chi = (float(v) for v in cost_range)
-    _require(all(math.isfinite(v) for v in (plo, phi, clo, chi)),
-             "invalid bounds: position and cost bounds must be finite")
+    n, m = _integer(n, "n", 1), _integer(m, "m", 1)
+    seed = _integer(seed, "seed", 0)
+    plo, phi = _reals(position_range, "invalid bounds: position_range")
+    clo, chi = _reals(cost_range, "invalid bounds: cost_range")
     _require(plo <= phi and clo <= chi,
              "invalid bounds: lower bound must not exceed upper bound")
     _require(clo > 0.0, "invalid bounds: cost lower bound must be > 0")
@@ -261,8 +300,7 @@ def generate_instance(n: int, m: int, seed: int,
     locations = rng.uniform(plo, phi, size=m)
     costs = rng.uniform(clo, chi, size=m)
     return Instance(
-        Environment(tuple(float(v) for v in locations),
-                    tuple(float(v) for v in costs)),
-        Profile(tuple(float(v) for v in positions)),
+        Environment(locations.tolist(), costs.tolist()),
+        Profile(positions.tolist()),
         name=f"gen-n{n}-m{m}-s{seed}",
     )

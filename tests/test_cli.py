@@ -427,6 +427,22 @@ class TestRatio:
         assert code == 2
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("eps", ["1e-200", "1e-160"])
+    def test_epsilon_whose_reference_overflows(self, capsys, eps):
+        # 1/(2 eps^2) is not a finite float: eps^2 underflows to 0 at 1e-200,
+        # and the reference overflows at 1e-160. Nothing is printed.
+        code, out, err = run_cli(capsys, "ratio", "--epsilon", "0.5", eps)
+        assert (code, out) == (2, "")
+        assert err == (f"error: epsilon must be in (0, 1) with 1/(2 eps^2) a "
+                       f"finite float, got {float(eps)}\n")
+
+    def test_smallest_epsilon_matches(self, capsys):
+        eps = 5.273843307431501e-155  # the next float down is rejected
+        code, out, _ = run_cli(capsys, "ratio", "--epsilon", repr(eps))
+        (row,) = parse(out)["outputs"]["rows"]
+        assert code == 0 and row["matches"] is True
+        assert row["reference"] == 1 / (2 * eps * eps) < float("inf")
+
 
 def test_python_m_runs_the_cli(capsys):
     # `python -m facshare` from a checkout, with only the source tree on the path
