@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Assignment, Environment, Profile, _integer
+from .model import Assignment, Environment, Profile, _agent_index, _integer
 
 __all__ = [
     "EPS_CMP",
@@ -88,8 +88,7 @@ def agent_cost(agent: int, profile: Profile, assignment: Assignment,
     ``agent`` is a 0-based index into the profile.
     """
     assignment.validate_for(profile, env)
-    if not 0 <= agent < profile.n:
-        raise IndexError(f"agent index {agent} out of range for n={profile.n}")
+    agent = _agent_index(agent, profile.n)
     distance, share = _split_costs(profile.positions, assignment.choices, env)
     return float(distance[agent] + share[agent])
 

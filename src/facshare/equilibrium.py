@@ -19,7 +19,8 @@ import numpy as np
 from ._blockdp import _block_assignment, _brute_force_min
 from .costs import (EPS_CMP, _deviation_costs, _potential, _social_cost,
                     harmonic_numbers)
-from .model import Assignment, Environment, Instance, Profile, ValidationError, _integer
+from .model import (Assignment, Environment, Instance, Profile, ValidationError, _agent_index,
+                    _integer)
 
 __all__ = [
     "Deviation",
@@ -95,8 +96,7 @@ def best_response(agent: int, profile: Profile, assignment: Assignment,
     is returned. ``agent`` is 0-based, the result 1-based.
     """
     assignment.validate_for(profile, env)
-    if not 0 <= agent < profile.n:
-        raise IndexError(f"agent index {agent} out of range for n={profile.n}")
+    agent = _agent_index(agent, profile.n)
     costs = _deviation_costs(profile.positions, assignment.choices, env,
                              slice(agent, agent + 1))[0]
     f = assignment.choices[agent]
@@ -257,6 +257,7 @@ def check_no_cross(profile: Profile, assignment: Assignment,
 def consecutive_blocks_ok(profile: Profile, assignment: Assignment) -> bool:
     """True when every facility's users form one consecutive run after a
     stable sort of agents by position."""
+    assignment._covers(profile)
     order = np.argsort(profile.positions, kind="stable")
     seq = np.asarray(assignment.choices)[order]
     runs = seq[np.r_[True, seq[1:] != seq[:-1]]]  # each run's facility

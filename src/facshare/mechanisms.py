@@ -75,8 +75,8 @@ import numpy as np
 
 from ._blockdp import _block_values, _unit_weights
 from .costs import EPS_CMP, _facility_costs, _loads, _split_costs
-from .model import (Assignment, Environment, Profile, ValidationError, _integer, _reals,
-                    _require)
+from .model import (Assignment, Environment, Profile, ValidationError, _check_scale,
+                    _integer, _reals, _require)
 
 __all__ = [
     "MechanismPreconditionError",
@@ -395,6 +395,7 @@ def apply_mechanism(spec: MechanismSpec, profile: Profile,
     mapping back to the caller's agent order is trivial.
     """
     validate_spec(spec, env, n=profile.n)
+    _check_scale(env, profile.positions, profile.n, "profile and environment")
     row = _batch_apply(spec, env, np.array([profile.positions]))[0]
     return Assignment(tuple(row.tolist()))
 
@@ -451,13 +452,16 @@ def best_facility(x: float, env: Environment, n: int) -> int:
     outcome of a position when the cost is split n ways. Ties break to the
     smaller index (a fixed arbitrary rule)."""
     n = _integer(n, "n", 1)
-    return int(_order_rule(_BEST, env, n)[1](_reals((x,), "position x")[0]))
+    x = _reals((x,), "position x")
+    _check_scale(env, x, 1, "position x")
+    return int(_order_rule(_BEST, env, n)[1](x[0]))
 
 
 def k_rank(profile: Profile, env: Environment, k: int) -> Assignment:
     """Assign every agent to the best facility of the k-th smallest position."""
     _require(_integer(k, "k", 1) <= profile.n,
              f"k out of range: need 1 <= k <= {profile.n}, got {k}")
+    _check_scale(env, profile.positions, profile.n, "profile and environment")
     theta = sorted(profile.positions)[k - 1]
     return Assignment((best_facility(theta, env, profile.n),) * profile.n)
 
@@ -652,17 +656,24 @@ class _SpecForm:
 class _Draw:
     """One profile set of an audit on ``grid`` (:func:`default_audit_grid` by
     default), and what the audits price on it, once (see the module
-    docstring). ``form`` is the spec's :class:`_SpecForm` once built."""
+    docstring). ``form`` is the spec's :class:`_SpecForm` once built.
+
+    The grid's cost scale is checked at one agent, since the audits price
+    one agent at a time, or at ``n`` when the audit ``sums`` the agents'
+    costs."""
 
     def __init__(self, mechanism: Mechanism, env: Environment, grid: Sequence[float] | None,
-                 n: int, max_profiles: int = _AUDIT_PROFILES, seed: int = 0) -> None:
+                 n: int, max_profiles: int = _AUDIT_PROFILES, seed: int = 0, *,
+                 sums: bool = False) -> None:
         n = _integer(n, "n", 1)
         if isinstance(mechanism, MechanismSpec):
             validate_spec(mechanism, env, n=n)
         elif not callable(mechanism):
             raise ValidationError("mechanism must be a MechanismSpec or a batch callable")
         self.mechanism, self.env, self.seed = mechanism, env, seed
-        self.grid = default_audit_grid(env) if grid is None else grid
+        self.grid = (default_audit_grid(env) if grid is None
+                     else _reals(grid, "audit grid positions"))
+        _check_scale(env, self.grid, n if sums else 1, "audit grid positions")
         self.profiles = _profiles_from_grid(self.grid, n, max_profiles, seed)
         self.form: _SpecForm | None = None
 
@@ -813,8 +824,10 @@ def _audit_sp(draw: _Draw, misreports: Sequence[float] | None = None,
               tol: float = EPS_CMP) -> AuditReport:
     """:func:`audit_strategyproof` on a draw; a spec leaves its form there."""
     profiles, env = draw.profiles, draw.env
-    reports = np.array(_reals(draw.grid if misreports is None else misreports,
-                              "misreport positions"))
+    if misreports is not None:
+        misreports = _reals(misreports, "misreport positions")
+        _check_scale(env, misreports, 1, "misreport positions")
+    reports = np.array(draw.grid if misreports is None else misreports)
     changes = draw.changes(
         reports, lambda form: _sp_rows(form, draw.costs, draw.truthful_cost, tol))
     base_cost = draw.truthful_cost
@@ -1064,7 +1077,7 @@ def empirical_ratio(mechanism: Mechanism, env: Environment,
     profiles; returns the first maximizing profile. The optimum of every
     profile is the block DP's value under unit size weights, all profiles
     in one batch."""
-    draw = _Draw(mechanism, env, grid, n, max_profiles, seed)
+    draw = _Draw(mechanism, env, grid, n, max_profiles, seed, sums=True)
     profiles = draw.profiles
     mech_cost = np.add(*draw.split).sum(axis=1)
 

@@ -48,7 +48,7 @@ class InstanceParseError(ValueError):
     """An instance document is syntactically malformed."""
 
 
-# The largest cost scale an Instance may have (see Instance).
+# The largest cost scale an entry point may price (see _check_scale).
 _SCALE_LIMIT = sys.float_info.max / 4
 
 
@@ -88,6 +88,41 @@ def _integer(value, what: str, minimum: int) -> int:
     return int(value)
 
 
+def _agent_index(agent, n: int) -> int:
+    """``agent`` as a 0-based index into ``n`` agents. It must be an integer
+    by :func:`_integer`'s rule, else :class:`ValidationError`, and in
+    ``0..n-1``, else ``IndexError``, as for a sequence."""
+    agent = _integer(agent, "agent index", -math.inf)  # the range is checked below
+    if not 0 <= agent < n:
+        raise IndexError(f"agent index {agent} out of range for n={n}")
+    return agent
+
+
+def _check_scale(env: Environment, positions, n: int, what: str) -> None:
+    """Raise :class:`ValidationError` naming ``what`` unless ``n`` agents at
+    ``positions`` can be priced in ``env`` without overflowing a float.
+
+    With ``X`` the largest magnitude among the locations and ``positions``
+    and ``B`` the largest building cost, every distance is at most ``2X``,
+    and every potential, social cost and distance sum over ``n`` agents is
+    at most the cost scale ``S = n * (2X + B)``, which also bounds the sum
+    of two locations. The largest intermediate the block DP and
+    :func:`~facshare.equilibrium.is_pne` form is a DP candidate, a block's
+    price plus a table entry: at most ``2S``. ``S`` must therefore stay at
+    most a quarter of the largest float, which leaves a factor of two for
+    rounding. The scan runs on builtins over the stored tuples: it is on
+    every :func:`~facshare.equilibrium.is_pne` call.
+    """
+    locs = env.locations
+    magnitude = max(-locs[0], locs[-1], -min(positions, default=0.0),
+                    max(positions, default=0.0))
+    scale = n * (2.0 * magnitude + max(env.building_costs))
+    _require(scale <= _SCALE_LIMIT,
+             f"{what}: cost scale n * (2 * max |coordinate| + max building cost) "
+             f"= {scale!r} at n = {n} exceeds {_SCALE_LIMIT!r}, so its costs "
+             f"would overflow a float")
+
+
 @dataclass(frozen=True)
 class Environment:
     """The facility side of the game board.
@@ -112,6 +147,7 @@ class Environment:
         object.__setattr__(self, "locations", tuple(locs[i] for i in order))
         object.__setattr__(self, "building_costs", tuple(costs[i] for i in order))
         object.__setattr__(self, "input_order", tuple(order))
+        _check_scale(self, (), 1, "environment")  # no instance could use it
 
     @property
     def m(self) -> int:
@@ -168,38 +204,32 @@ class Assignment:
         return len(self.choices)
 
     def validate_for(self, profile: Profile, env: Environment) -> None:
-        _require(len(self.choices) == profile.n,
-                 "assignment length must equal the number of agents")
+        """Raise :class:`ValidationError` unless the assignment covers the
+        profile's agents with facilities of ``env``, and the profile and
+        environment could form an :class:`Instance`."""
+        self._covers(profile)
         _require(max(self.choices) <= env.m,
                  "facility index out of range for this environment")
+        _check_scale(env, profile.positions, profile.n, "profile and environment")
+
+    def _covers(self, profile: Profile) -> None:
+        _require(len(self.choices) == profile.n,
+                 "assignment length must equal the number of agents")
 
 
 @dataclass(frozen=True)
 class Instance:
-    """An environment and a profile whose costs fit in a float.
-
-    With ``X`` the largest coordinate magnitude and ``B`` the largest
-    building cost, every distance is at most ``2X``, and every potential,
-    social cost and distance sum is at most the cost scale ``S = n * (2X +
-    B)``, which also bounds the sum of two locations. The largest
-    intermediate the block DP and :func:`~facshare.equilibrium.is_pne` form
-    is a DP candidate, a block's price plus a table entry: at most ``2S``.
-    ``S`` must therefore stay at most a quarter of the largest float, which
-    leaves a factor of two for rounding.
-    """
+    """An environment and a profile whose costs fit in a float: their cost
+    scale ``n * (2X + B)`` is at most a quarter of the largest float (see
+    :func:`_check_scale`, which derives the bound)."""
 
     environment: Environment
     profile: Profile
     name: str | None = None
 
     def __post_init__(self) -> None:
-        locs, pos = self.environment.locations, self.profile.positions
-        magnitude = max(-locs[0], locs[-1], -min(pos), max(pos))
-        scale = self.n * (2.0 * magnitude + max(self.environment.building_costs))
-        _require(scale <= _SCALE_LIMIT,
-                 f"instance {self.name!r}: cost scale n * (2 * max |coordinate| "
-                 f"+ max building cost) = {scale!r} exceeds {_SCALE_LIMIT!r}, "
-                 f"so its costs would overflow a float")
+        _check_scale(self.environment, self.profile.positions, self.n,
+                     f"instance {self.name!r}")
 
     @property
     def n(self) -> int:

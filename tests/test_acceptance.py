@@ -302,19 +302,18 @@ def test_09_dynamics_convergence(suite500, capsys):
 def test_10_dp_scaling(capsys):
     import statistics
 
-    def median_solve_ms(n):
-        inst = fs.generate_instance(n, 10, seed=1234)
+    instances = [fs.generate_instance(n, 10, seed=1234) for n in (200, 400)]
+    for inst in instances:
         fs.compute_pne_dp(inst)
         fs.compute_pne_dp(inst)  # warm-up
-        times = []
-        for _ in range(20):
+    # The sizes alternate, so drift in host speed lands on both alike.
+    times = ([], [])
+    for _ in range(20):
+        for inst, sample in zip(instances, times):
             t0 = time.perf_counter()
             fs.compute_pne_dp(inst)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        return statistics.median(times)
-
-    small = median_solve_ms(200)
-    large = median_solve_ms(400)
+            sample.append((time.perf_counter() - t0) * 1000.0)
+    small, large = map(statistics.median, times)
     ratio = large / small
     ok = 2.0 <= ratio <= 6.0
     report(capsys, ok, "10 dp-scaling",

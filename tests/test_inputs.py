@@ -4,13 +4,16 @@ A real (a position, a location, a building cost, a bound) is a
 ``numbers.Real`` that is not a bool and whose float is finite. A count (a
 seed, a size, a limit, an index) is a ``numbers.Integral`` that is not a bool
 and at least its minimum. Anything else raises ``ValidationError``, and
-exits with code 2 from the command line.
+exits with code 2 from the command line. An agent index out of range raises
+``IndexError``, as for a sequence. The numbers an entry point prices must
+keep its cost scale within a quarter of the largest float.
 
 Each case below was accepted, coerced or raised some other exception before
 the rule was shared; negative counts that were already rejected are tested
 where they were.
 """
 
+import inspect
 import json
 import sys
 from decimal import Decimal
@@ -123,6 +126,11 @@ def test_counts_take_numpy_integers():
     assert fs.harmonic_numbers(np.int64(2)).tolist() == [0.0, 1.0, 1.5]
     profile = fs.Profile((0.0, 1.0))
     assert fs.k_rank(profile, ENV, np.int64(2)) == fs.k_rank(profile, ENV, 2)
+    split = fs.Assignment((1, 2))
+    assert fs.agent_cost(np.int64(1), profile, split, ENV) == \
+        fs.agent_cost(1, profile, split, ENV)
+    assert fs.best_response(np.int64(1), profile, split, ENV) == \
+        fs.best_response(1, profile, split, ENV)
 
 
 class TestCostScale:
@@ -167,3 +175,105 @@ class TestCostScale:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert "cost scale" in err
+
+    def test_just_inside_audits(self, capsys, tmp_path):
+        code = main(["mech", self.edge(tmp_path, 1 - 1e-12), "--mech",
+                     '{"kind": "krank", "params": {"k": 1}}',
+                     "--audit", "sp,anon,unanimous,props"])
+        audits = json.loads(capsys.readouterr().out)["outputs"]["audits"]
+        assert code == 0
+        assert set(audits) == {"strategyproof", "anonymous", "unanimous", "properties"}
+
+
+# A valid environment with a profile, a grid and a position x whose costs
+# overflow in it, and environments no instance could use. Each case below
+# overflowed, warned or answered wrongly before the cost-scale rule was shared.
+WIDE = fs.Environment((-1e307, 1e307), (1.0, 1.0))
+FAR = (-1.79e308, 0.0, 1.79e308)
+FAR_PROFILE = fs.Profile(FAR)
+FAR_CHOICES = fs.Assignment((1, 1, 2))
+
+SCALE_ENTRY_POINTS = {
+    # a profile and an environment that could not form an Instance
+    "agent_cost": lambda: fs.agent_cost(0, FAR_PROFILE, FAR_CHOICES, WIDE),
+    "social_cost": lambda: fs.social_cost(FAR_PROFILE, FAR_CHOICES, WIDE),
+    "potential": lambda: fs.potential(FAR_PROFILE, FAR_CHOICES, WIDE),
+    "is_pne": lambda: fs.is_pne(FAR_PROFILE, FAR_CHOICES, WIDE),
+    "best_response": lambda: fs.best_response(0, FAR_PROFILE, FAR_CHOICES, WIDE),
+    "check_no_cross": lambda: fs.check_no_cross(FAR_PROFILE, FAR_CHOICES, WIDE),
+    "apply_mechanism": lambda: fs.apply_mechanism(SPEC, FAR_PROFILE, WIDE),
+    "k_rank": lambda: fs.k_rank(FAR_PROFILE, WIDE, 1),
+    # audit positions, priced one agent at a time
+    "audit_strategyproof": lambda: fs.audit_strategyproof(SPEC, WIDE, FAR, n=2),
+    "audit_strategyproof-misreports": lambda: fs.audit_strategyproof(
+        SPEC, WIDE, misreports=FAR, n=2),
+    "audit_anonymous": lambda: fs.audit_anonymous(SPEC, WIDE, FAR, n=2),
+    "audit_unanimous": lambda: fs.audit_unanimous(SPEC, WIDE, FAR, n=2),
+    "audit_lemma_properties": lambda: fs.audit_lemma_properties(SPEC, WIDE, FAR, n=2),
+    "best_facility": lambda: fs.best_facility(FAR[-1], WIDE, 1),
+    # audit positions whose n costs are summed
+    "empirical_ratio": lambda: fs.empirical_ratio(SPEC, ENV, (-1e308, 0.0, 1e308), n=2),
+    # an environment alone
+    "env_params": lambda: fs.env_params(fs.Environment((-1e308, 1e308), (1.0, 1.0))),
+    "classify_environment": lambda: fs.classify_environment(
+        fs.Environment((-1e308, 1e308), (1.0, 1.0))),
+    "validate_spec": lambda: fs.validate_spec(
+        SPEC, fs.Environment((-1e308, 1e308), (1e308, 1e308))),
+    "resolve_x_star": lambda: fs.resolve_x_star(
+        SPEC, fs.Environment((-1e308, 1e308), (1e308, 1e308))),
+    "default_audit_grid": lambda: fs.default_audit_grid(
+        fs.Environment((-1e308, 1e308), (1.0, 1.0))),
+    "ratio_lower_bound_terms": lambda: fs.ratio_lower_bound_terms(
+        fs.Environment((0.0, 1e308), (1e308, 1e308))),
+    "ratio_lower_bound": lambda: fs.ratio_lower_bound(
+        fs.Environment((0.0, 1e308), (1e308, 1e308))),
+}
+
+
+@pytest.mark.parametrize("entry", SCALE_ENTRY_POINTS)
+def test_cost_scale_rule(entry):
+    with pytest.raises(fs.ValidationError, match="cost scale"):
+        SCALE_ENTRY_POINTS[entry]()
+
+
+# -1 and n raised this IndexError before the rule too; the other values did not.
+AGENT_ENTRY_POINTS = {
+    "agent_cost": lambda a: fs.agent_cost(a, RUNNING.profile, fs.Assignment((1, 2)), ENV),
+    "best_response": lambda a: fs.best_response(a, RUNNING.profile,
+                                                fs.Assignment((1, 2)), ENV),
+}
+
+
+@pytest.mark.parametrize("value, error", [
+    (True, fs.ValidationError), (1.5, fs.ValidationError), ("0", fs.ValidationError),
+    (-1, IndexError), (2, IndexError)], ids=["True", "1.5", "str", "-1", "n"])
+@pytest.mark.parametrize("entry", AGENT_ENTRY_POINTS)
+def test_agent_index_rule(entry, value, error):
+    with pytest.raises(error, match="agent index"):
+        AGENT_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("choices", [(1, 2, 1, 1, 1), (1, 2)], ids=["longer", "shorter"])
+def test_consecutive_blocks_ok_checks_length(choices):
+    with pytest.raises(fs.ValidationError, match="assignment length"):
+        fs.consecutive_blocks_ok(fs.Profile((0.0, 1.0, 2.0)), fs.Assignment(choices))
+
+
+# Public functions that take such a parameter without pricing it themselves.
+UNPRICED = {
+    "nearest_facility_mechanism": "returns a batch callable; the audit draw checks "
+                                  "the positions it is given",
+}
+
+
+def test_every_entry_point_is_in_a_rule_table():
+    """A public function taking an env, profile, agent, grid or x is tested
+    above, or listed in UNPRICED with a reason."""
+    guarded = {name for name, obj in vars(fs).items()
+               if not name.startswith("_") and inspect.isfunction(obj)
+               and {"env", "profile", "agent", "grid", "x"}
+               & set(inspect.signature(obj).parameters)}
+    tested = {entry.split("-")[0] for entry in SCALE_ENTRY_POINTS}
+    tested |= set(AGENT_ENTRY_POINTS) | {"consecutive_blocks_ok"}
+    assert guarded - set(UNPRICED) == tested
+    assert set(UNPRICED) <= guarded
