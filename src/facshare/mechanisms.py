@@ -9,8 +9,10 @@ an applier, with every "either facility works here" clause resolved by an
 explicit constructor choice so each spec is a function.
 
 The audits are grid-based: real-line quantification is replaced by a finite
-grid that always contains the case boundaries of the characterization (and
-small offsets around them), which is where violations surface. Audits accept
+grid (:func:`default_audit_grid`) of the facility locations and, for two
+facilities, the L/M/R thresholds of the characterization, with small offsets
+around them, which is where the two-agent families' violations surface. It
+does not hold k-rank's facility switches for n >= 3 or m >= 3. Audits accept
 either a :class:`MechanismSpec` or any callable mapping a ``(P, n)`` batch of
 position profiles to a ``(P, n)`` batch of 1-based facility indices, so
 deliberately broken mechanisms can be audited too. A callable is applied to
@@ -156,19 +158,6 @@ _NEEDS = {"type2": "M = 0", "type3": "M = delta",
           "type4": "0 < M < delta", "type5": "0 < M < delta"}
 
 
-def _two_facility_types(params: EnvParams, tol: float) -> tuple[str, ...]:
-    """The two-facility families whose precondition holds within ``tol``:
-    type2 at M = 0, type3 at M = delta, type4 and type5 at 0 < M < delta."""
-    types = ()
-    if abs(params.M) <= tol:
-        types += ("type2",)
-    if abs(params.M - params.delta) <= tol:
-        types += ("type3",)
-    if tol < params.M < params.delta - tol:
-        types += ("type4", "type5")
-    return types
-
-
 @dataclass(frozen=True)
 class EnvironmentClass:
     """Which algebraic conditions on (2*delta, b1 - b2) hold, and which
@@ -189,32 +178,36 @@ class EnvironmentClass:
 
 
 def classify_environment(env: Environment, tol: float = EPS_CMP) -> EnvironmentClass:
+    """The case split, decided once on M within ``tol``. The rows on
+    (2*delta, b1 - b2) are the same tests scaled by 4, since
+    M = (2*delta - (b1 - b2)) / 4 and delta - M = (2*delta - (b2 - b1)) / 4,
+    so ``conditions`` and ``admitted_types`` never disagree."""
     params = env_params(env)
-    b1, b2 = env.building_costs
-    two_delta = 2.0 * params.delta
-    # The equality rows are the M = 0 and M = delta boundaries scaled by 4:
-    # M = (2*delta - (b1 - b2)) / 4 and delta - M = (2*delta - (b2 - b1)) / 4.
-    eq_low = abs(two_delta - (b1 - b2)) <= 4.0 * tol
-    eq_high = abs(two_delta - (b2 - b1)) <= 4.0 * tol
-    conditions = []
-    if not eq_low and two_delta < b1 - b2:
-        conditions.append("2delta<b1-b2")
-    if eq_low:
-        conditions.append("2delta=b1-b2")
-    if (not eq_low and not eq_high
-            and b1 - b2 < two_delta and b2 - b1 < two_delta):
-        conditions.append("b1-b2<2delta<b2-b1")
-    if eq_high:
-        conditions.append("2delta=b2-b1")
-    if not eq_high and two_delta > b2 - b1:
-        conditions.append("2delta>b2-b1")
-
+    m, delta = params.M, params.delta
+    low, high = abs(m) <= tol, abs(m - delta) <= tol
+    interior = tol < m < delta - tol
+    rows = {"2delta<b1-b2": m < -tol, "2delta=b1-b2": low,
+            "b1-b2<2delta<b2-b1": interior, "2delta=b2-b1": high,
+            "2delta>b2-b1": m < delta - tol}
+    types = {"type1": True, "type2": low, "type3": high,
+             "type4": interior, "type5": interior}
     return EnvironmentClass(
         params=params,
-        conditions=tuple(conditions),
-        admitted_types=("type1", *_two_facility_types(params, tol)),
-        boundary_gaps={"M=0": abs(params.M), "M=delta": abs(params.M - params.delta)},
+        conditions=tuple(row for row, holds in rows.items() if holds),
+        admitted_types=tuple(kind for kind, holds in types.items() if holds),
+        boundary_gaps={"M=0": abs(m), "M=delta": abs(m - delta)},
     )
+
+
+def _require_admitted(kind: str, env: Environment, tol: float, what: str) -> EnvParams:
+    """Raise :class:`MechanismPreconditionError` naming ``what`` unless
+    :func:`classify_environment` admits the two-facility family ``kind``."""
+    cls = classify_environment(env, tol)
+    if kind not in cls.admitted_types:
+        raise MechanismPreconditionError(
+            f"{what} requires {_NEEDS[kind]}, got M = {cls.params.M}, "
+            f"delta = {cls.params.delta}")
+    return cls.params
 
 
 # ---------------------------------------------------------------------------
@@ -303,27 +296,21 @@ def validate_spec(spec: MechanismSpec, env: Environment, n: int | None = None,
     """Check the environment precondition of a spec (and the profile size when
     ``n`` is given); raises :class:`MechanismPreconditionError` naming the
     violated condition."""
-    if spec.kind == "type1":
-        if spec.target > env.m:
-            raise MechanismPreconditionError(
-                f"type1 target {spec.target} exceeds m={env.m}")
-        if n is not None and n != 2:
-            raise MechanismPreconditionError("type1 is defined for n = 2")
-        return
     if spec.kind == "krank":
         if n is not None and not 1 <= spec.k <= n:
             raise MechanismPreconditionError(
                 f"krank requires 1 <= k <= n (k={spec.k}, n={n})")
         return
-    if env.m != 2:
+    if spec.kind == "type1":
+        if spec.target > env.m:
+            raise MechanismPreconditionError(
+                f"type1 target {spec.target} exceeds m={env.m}")
+    elif env.m != 2:
         raise MechanismPreconditionError(f"{spec.kind} requires m = 2")
     if n is not None and n != 2:
         raise MechanismPreconditionError(f"{spec.kind} is defined for n = 2")
-    params = env_params(env)
-    if spec.kind not in _two_facility_types(params, tol):
-        raise MechanismPreconditionError(
-            f"{spec.kind} requires {_NEEDS[spec.kind]}, got M = {params.M}, "
-            f"delta = {params.delta}")
+    if spec.kind != "type1":
+        _require_admitted(spec.kind, env, tol, spec.kind)
 
 
 def _diag_facility(choice: Callable[[float], int], x: float) -> int:
@@ -411,6 +398,9 @@ def resolve_x_star(spec: MechanismSpec, env: Environment) -> float:
     matters.
     """
     validate_spec(spec, env)
+    if spec.kind == "krank":
+        raise MechanismPreconditionError(
+            "x* is not defined for krank: its diagonal outcome depends on n")
     if spec.kind == "type1":
         return math.inf if spec.target == 1 else -math.inf
     if spec.kind in ("type4", "type5"):
@@ -461,9 +451,7 @@ def k_rank(profile: Profile, env: Environment, k: int) -> Assignment:
     """Assign every agent to the best facility of the k-th smallest position."""
     _require(_integer(k, "k", 1) <= profile.n,
              f"k out of range: need 1 <= k <= {profile.n}, got {k}")
-    _check_scale(env, profile.positions, profile.n, "profile and environment")
-    theta = sorted(profile.positions)[k - 1]
-    return Assignment((best_facility(theta, env, profile.n),) * profile.n)
+    return apply_mechanism(MechanismSpec("krank", k=k), profile, env)
 
 
 def nearest_facility_mechanism(env: Environment) -> BatchMechanism:
@@ -486,13 +474,17 @@ def nearest_facility_mechanism(env: Environment) -> BatchMechanism:
 
 
 def default_audit_grid(env: Environment, *, extra: int = 0) -> tuple[float, ...]:
-    """Positions covering every case boundary of the characterization.
+    """Positions around the facilities and the two-facility thresholds.
 
     Anchors: facility locations, the L/M/R thresholds shifted to the left
     facility (two-facility environments), midpoints of consecutive anchors,
     and flanking points outside the span. Each anchor also contributes
     neighbors at +/- 1e-3. ``extra`` appends that many uniform points
     across the padded span.
+
+    M is the switch of type4, type5 and of k-rank at n = 2. The grid does
+    not hold k-rank's switch at other n, ``l1 + delta/2 + (b2 - b1)/(2n)``
+    for two facilities, nor its switches between facilities when m >= 3.
     """
     anchors = set(env.locations)
     if env.m == 2:
@@ -659,12 +651,10 @@ class _Draw:
     docstring). ``form`` is the spec's :class:`_SpecForm` once built.
 
     The grid's cost scale is checked at one agent, since the audits price
-    one agent at a time, or at ``n`` when the audit ``sums`` the agents'
-    costs."""
+    one agent at a time."""
 
     def __init__(self, mechanism: Mechanism, env: Environment, grid: Sequence[float] | None,
-                 n: int, max_profiles: int = _AUDIT_PROFILES, seed: int = 0, *,
-                 sums: bool = False) -> None:
+                 n: int, max_profiles: int = _AUDIT_PROFILES, seed: int = 0) -> None:
         n = _integer(n, "n", 1)
         if isinstance(mechanism, MechanismSpec):
             validate_spec(mechanism, env, n=n)
@@ -673,7 +663,7 @@ class _Draw:
         self.mechanism, self.env, self.seed = mechanism, env, seed
         self.grid = (default_audit_grid(env) if grid is None
                      else _reals(grid, "audit grid positions"))
-        _check_scale(env, self.grid, n if sums else 1, "audit grid positions")
+        _check_scale(env, self.grid, 1, "audit grid positions")
         self.profiles = _profiles_from_grid(self.grid, n, max_profiles, seed)
         self.form: _SpecForm | None = None
 
@@ -1046,11 +1036,7 @@ def ratio_lower_bound_terms(env: Environment) -> tuple[float, float]:
     threshold at M. In the unbounded-ratio environment family
     ``((e, e), (0, 1/e - e))`` the first term equals ``1 / (2 e^2)``.
     """
-    params = env_params(env)
-    if "type4" not in _two_facility_types(params, EPS_CMP):
-        raise MechanismPreconditionError(
-            f"ratio lower bound requires {_NEEDS['type4']}, got M = {params.M}, "
-            f"delta = {params.delta}")
+    params = _require_admitted("type4", env, EPS_CMP, "ratio lower bound")
     b1, b2 = env.building_costs
     small, big = min(b1, b2), max(b1, b2)
     return ((small + params.delta) / (b1 + b2),
@@ -1077,7 +1063,9 @@ def empirical_ratio(mechanism: Mechanism, env: Environment,
     profiles; returns the first maximizing profile. The optimum of every
     profile is the block DP's value under unit size weights, all profiles
     in one batch."""
-    draw = _Draw(mechanism, env, grid, n, max_profiles, seed, sums=True)
+    draw = _Draw(mechanism, env, grid, n, max_profiles, seed)
+    # the n agents' costs are summed, so the grid is checked at n too
+    _check_scale(env, draw.grid, n, "audit grid positions")
     profiles = draw.profiles
     mech_cost = np.add(*draw.split).sum(axis=1)
 

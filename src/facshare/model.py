@@ -324,6 +324,9 @@ def generate_instance(n: int, m: int, seed: int,
     clo, chi = _reals(cost_range, "invalid bounds: cost_range")
     _require(plo <= phi and clo <= chi,
              "invalid bounds: lower bound must not exceed upper bound")
+    for (lo, hi), what in (((plo, phi), "position_range"), ((clo, chi), "cost_range")):
+        _require(math.isfinite(hi - lo),
+                 f"invalid bounds: {what} width {hi!r} - {lo!r} is not a finite float")
     _require(clo > 0.0, "invalid bounds: cost lower bound must be > 0")
     rng = np.random.default_rng(seed)
     positions = rng.uniform(plo, phi, size=n)

@@ -15,6 +15,7 @@ where they were.
 
 import inspect
 import json
+import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -25,6 +26,7 @@ import pytest
 import facshare as fs
 from facshare.cli import main
 from facshare.mechanisms import MechanismSpec
+from facshare.model import instance_from_dict
 
 ENV = fs.Environment((0.0, 3.0), (2.0, 4.0))
 SPEC = MechanismSpec("krank", k=1)
@@ -277,3 +279,80 @@ def test_every_entry_point_is_in_a_rule_table():
     tested |= set(AGENT_ENTRY_POINTS) | {"consecutive_blocks_ok"}
     assert guarded - set(UNPRICED) == tested
     assert set(UNPRICED) <= guarded
+
+
+@pytest.mark.parametrize("flag, what", [("--pos-range", "position_range"),
+                                        ("--cost-range", "cost_range")])
+def test_range_width_must_be_a_finite_float(capsys, flag, what):
+    # numpy raised OverflowError for a range whose width overflows
+    with pytest.raises(fs.ValidationError, match=f"{what} width"):
+        fs.generate_instance(3, 2, 1, **{what: (-1e308, 1e308)})
+    code = main(["gen", "-n", "3", "-m", "2", "--seed", "1", flag, " -1e308", "1e308"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid bounds: {what} width")
+
+
+ENV_M0 = fs.Environment((0.0, 1.0), (4.0, 2.0))  # M = 0
+ENV_MD = fs.Environment((0.0, 1.0), (2.0, 4.0))  # M = delta
+FACILITY = {"facilities": [{"location": 0.0, "building_cost": 1.0}]}
+
+# Error paths and constant diagonal callables, each as documented; each
+# entry is (call, outcome), where an outcome (error, match) means it raises.
+DOCUMENTED_PATHS = {
+    "instance-not-object": (lambda: instance_from_dict([]),
+                            (fs.InstanceParseError, "document must be an object")),
+    "instance-name": (lambda: instance_from_dict({**FACILITY, "name": 1, "agents": [0.0]}),
+                      (fs.InstanceParseError, "'name' must be a string")),
+    "instance-facility": (lambda: instance_from_dict({"facilities": [1], "agents": [0.0]}),
+                          (fs.InstanceParseError, "each facility must be an object")),
+    "instance-agents": (lambda: instance_from_dict({**FACILITY, "agents": 0.0}),
+                        (fs.InstanceParseError, "'agents' must be an array")),
+    "spec-diag_choice": (lambda: MechanismSpec("type2", diag_choice=3),
+                         (fs.ValidationError, "diag_choice in")),
+    "spec_from_dict-params": (lambda: fs.spec_from_dict({"kind": "type1", "params": [1]}),
+                              (fs.ValidationError, "'params' must be an object")),
+    "audit-empty-grid": (lambda: fs.audit_strategyproof(SPEC, ENV, ()),
+                         (fs.ValidationError, "audit grid must be nonempty")),
+    "audit-mechanism": (lambda: fs.audit_strategyproof(3, ENV),
+                        (fs.ValidationError, "MechanismSpec or a batch callable")),
+    "validate_spec-target": (lambda: fs.validate_spec(
+        MechanismSpec("type1", target=2), fs.Environment((0.0,), (1.0,))),
+        (fs.MechanismPreconditionError, "type1 target 2 exceeds m=1")),
+    "validate_spec-type1-n": (lambda: fs.validate_spec(
+        MechanismSpec("type1", target=1), ENV, n=3),
+        (fs.MechanismPreconditionError, "type1 is defined for n = 2")),
+    "validate_spec-type4-m": (lambda: fs.validate_spec(
+        MechanismSpec("type4", boundary_choice=1), fs.Environment((0.0, 1.0, 2.0), (1.0,) * 3)),
+        (fs.MechanismPreconditionError, "type4 requires m = 2")),
+    # a constant callable is bracketed: type2's region ends at or left of l1,
+    # type3's at or right of l2
+    "x_star-type2-always-1": (lambda: fs.resolve_x_star(
+        MechanismSpec("type2", diag_choice=lambda x: 1), ENV_M0), 0.0),
+    "x_star-type2-always-2": (lambda: fs.resolve_x_star(
+        MechanismSpec("type2", diag_choice=lambda x: 2), ENV_M0), -math.inf),
+    "x_star-type3-always-1": (lambda: fs.resolve_x_star(
+        MechanismSpec("type3", diag_choice=lambda x: 1), ENV_MD), math.inf),
+    "x_star-type3-always-2": (lambda: fs.resolve_x_star(
+        MechanismSpec("type3", diag_choice=lambda x: 2), ENV_MD), 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", DOCUMENTED_PATHS)
+def test_documented_paths(entry):
+    call, outcome = DOCUMENTED_PATHS[entry]
+    if isinstance(outcome, tuple):
+        with pytest.raises(outcome[0], match=outcome[1]):
+            call()
+    else:
+        assert call() == outcome
+
+
+def test_dynamics_start_file_object_exits_2(capsys, tmp_path):
+    instance, start = tmp_path / "running.json", tmp_path / "start.json"
+    fs.save_instance(RUNNING, instance)
+    start.write_text('{"choices": [1, 2]}')
+    code = main(["dynamics", str(instance), "--start", f"file:{start}"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: assignment file must be a JSON array\n"

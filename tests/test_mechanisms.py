@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -78,6 +79,47 @@ class TestClassify:
         # satisfied rows are reported rather than forcing a unique one
         assert "2delta<b1-b2" in cls.conditions
         assert cls.admitted_types == ("type1",)
+
+    @staticmethod
+    def contradictions(cls):
+        """The rows of ``conditions`` that ``admitted_types`` contradicts."""
+        rows, types = set(cls.conditions), set(cls.admitted_types)
+        agrees = {
+            "2delta<b1-b2": "2delta<b1-b2" not in rows  # M < 0: no family needs it
+                            or not types & {"type2", "type3", "type4"},
+            "2delta=b1-b2": ("2delta=b1-b2" in rows) == ("type2" in types),
+            "b1-b2<2delta<b2-b1": (("b1-b2<2delta<b2-b1" in rows)
+                                   == ("type4" in types) == ("type5" in types)),
+            "2delta=b2-b1": ("2delta=b2-b1" in rows) == ("type3" in types),
+            "2delta>b2-b1": "2delta>b2-b1" not in rows or "type3" not in types,
+        }
+        return [row for row, ok in agrees.items() if not ok]
+
+    # Each sat within rounding of the tolerance band, where the scaled row
+    # tests once disagreed with the tests on M.
+    EDGE = [((7.894317243923471, 12.12725914430839), (14.365009404989477, 5.89912560021964)),
+            ((9.922823802372559, 12.362546290792768), (7.455550970439174, 2.576105997598756)),
+            ((-2.804261470147795, 3.6144592890131824), (16.6534470918599, 3.8160055775379442))]
+
+    @pytest.mark.parametrize("locations, costs", EDGE, ids=["M<0", "interior", "M=0"])
+    def test_rows_agree_with_admitted_types_at_the_band_edge(self, locations, costs):
+        assert self.contradictions(fs.classify_environment(
+            fs.Environment(locations, costs))) == []
+
+    def test_rows_agree_with_admitted_types_on_an_edge_sample(self):
+        # b1 = b2 +- 2 delta +- 4e-9 (1 +- 1e-6): M within rounding of +-tol
+        # from 0 or delta
+        rng = np.random.default_rng(1)
+        size = 5000
+        delta, b2 = rng.uniform(0.0, 10.0, size), rng.uniform(0.1, 10.0, size)
+        sign, side, nudge = rng.choice([-1.0, 1.0], (3, size))
+        b1 = b2 + sign * 2.0 * delta + side * 4e-9 * (1.0 + nudge * 1e-6)
+        left = rng.uniform(-10.0, 10.0, size)
+        envs = [fs.Environment((l, l + d), (c1, c2))
+                for l, d, c1, c2 in zip(left, delta, b1, b2) if c1 > 0]
+        bad = [(env, rows) for env in envs
+               if (rows := self.contradictions(fs.classify_environment(env)))]
+        assert len(envs) > 2500 and bad == []
 
 
 class TestSpecValidation:
@@ -218,6 +260,19 @@ class TestBestFacilityAndKRank:
         with pytest.raises(fs.ValidationError, match="k out of range"):
             fs.k_rank(fs.Profile((0.0, 1.0)), ENV, 3)
 
+    def test_k_rank_is_the_best_facility_of_the_kth_smallest(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            env = random_environment(rng, m=int(rng.integers(1, 5)))
+            n = int(rng.integers(1, 7))
+            # a lattice with signed zeros, so ties and -0.0 occur
+            positions = tuple(float(v) for v in rng.integers(-2, 12, n) / 2.0
+                              * rng.choice([-1.0, 1.0], n))
+            profile = fs.Profile(positions)
+            for k in range(1, n + 1):
+                best = fs.best_facility(sorted(positions)[k - 1], env, n)
+                assert fs.k_rank(profile, env, k).choices == (best,) * n
+
 
 class TestXStar:
     def diagonal_sup(self, spec, env, lo=-40.0, hi=40.0, steps=4001):
@@ -257,6 +312,12 @@ class TestXStar:
     def test_type4_sup_search(self):
         spec = MechanismSpec("type4", boundary_choice=1)
         assert self.diagonal_sup(spec, ENV) == pytest.approx(2.0, abs=0.05)
+
+    def test_krank_has_no_x_star(self):
+        # its diagonal outcome depends on n, which x* does not take
+        for env, k in ((ENV, 1), (fs.Environment((0.0, 4.0, 7.0), (1.0, 3.0, 2.0)), 2)):
+            with pytest.raises(fs.MechanismPreconditionError, match="krank"):
+                fs.resolve_x_star(MechanismSpec("krank", k=k), env)
 
     def test_callable_diag_bisection(self):
         mono = MechanismSpec("type2", diag_choice=lambda x: 1 if x < -2.0 else 2)
@@ -893,3 +954,49 @@ class TestAuditCounts:
         # all n! permutations are tried for n <= 5, whatever the count
         report = fs.audit_anonymous(spec, ENV, n=3, max_permutations=-1)
         assert report.passed and report.checked == 5 * 2048
+
+
+# A spec of every kind, in an environment that admits it.
+KIND_CASES = {
+    "type1": (MechanismSpec("type1", target=2), ENV),
+    "type2": (MechanismSpec("type2", diag_choice=1), ENV_M0),
+    "type3": (MechanismSpec("type3", diag_choice=2), ENV_MD),
+    "type4": (MechanismSpec("type4", boundary_choice=1), ENV),
+    "type5": (MechanismSpec("type5", boundary_choice=2), ENV),
+    "krank": (MechanismSpec("krank", k=2), ENV),
+}
+ALL_KINDS = set(KIND_CASES)
+
+# Every public function that takes a spec or a mechanism, and the kinds it
+# answers for; on any other kind it raises MechanismPreconditionError.
+KIND_ANSWERS = {
+    "validate_spec": (lambda spec, env: fs.validate_spec(spec, env, n=2), ALL_KINDS),
+    "resolve_x_star": (fs.resolve_x_star, ALL_KINDS - {"krank"}),
+    "apply_mechanism": (lambda spec, env: fs.apply_mechanism(
+        spec, fs.Profile((0.5, 2.5)), env), ALL_KINDS),
+    "audit_strategyproof": (fs.audit_strategyproof, ALL_KINDS),
+    "audit_anonymous": (fs.audit_anonymous, ALL_KINDS),
+    "audit_unanimous": (fs.audit_unanimous, ALL_KINDS),
+    "audit_lemma_properties": (fs.audit_lemma_properties, ALL_KINDS),
+    "empirical_ratio": (fs.empirical_ratio, ALL_KINDS),
+}
+
+
+def test_every_spec_entry_point_is_in_the_kind_table():
+    taking = {name for name, obj in vars(fs).items()
+              if not name.startswith("_") and inspect.isfunction(obj)
+              and {"spec", "mechanism"} & set(inspect.signature(obj).parameters)}
+    assert taking == set(KIND_ANSWERS)
+    assert ALL_KINDS == set(mechanisms._KINDS)
+
+
+@pytest.mark.parametrize("kind", mechanisms._KINDS)
+@pytest.mark.parametrize("entry", KIND_ANSWERS)
+def test_each_kind_is_answered_or_refused(entry, kind):
+    call, answers = KIND_ANSWERS[entry]
+    spec, env = KIND_CASES[kind]
+    if kind in answers:
+        call(spec, env)
+    else:
+        with pytest.raises(fs.MechanismPreconditionError, match=kind):
+            call(spec, env)
