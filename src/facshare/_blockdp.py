@@ -38,15 +38,15 @@ the float the scan itself gives. The later layers follow from ``w`` and
   depend on ``i``, so the argmin of row ``t`` is the first argmin of
   ``G_{f-1}[i] - D_f[i]`` over ``i < t``, a running prefix minimum (the
   classic line facility-location DP of Hassin and Tamir, 1991). The chosen
-  argmin is priced with the expression above. O(n) per layer.
+  argmin is priced with the expression above. O(n) per layer, O(k) on a
+  window of ``k`` agents.
   ``_block_values`` runs these layers on a batch of profiles at once, for
   the values only.
 * Otherwise (the harmonic weights) a layer prices only its live rows, those
-  that pass the row bound below and, for the equilibrium, lie in its window
-  (the equilibrium windows below). If ``n * n`` is at most ``_DENSE_CELLS``,
-  one broadcast prices each live row against ``i in 0..n-1``, the cells
-  with ``i >= t`` held at +inf, and takes its minimum. O(n^2) per layer,
-  with a fixed memory bound.
+  that pass the row bound below. If ``n * n`` is at most ``_DENSE_CELLS``
+  (one choice per solve), one broadcast prices each live row against every
+  column of the layer, the cells with ``i >= t`` held at +inf, and takes its
+  minimum. O(n^2) per layer, with a fixed memory bound.
 * Otherwise ``w`` must be concave on ``s >= 1``, as the harmonic weights
   are: ``w[s+1] - w[s]`` does not increase. For ``i1 < i2`` and ``t1 < t2``
   with every ``i < t``, ``cand(t1, i2) + cand(t2, i1) <= cand(t1, i1) +
@@ -55,9 +55,9 @@ the float the scan itself gives. The later layers follow from ``w`` and
   the rows. A CDQ split halves the index range ``[0, n]`` recursively: each
   interval ``[lo, hi)`` with midpoint ``mid`` gives the rectangle of rows
   ``mid..hi-1`` and columns ``lo..mid-1``, and every pair ``i < t`` lies in
-  exactly one rectangle. A prefix count of the live rows gives each
-  rectangle's live rows, and the rectangle bound below drops those that
-  cannot hold the row's minimum. A task is a run of remaining rows with a
+  exactly one rectangle. Two ``searchsorted`` calls on the live rows give
+  each rectangle's live rows, and the rectangle bound below drops those
+  that cannot hold the row's minimum. A task is a run of remaining rows with a
   column range; each rectangle starts as one. All tasks of all rectangles
   run together, one level per pass, each pass one ragged
   ``np.minimum.reduceat``. A pass whose tasks hold at most
@@ -107,19 +107,28 @@ margin; the margin's absolute term covers subnormal sums. A row with
 ``G_{f-1}[t] = +inf`` is always live. Each layer computes the keys and
 their running minimum once, for the row bound, ``U`` and the rectangle
 floors (the least key over each rectangle's columns). The floors come from
-one ``np.minimum.reduceat``: the rectangles are stored by decreasing
-``lo``, so the cuts ``lo, mid`` of consecutive rectangles ascend only
-within a rectangle's columns.
+one ``np.minimum.reduceat``: the rectangles are stored by midpoint, which
+runs over ``1..n``, and the next rectangle's ``lo`` is below its midpoint
+``mid + 1``, so the cuts ``lo, mid`` of consecutive rectangles ascend only
+within a rectangle's columns. The bound holds over any set of columns
+below ``t``, so a layer that prices only some columns (the windows below)
+applies it over those.
 
-Equilibrium windows (the harmonic weights only). An agent at ``x`` who uses
-facility ``f`` in a pure Nash equilibrium pays at least ``|x - l_f| + b_f /
-n``, and leaving for any ``g != f`` would cost her at most ``|x - l_g| +
-b_g``. A deviation changes the potential by exactly the deviator's cost
-change, so in an assignment whose potential is within ``e`` of the least
-every agent passes, for every ``g``::
+Windows. Take an assignment whose objective ``sum_f b_f * w[load_f]`` plus
+distances is within ``e`` of the least, and move one agent at ``x`` from
+``f`` (load ``a``) to ``g`` (load ``c``). The objective changes by ``|x -
+l_g| - |x - l_f| + b_g * (w[c + 1] - w[c]) - b_f * (w[a] - w[a - 1])``,
+which is at least ``-e``. With ``W+`` the largest and ``W-`` the smallest
+marginal weight ``w[s + 1] - w[s]`` over ``0 <= s < n``, every agent of
+such an assignment passes, for every ``g``::
 
-    |x - l_f| - |x - l_g| <= c_fg = b_g - b_f / n + e
+    |x - l_f| - |x - l_g| <= c_fg = b_g * W+ - b_f * W- + e
 
+The harmonic weights have ``W+ = 1`` and ``W- = 1/n``: an agent of a pure
+Nash equilibrium pays at least ``|x - l_f| + b_f / n`` and would pay at
+most ``|x - l_g| + b_g`` after leaving. The unit weights (the social cost)
+have ``W+ = 1`` and ``W- = 0`` for ``n >= 2``. The float ``W+`` and ``W-``
+are the extremes of the float marginals, which the margin below absorbs.
 The left side is monotone in ``x``: it falls from ``l_f - l_g`` to ``l_g -
 l_f`` as ``x`` crosses ``[l_g, l_f]`` when ``l_g < l_f``, and rises when
 ``l_g > l_f``. So each test holds on a ray ``x >= (l_f + l_g - c_fg) / 2``
@@ -127,19 +136,27 @@ l_f`` as ``x`` crosses ``[l_g, l_f]`` when ``l_g < l_f``, and rises when
 beyond ``l_g``, and on none when it lies beyond ``l_f``; with ``l_g = l_f``
 it holds for all ``x`` or for none. Facility ``f``'s window is the
 intersection over ``g``, one interval, and two ``searchsorted`` calls on the
-sorted agents turn it into a range of agents ``first_f .. stop_f - 1``. A
-block ``[i, t)`` at ``f`` lies inside it only if ``first_f + 1 <= t <=
-stop_f``: the window's rows. ``_equilibrium_windows`` computes them in
-O(m^2); ``compute_pne_dp`` passes them, and a concave layer 2..m intersects
-its live rows with them. The optimum and ``_block_values`` take none: the
-test is a property of the potential, not of other weights. Layer 1 stays
-whole, as it is closed form and a finite ``G_1`` only helps later row bounds.
+sorted agents turn it into a range of agents ``first_f .. stop_f - 1``.
+``_windows`` computes them in O(m^2) for any weights whose marginals lie in
+``[0, 1]``, and ``_block_assignment`` passes them for both objectives. A
+block ``[i, t)`` at ``f`` lies inside the window only if ``first_f <= i <
+t <= stop_f``, so layer ``f`` in 2..m works on ``G_{f-1}[cut:end]`` and
+``D_f[cut:end]`` with ``cut = first_f`` and ``end = stop_f + 1``: the same
+layer problem on ``end - cut`` indices (a block's size and its candidate
+are unchanged by the shift), written back shifted by ``cut``. The dense
+scan prices columns ``cut..t-1``; the monotone path takes the rectangles
+with ``mid`` in ``cut + 1..end - 1``, which hold every pair of the slice,
+clipped to it. Rows outside the window keep +inf and argmin 0. Layer 1
+stays whole, as it is closed form and a finite ``G_1`` only helps later
+row bounds. ``_block_values`` takes no windows: they would differ per
+profile.
 
 Why the windowed table gives the same result. Let ``P`` be the path the
-unwindowed traceback follows and suppose its every block ends at a
-window's row. Windowing stores +inf in some rows and float operations are
-monotone, so every windowed ``R'`` and ``G'`` is at least the unwindowed
-one. Along ``P``, from the left, each state's inputs are unchanged, so its
+unwindowed traceback follows and suppose its every block lies inside its
+facility's window. Windowing stores +inf in some rows, drops columns, and
+float operations are monotone, so with concave layers every windowed
+``R'`` and ``G'`` is at least the unwindowed one. Along ``P``, from the left, each
+state's inputs are unchanged and its block's start column is kept, so its
 chosen candidate is priced to the same float, the windowed table holds the
 same value there, and the stored argmin is the same: a smaller column
 tying in ``R'`` would tie in ``R``. At a traceback state every other
@@ -148,28 +165,35 @@ argmin is at least the old argmin. The old choice, the least value, then
 the smallest argmin, then the smallest ``f``, therefore still wins: the
 traceback picks the same blocks and ``G'_m[n] = G_m[n]``. Ties need nothing
 more: whichever tied candidate the tie rule picks lies on ``P``, and ``P``
-is a float minimizer of the potential, so it lies inside the windows (the
+is a float minimizer of the objective, so it lies inside the windows (the
 margin below). The row bound then acts on the windowed table as on any
-other.
+other. A flat layer's ``R'`` is not a priced minimum but the candidate at
+the first argmin of ``G' - D``, and that key is at least the old one only
+in exact arithmetic: the candidate at a later argmin may round below the
+old one. So for the social cost the argument holds in exact arithmetic
+only, and the tests compare windowed and unwindowed solves bit for bit.
 
 The margin. ``P`` minimizes the float DP, which differs from the exact
-potential of any block partition by at most ``E``: a first-order sum over
+objective of any block partition by at most ``E``: a first-order sum over
 the roundings of each distance, of the sequential prefix sums ``D_f`` (a
 block's ``D_f[t] - D_f[i]`` errs by at most ``(t - i) * u * D_f[n]``), of
 the harmonic sums and of each candidate's three operations, ``E <= u * (n *
-max_f D_f[n] + (n + m + 5) * potential)``. Some exact minimizer is a block
-partition, so ``P``'s exact potential is within ``2E`` of the least, and
-``e = 2E`` above makes every agent of ``P`` pass. With ``S = n * (reach +
-min_f b_f)``, ``reach`` the largest distance between an end agent and a
-facility, both ``max_f D_f[n]`` and the least potential (all agents at the
-cheapest facility) are at most ``S``, so ``2E <= 2u * (2n + m + 5) * S``,
-below ``1e-9 * S`` for ``n`` up to about ``2 * 10**6``. The window test
-adds the margin ``1e-9 * ((1 + S) + (|l_f| + b_f) + (|l_g| + b_g))`` to
-``c_fg``, in the style of the row bound's margin; its pair term covers the
-few roundings of the ray's end point, which err by ``u`` times the operands'
-magnitudes. Every rounded end point then lies on the far side of the exact
-one, so the float windows contain the exact ones, and every float
-near-minimizer, ``P`` included, lies inside them.
+max_f D_f[n] + (n + m + 5) * objective)``; the unit weights are exact. Some
+exact minimizer is a block partition, so ``P``'s exact objective is within
+``2E`` of the least, and ``e = 2E`` above makes every agent of ``P`` pass.
+With ``S = n * (reach + min_f b_f)``, ``reach`` the largest distance
+between an end agent and a facility, both ``max_f D_f[n]`` and the least
+objective (all agents at the cheapest facility, ``w[n] <= n``) are at most
+``S``, for the potential and for the social cost alike, so ``2E <= 2u *
+(2n + m + 5) * S``, below ``1e-9 * S`` for ``n`` up to about ``2 * 10**6``.
+The window test adds the margin ``1e-9 * ((1 + S) + (|l_f| + b_f) + (|l_g|
++ b_g))`` to ``c_fg``, in the style of the row bound's margin; its pair
+term covers the few roundings of the ray's end point, which err by ``u``
+times the operands' magnitudes (``W+ <= 1``), and the float ``W-`` and
+``W+``, which differ from the exact ones by about ``u * w[n]``. Every
+rounded end point then lies on the far side of the exact one, so the float
+windows contain the exact ones, and every float near-minimizer, ``P``
+included, lies inside them.
 
 Traceback at ``(t, cap)``: the least ``R_f[t]`` over ``f <= cap``, then the
 smallest stored argmin among the layers attaining it, then the smallest such
@@ -228,16 +252,15 @@ class PartitionSolution:
 
 def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
                           building_costs: np.ndarray, size_weight: np.ndarray,
-                          rows: np.ndarray | None = None) -> PartitionSolution:
+                          windows: np.ndarray | None = None) -> PartitionSolution:
     """Cheapest consecutive-block partition of ``sorted_x`` (ascending) over
     the location-sorted facilities, priced by ``size_weight`` (``w[0] = 0``,
     at least ``n + 1`` entries, nonnegative, flat or concave on ``s >= 1``).
 
-    ``rows``, an ``(m, 2)`` array, promises that the block the traceback
-    picks at facility ``f`` ends at a row ``t`` with ``rows[f - 1, 0] <= t <
-    rows[f - 1, 1]``, as :func:`_equilibrium_windows` does for the harmonic
-    weights. The concave layers 2..m then price no other row; the result is
-    the same."""
+    ``windows``, an ``(m, 2)`` array, promises that the block the traceback
+    picks at facility ``f`` lies inside agents ``windows[f - 1, 0] ..
+    windows[f - 1, 1] - 1``, as :func:`_windows` does. Layers 2..m then
+    price no other block; the result is the same."""
     n = len(sorted_x)
     m = len(locations)
     dist = distance_prefix(sorted_x, locations)
@@ -257,17 +280,25 @@ def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
     table = rowmin[0].copy()
     table[0] = 0.0
     for f in range(1, m):
+        # Layer f works on the blocks inside agents cut..end - 2: columns
+        # cut..end - 2 and rows cut + 1..end - 1, indexed from cut.
+        cut, end = (0, n + 1) if windows is None else (windows[f, 0], windows[f, 1] + 1)
+        if end - cut < 2:  # no block fits: the layer keeps +inf and 0
+            continue
+        held, dist_f, b = table[cut:end], dist[f, cut:end], building_costs[f]
         if flat:
-            rowmin[f, 1:], argmin[f, 1:] = layer(table, dist[f], building_costs[f])
+            rows = slice(cut + 1, end)
+            low, arg = layer(held, dist_f, b)
         else:
-            keys = _keys(table, dist[f])
-            live = _live_rows(table, dist[f], building_costs[f] * lightest, keys[1])
-            if rows is not None:
-                live = live[live.searchsorted(rows[f, 0]):live.searchsorted(rows[f, 1])]
-            if len(live):  # a layer without live rows keeps +inf and 0
-                rowmin[f, 1:], argmin[f, 1:] = layer(table, dist[f], building_costs[f],
-                                                     live, keys)
-        np.minimum(table, rowmin[f], out=table)
+            keys = _keys(held, dist_f)
+            live = _live_rows(held, dist_f, b * lightest, keys[1])
+            if not len(live):
+                continue
+            rows = live + cut
+            low, arg = layer(held, dist_f, b, live, keys, cut)
+        rowmin[f, rows] = low
+        argmin[f, rows] = arg + cut
+        table[rows] = np.minimum(table[rows], low)
     value = float(table[n])
 
     blocks: list[tuple[int, int, int]] = []
@@ -315,14 +346,15 @@ def _may_reach(bound: np.ndarray, held: np.ndarray, dist: np.ndarray) -> np.ndar
     return bound <= held + 1e-9 * ((1.0 + held) + dist)
 
 
-def _equilibrium_windows(sorted_x: np.ndarray, locations: np.ndarray,
-                         building_costs: np.ndarray) -> np.ndarray:
-    """The ``rows`` of :func:`solve_block_partition` for the harmonic weights:
-    ``rows[f - 1]`` holds the rows ``t`` of the blocks ``[i, t)`` that lie
-    inside facility ``f``'s window, the agents that may use ``f`` in a
-    near-minimizer of the potential (see the module docstring). O(m^2)."""
+def _windows(sorted_x: np.ndarray, locations: np.ndarray, building_costs: np.ndarray,
+             size_weight: np.ndarray) -> np.ndarray:
+    """The ``windows`` of :func:`solve_block_partition` for weights whose
+    marginals lie in ``[0, 1]``: ``windows[f - 1]`` holds the first agent and
+    one past the last agent who may use facility ``f`` in a near-minimizer of
+    the objective (see the module docstring). O(m^2)."""
     n = len(sorted_x)
     loc, b = locations, building_costs
+    step = np.diff(np.asarray(size_weight, dtype=float)[:n + 1])
     reach = np.maximum(abs(sorted_x[0] - loc), abs(sorted_x[-1] - loc)).max()
     size = abs(loc) + b
     margin = 1e-9 * ((1.0 + n * (reach + b.min())) + np.add.outer(size, size))
@@ -330,7 +362,7 @@ def _equilibrium_windows(sorted_x: np.ndarray, locations: np.ndarray,
     # l_g| <= c. For l_g <= l_f that is x >= half, for l_g > l_f x <= half,
     # unless half lies beyond l_g (every x) or beyond l_f (none). The
     # diagonal, with c > 0, holds every x.
-    c = (b - (b / n)[:, None]) + margin
+    c = (b * step.max() - (b * step.min())[:, None]) + margin
     lf, lg = loc[:, None], loc[None, :]
     left = lg <= lf
     half = np.where(left, (lf + lg) - c, (lf + lg) + c) / 2
@@ -338,17 +370,19 @@ def _equilibrium_windows(sorted_x: np.ndarray, locations: np.ndarray,
     hi = np.where(~left & (half < lg), np.where(half < lf, -math.inf, half), math.inf)
     first = sorted_x.searchsorted(lo.max(axis=1), "left")
     stop = sorted_x.searchsorted(hi.min(axis=1), "right")
-    return np.stack((first + 1, stop + 1), axis=1)
+    return np.stack((first, stop), axis=1)
 
 
 def _prefix_minima(table: np.ndarray, dist: np.ndarray, b: float,
                    weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's candidate at the first argmin of ``table - dist`` over its
-    columns, tracked as a running prefix minimum: the row minimum for flat
-    weights, and at least the row minimum for any weights. Leading axes of
-    ``table`` and ``dist`` are batch axes."""
+    """The row minima and smallest argmins of a layer with flat ``weight``:
+    each row's candidate at the first argmin of ``table - dist`` over its
+    columns, tracked as a running prefix minimum. Leading axes of ``table``
+    and ``dist`` are batch axes."""
     n = table.shape[-1] - 1
     arg = _running_argmin(*_keys(table[..., :n], dist[..., :n]))
+    if table.ndim == 1:  # every w[t - arg] is w[1]
+        return (b * weight[1] + (dist[1:] - dist[arg])) + table[arg], arg
     return ((b * weight[np.arange(1, n + 1) - arg]
              + (dist[..., 1:] - np.take_along_axis(dist, arg, -1)))
             + np.take_along_axis(table, arg, -1)), arg
@@ -370,16 +404,6 @@ def _block_values(sorted_profiles: np.ndarray, locations: np.ndarray,
     return table[:, n]
 
 
-def _spread(n: int, rows: np.ndarray, low: np.ndarray,
-            arg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minima and argmins of ``rows`` placed among rows ``1..n``; the other
-    rows get +inf and 0."""
-    out, at = np.full(n, math.inf), np.zeros(n, dtype=np.intp)
-    out[rows - 1] = low
-    at[rows - 1] = arg
-    return out, at
-
-
 class _DenseMinima:
     """Row minima over the candidate square, the cells ``i >= t`` at +inf."""
 
@@ -390,16 +414,16 @@ class _DenseMinima:
         sizes = np.concatenate((weight[:0:-1], np.full(n - 1, math.inf)))
         self.block_weight = np.lib.stride_tricks.sliding_window_view(sizes, n)
 
-    def __call__(self, table, dist, b, rows, keys):
+    def __call__(self, table, dist, b, rows, keys, cut):
         """Minima and smallest argmins of ``rows`` (ascending, within
-        ``1..n``), ``+inf`` and 0 on every other row. The scan needs no
-        ``keys``."""
-        n = len(table) - 1
-        cand = self.block_weight[n - rows] * b
-        cand += np.subtract.outer(dist[rows], dist[:n])
-        cand += table[:n]
+        ``1..len(table) - 1``) over the columns below them. The scan needs
+        neither ``keys`` nor ``cut``."""
+        n, width = len(self.block_weight), len(table) - 1
+        cand = self.block_weight[n - rows, :width] * b
+        cand += np.subtract.outer(dist[rows], dist[:width])
+        cand += table[:width]
         arg = cand.argmin(axis=1)
-        return _spread(n, rows, cand[np.arange(len(rows)), arg], arg)
+        return cand[np.arange(len(rows)), arg], arg
 
 
 class _MonotoneMinima:
@@ -412,42 +436,49 @@ class _MonotoneMinima:
         # least[s]: the least weight of a block of at least s agents.
         self.least = np.minimum.accumulate(weight[::-1])[::-1]
         # One rectangle per CDQ interval: rows mid..hi-1, columns lo..mid-1,
-        # and its depth.
+        # and its depth. The n midpoints are 1..n.
         lo, hi = np.array([0]), np.array([n + 1])
         rects = []
         while len(lo):
             keep = hi - lo >= 2
             lo, hi = lo[keep], hi[keep]
             mid = (lo + hi) >> 1
-            rects.append(np.stack([mid, hi, lo, mid - 1, np.full_like(lo, len(rects))]))
+            rects.append(np.stack([mid, hi, lo, np.full_like(lo, len(rects))]))
             lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         self.depths = len(rects)
-        # By decreasing lo, so that one reduceat over the cuts lo, mid, lo',
-        # mid', ... gives every floor at the even slots; an odd slot reads
-        # one key, as mid > lo >= lo'.
+        # By midpoint, so that column mid - 1 holds the rectangle of mid.
         rects = np.concatenate(rects, axis=1)
-        self.rects = rects[:, np.lexsort((rects[0], -rects[2]))]
-        self.cuts = self.rects[[2, 0]].T.ravel()
+        self.rects = rects[:, rects[0].argsort()]
 
-    def _floors(self, key: np.ndarray) -> np.ndarray:
-        """The least ``key[i]`` over each rectangle's columns."""
-        return np.minimum.reduceat(key, self.cuts)[::2]
+    def _rectangles(self, cut: int, end: int) -> tuple[np.ndarray, ...]:
+        """The rectangles that hold the pairs ``cut <= i < t < end``, those
+        with ``mid`` in ``cut + 1..end - 1``, clipped to the pairs and
+        indexed from ``cut``: rows ``mid, hi``, columns ``lo`` and depth."""
+        mid, hi, lo, depth = self.rects[:, cut:end - 1]
+        return mid - cut, np.minimum(hi, end) - cut, np.maximum(lo, cut) - cut, depth
 
-    def _pairs(self, table, dist, b, given, keys):
+    @staticmethod
+    def _floors(key: np.ndarray, rects: tuple[np.ndarray, ...]) -> np.ndarray:
+        """The least ``key[i]`` over each rectangle's columns: one reduceat
+        over the cuts lo, mid, lo', mid', ... of rectangles by midpoint
+        gives them at the even slots; an odd slot reads one key, as lo' <
+        mid' = mid + 1."""
+        mid, _, lo, _ = rects
+        cuts = np.empty(2 * len(mid), dtype=np.intp)
+        cuts[::2], cuts[1::2] = lo, mid
+        return np.minimum.reduceat(key, cuts)[::2]
+
+    def _pairs(self, table, dist, b, given, keys, rects):
         """Every (rectangle, row) pair of the rows ``given``, as an index into
         ``given``, grouped by rectangle: ``count`` pairs from ``start`` each.
         ``keep`` marks the pairs whose row bound over the rectangle's columns
         may reach the row's upper bound U, a candidate at or above its
         minimum; no other pair can hold the row's minimum."""
         key, run = keys
-        # below[k]: how many given rows lie below row k, so a rectangle's
-        # rows mid..hi-1 are given[below[mid]:below[hi]].
-        below = np.zeros(len(table) + 1, dtype=np.intp)
-        below[given + 1] = 1
-        np.cumsum(below, out=below)
-        mid, hi = self.rects[:2]
-        head = below[mid]
-        count = below[hi] - head
+        # A rectangle's rows mid..hi-1 are given[head:head + count].
+        mid, hi = rects[:2]
+        head = given.searchsorted(mid)
+        count = given.searchsorted(hi) - head
         start = count.cumsum() - count
         pair = np.arange(start[-1] + count[-1]) + (head - start).repeat(count)
         at = _running_argmin(key, run)[given - 1]
@@ -457,22 +488,24 @@ class _MonotoneMinima:
         reach = dist[t]
         # Row t closes a block of at least t - mid + 1 agents in this rectangle.
         bound = ((b * self.least[t - mid.repeat(count) + 1] + reach)
-                 + self._floors(key).repeat(count))
+                 + self._floors(key, rects).repeat(count))
         return pair, start, count, _may_reach(bound, upper, reach)
 
-    def __call__(self, table, dist, b, rows, keys):
+    def __call__(self, table, dist, b, rows, keys, cut):
         """Minima and smallest argmins of ``rows`` (ascending, within
-        ``1..n``), ``+inf`` and 0 on every other row. ``keys`` is
-        ``table - dist`` and its running minimum."""
+        ``1..len(table) - 1``) over the columns below them. ``keys`` is
+        ``table - dist`` and its running minimum; ``table[0]`` is index
+        ``cut`` of the rectangles' range ``[0, n]``."""
         size = len(rows)
-        pair, start, count, keep = self._pairs(table, dist, b, rows, keys)
+        rects = self._rectangles(cut, cut + len(table))
+        pair, start, count, keep = self._pairs(table, dist, b, rows, keys, rects)
         kept = np.zeros(len(pair) + 1, dtype=np.intp)
         np.cumsum(keep, out=kept[1:])
         pair = pair[keep]
         # A task: kept pairs ra..rb and columns clo..chi, all inclusive, and
         # the base of its depth's slots in the result buffers.
-        _, _, clo, chi, depth = self.rects
-        tasks = np.stack([kept[start], kept[start + count] - 1, clo, chi, depth * size])
+        mid, _, lo, depth = rects
+        tasks = np.stack([kept[start], kept[start + count] - 1, lo, mid - 1, depth * size])
         tasks = tasks.compress(tasks[0] <= tasks[1], axis=1)
         bw = b * self.weight
         best = np.full((self.depths, size), math.inf)
@@ -532,8 +565,7 @@ class _MonotoneMinima:
         # A row's minimum over its rectangles, from the shallowest on ties:
         # shallower rectangles hold smaller columns.
         low = best.min(axis=0)
-        arg = where[(best == low).argmax(axis=0), np.arange(size)]
-        return _spread(len(table) - 1, rows, low, arg)
+        return low, where[(best == low).argmax(axis=0), np.arange(size)]
 
 
 def _price(t, lo, width, table, dist, bw):
@@ -550,19 +582,18 @@ def _price(t, lo, width, table, dist, bw):
     return low, cols[hits[hits.searchsorted(starts)]]
 
 
-def _block_assignment(instance: Instance, size_weight: np.ndarray, *,
-                      windows: bool = False) -> Assignment:
-    """Solve the block DP on stably sorted agents and map the blocks back to
-    the caller's agent order. ``windows`` restricts the layers to
-    :func:`_equilibrium_windows`, valid only for the harmonic weights."""
+def _block_assignment(instance: Instance, size_weight: np.ndarray) -> Assignment:
+    """Solve the block DP on stably sorted agents, each layer on its
+    :func:`_windows`, and map the blocks back to the caller's agent order.
+    ``size_weight``'s marginals must lie in ``[0, 1]``."""
     positions = np.asarray(instance.profile.positions, dtype=float)
     env = instance.environment
     order = np.argsort(positions, kind="stable")
     sorted_x = positions[order]
     locations = np.asarray(env.locations, dtype=float)
     costs = np.asarray(env.building_costs, dtype=float)
-    rows = _equilibrium_windows(sorted_x, locations, costs) if windows else None
-    solution = solve_block_partition(sorted_x, locations, costs, size_weight, rows)
+    windows = _windows(sorted_x, locations, costs, size_weight)
+    solution = solve_block_partition(sorted_x, locations, costs, size_weight, windows)
     choices = np.empty(len(positions), dtype=int)
     for lo, hi, fac in solution.blocks:
         choices[order[lo:hi]] = fac

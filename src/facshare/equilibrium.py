@@ -187,21 +187,22 @@ def run_dynamics(instance: Instance, start: Assignment,
 
 def compute_pne_dp(instance: Instance) -> Assignment:
     """Compute a potential-minimizing assignment, which is always a pure Nash
-    equilibrium, in O(m^2 + m * n log^2 n) time after sorting (see
-    :mod:`facshare._blockdp` for each path's cost).
+    equilibrium, in O(m^2 + m * n log^2 n) time after sorting, and less when
+    the windows are narrow: a layer after the first costs O(k log^2 k) for a
+    window of k agents (see :mod:`facshare._blockdp` for each path's cost).
 
     Agents are sorted by position (stable, so co-located agents keep input
     order and land in one block), facilities are already location-sorted, and
     the consecutive-block dynamic program of :mod:`facshare._blockdp` is run
     with harmonic size weights. The minimizer it returns is an equilibrium,
-    so each facility's layer prices only the window of agents that the
+    so each facility's layer works only on the window of agents that the
     equilibrium condition allows it, found in O(m^2) for all facilities; the
     windows change no result. The result is mapped back to the caller's
     agent order. Every call, ``python -O`` included, then checks the result
     with :func:`is_pne` and raises ``RuntimeError`` naming the instance and
     the improving deviation if the check fails.
     """
-    assignment = _block_assignment(instance, harmonic_numbers(instance.n), windows=True)
+    assignment = _block_assignment(instance, harmonic_numbers(instance.n))
     verdict = is_pne(instance.profile, assignment, instance.environment)
     if not verdict:
         raise RuntimeError(

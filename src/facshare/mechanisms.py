@@ -163,7 +163,7 @@ class EnvironmentClass:
     """Which algebraic conditions on (2*delta, b1 - b2) hold, and which
     mechanism families are constructible for the environment.
 
-    ``conditions`` lists every satisfied row of the five-way case split (the
+    ``conditions`` lists every satisfied row of the six-way case split (the
     equal-cost case satisfies two of the strict rows simultaneously, so this
     is deliberately not forced to be unique). ``admitted_types`` comes from
     the constructor preconditions: M = 0 admits type2, M = delta admits
@@ -188,7 +188,7 @@ def classify_environment(env: Environment, tol: float = EPS_CMP) -> EnvironmentC
     interior = tol < m < delta - tol
     rows = {"2delta<b1-b2": m < -tol, "2delta=b1-b2": low,
             "b1-b2<2delta<b2-b1": interior, "2delta=b2-b1": high,
-            "2delta>b2-b1": m < delta - tol}
+            "2delta>b2-b1": m < delta - tol, "2delta<b2-b1": m > delta + tol}
     types = {"type1": True, "type2": low, "type3": high,
              "type4": interior, "type5": interior}
     return EnvironmentClass(

@@ -367,12 +367,14 @@ def oracle_block_partition(sorted_x, locations, building_costs, size_weight):
     return float(table[n, m]), tuple(blocks), ties
 
 
-def oracle_equilibrium_windows(sorted_x, locations, building_costs):
+def oracle_windows(sorted_x, locations, building_costs, stay, leave):
     """Each facility's window as the list of the sorted agents that pass the
-    equilibrium test one agent and one rival at a time: agent ``a`` may use
-    ``f`` only if ``|x_a - l_f| + b_f / n <= |x_a - l_g| + b_g + margin_fg``
-    for every ``g != f``, with the rounding margin of ``facshare._blockdp``
-    written out again."""
+    near-minimizer test one agent and one rival at a time: agent ``a`` may
+    use ``f`` only if ``|x_a - l_f| + stay[f] <= |x_a - l_g| + leave[g] +
+    margin_fg`` for every ``g != f``, where ``stay[f]`` is ``b_f * W-`` and
+    ``leave[g]`` is ``b_g * W+``, with the rounding margin of
+    ``facshare._blockdp`` written out again. The potential has ``stay =
+    b / n`` and ``leave = b``."""
     n = len(sorted_x)
     reach = max(abs(x - l) for x in (sorted_x[0], sorted_x[-1]) for l in locations)
     scale = n * (reach + min(building_costs))
@@ -380,8 +382,8 @@ def oracle_equilibrium_windows(sorted_x, locations, building_costs):
     for f, (lf, bf) in enumerate(zip(locations, building_costs)):
         windows.append([
             a for a, x in enumerate(sorted_x)
-            if all(abs(x - lf) + bf / n
-                   <= abs(x - lg) + bg
+            if all(abs(x - lf) + stay[f]
+                   <= abs(x - lg) + leave[g]
                    + 1e-9 * ((1.0 + scale) + (abs(lf) + bf) + (abs(lg) + bg))
                    for g, (lg, bg) in enumerate(zip(locations, building_costs))
                    if g != f)])

@@ -18,8 +18,8 @@ import pytest
 
 import facshare as fs
 from facshare import _blockdp
-from oracles import (lattice_instance, oracle_block_partition, oracle_equilibrium_windows,
-                     oracle_min_social_cost, suite_dims)
+from oracles import (lattice_instance, oracle_block_partition, oracle_min_social_cost,
+                     oracle_windows, suite_dims)
 
 DENSE_N = int(_blockdp._DENSE_CELLS ** 0.5)  # largest n on the dense path
 
@@ -88,11 +88,14 @@ def test_clustered_matches_exhaustive_scan():
     assert_same_partition([clustered_instance(rng, n, m) for n, m in sizes])
 
 
-def test_large_random_matches_exhaustive_scan():
+def large_random_cases():
     rng = np.random.default_rng(99)
-    instances = [fs.generate_instance(int(rng.integers(DENSE_N + 1, 2 * DENSE_N)),
-                                      int(rng.integers(1, 12)), seed=seed)
-                 for seed in range(24)]
+    return [fs.generate_instance(int(rng.integers(DENSE_N + 1, 2 * DENSE_N)),
+                                 int(rng.integers(1, 12)), seed=seed) for seed in range(24)]
+
+
+def test_large_random_matches_exhaustive_scan():
+    instances = large_random_cases()
     assert all(inst.n > DENSE_N for inst in instances)
     assert_same_partition(instances)
 
@@ -109,9 +112,9 @@ def test_layer_without_live_rows_runs_no_kernel(monkeypatch, n):
     # exhaustive scan's.
     sizes = []
     for kernel in (_blockdp._DenseMinima, _blockdp._MonotoneMinima):
-        def spy(self, table, dist, b, rows, keys, price=kernel.__call__):
+        def spy(self, table, dist, b, rows, keys, cut, price=kernel.__call__):
             sizes.append(len(rows))
-            return price(self, table, dist, b, rows, keys)
+            return price(self, table, dist, b, rows, keys, cut)
         monkeypatch.setattr(kernel, "__call__", spy)
     rng = np.random.default_rng(n)
     x = np.sort(rng.uniform(0.0, 1.0, size=n))
@@ -123,22 +126,36 @@ def test_layer_without_live_rows_runs_no_kernel(monkeypatch, n):
     assert len(sizes) == 1 and sizes[0] > 0
 
 
-def scan_layer(table, dist, b, weight):
-    """Row minima and smallest argmins of one layer, row by row."""
+def scan_layer(table, dist, b, weight, cut=0):
+    """Row minima and smallest argmins of one layer, row by row, over the
+    columns at or after ``cut``: rows ``cut + 1..``."""
     best, arg = [], []
-    for t in range(1, len(table)):
-        i = np.arange(t)
+    for t in range(cut + 1, len(table)):
+        i = np.arange(cut, t)
         cand = (b * weight[t - i] + (dist[t] - dist[i])) + table[i]
         best.append(cand.min())
-        arg.append(int(np.argmin(cand)))
+        arg.append(cut + int(np.argmin(cand)))
     return best, arg
+
+
+def slices(rng, n):
+    """``(cut, end)`` of the whole layer and of two windows of at least one
+    block inside it."""
+    ends = [(0, n + 1)]
+    for _ in range(2):
+        cut = int(rng.integers(0, n))
+        ends.append((cut, int(rng.integers(cut + 2, n + 2))))
+    return ends
 
 
 @pytest.mark.parametrize("kind", ["unit", "capped", "harmonic"])
 def test_layer_kernels_match_row_scan(kind):
     # Integer data keep every candidate exact, so rows tie often, also across
     # the monotone path's rectangles; unit and capped weights are concave.
+    # A window's layer works on table[cut:end] and must find the scan's
+    # minima over the columns at or after the cut.
     rng = np.random.default_rng(len(kind))
+    windowed = 0
     for n in (1, 2, 3, 7, 40, 130):
         sizes = np.arange(n + 1)
         weight = {"unit": (sizes > 0).astype(float),
@@ -150,15 +167,20 @@ def test_layer_kernels_match_row_scan(kind):
             table[0] = 0.0
             dist = np.cumsum(rng.integers(0, 3, size=n + 1)).astype(float)
             b = float(rng.integers(1, 4))
-            expected = scan_layer(table, dist, b, weight)
-            given = dict(rows=np.arange(1, n + 1), keys=_blockdp._keys(table, dist))
-            kernels = [partial(_blockdp._DenseMinima(weight), **given),
-                       partial(_blockdp._MonotoneMinima(weight), **given)]
-            if kind == "unit":
-                kernels.append(partial(_blockdp._prefix_minima, weight=weight))
-            for layer in kernels:
-                best, arg = layer(table, dist, b)
-                assert (best.tolist(), arg.tolist()) == expected, (layer, n)
+            for cut, end in slices(rng, n):
+                windowed += cut > 0
+                held, dist_f = table[cut:end], dist[cut:end]
+                expected = scan_layer(table[:end], dist[:end], b, weight, cut)
+                given = dict(rows=np.arange(1, end - cut), keys=_blockdp._keys(held, dist_f),
+                             cut=cut)
+                kernels = [partial(_blockdp._DenseMinima(weight), **given),
+                           partial(_blockdp._MonotoneMinima(weight), **given)]
+                if kind == "unit":
+                    kernels.append(partial(_blockdp._prefix_minima, weight=weight))
+                for layer in kernels:
+                    best, arg = layer(held, dist_f, b)
+                    assert (best.tolist(), (arg + cut).tolist()) == expected, (layer, n, cut)
+    assert windowed > 100
 
 
 FINISH_BUDGETS = [0, _blockdp._FINISH_CELLS, 1 << 20]
@@ -201,7 +223,8 @@ def near_tie_layer(rng, n, scale):
 @pytest.mark.parametrize("kind", ["unit", "capped", "harmonic", "near-tie", "near-tie-1e8"])
 def test_harmonic_kernels_on_row_subsets(monkeypatch, budget, kind):
     # Each harmonic kernel returns the row scan's minima and smallest argmins
-    # on the rows it is given, and +inf with argmin 0 on every other row.
+    # on exactly the rows it is given, also on a window's slice, where the
+    # scan runs over the columns at or after the cut.
     monkeypatch.setattr(_blockdp, "_FINISH_CELLS", budget)
     rng = np.random.default_rng(budget + len(kind))
     for n in (1, 2, 3, 7, 40, 130):
@@ -210,14 +233,14 @@ def test_harmonic_kernels_on_row_subsets(monkeypatch, budget, kind):
                 table, dist, b, weight = near_tie_layer(rng, n, 1e8 if "1e8" in kind else 1.0)
             else:
                 table, dist, b, weight = integer_layer(rng, n, kind)
-            best, arg = map(np.array, scan_layer(table, dist, b, weight))
-            rows = np.flatnonzero(rng.random(n) < rng.random()) + 1
-            off = np.setdiff1d(np.arange(1, n + 1), rows) - 1
-            for layer in (_blockdp._DenseMinima(weight), _blockdp._MonotoneMinima(weight)):
-                got, at = layer(table, dist, b, rows, _blockdp._keys(table, dist))
-                assert got[rows - 1].tolist() == best[rows - 1].tolist(), (layer, n)
-                assert at[rows - 1].tolist() == arg[rows - 1].tolist(), (layer, n)
-                assert np.all(got[off] == np.inf) and not at[off].any()
+            for cut, end in slices(rng, n):
+                best, arg = map(np.array, scan_layer(table[:end], dist[:end], b, weight, cut))
+                rows = np.flatnonzero(rng.random(end - cut - 1) < rng.random()) + 1
+                held, dist_f = table[cut:end], dist[cut:end]
+                for layer in (_blockdp._DenseMinima(weight), _blockdp._MonotoneMinima(weight)):
+                    got, at = layer(held, dist_f, b, rows, _blockdp._keys(held, dist_f), cut)
+                    assert got.tolist() == best[rows - 1].tolist(), (layer, n, cut)
+                    assert (at + cut).tolist() == arg[rows - 1].tolist(), (layer, n, cut)
 
 
 @pytest.mark.parametrize("budget", [0, 1 << 20])
@@ -329,56 +352,74 @@ def test_batch_values_match_brute_force_optimum():
 
 def test_rectangle_floors_are_column_minima():
     # One reduceat over the cuts gives every rectangle's least key, and the
-    # rectangles hold every pair i < t exactly once.
+    # rectangles hold every pair i < t exactly once, also when clipped to a
+    # window's slice cut..end - 1 and indexed from the cut.
     rng = np.random.default_rng(13)
     sizes = [*range(1, 71), *(2 ** k + d for k in range(7, 11) for d in (-1, 1))]
     for n in sizes:
         kernel = _blockdp._MonotoneMinima(fs.harmonic_numbers(n))
-        mid, hi, lo, _, _ = kernel.rects
-        key = rng.integers(-20, 20, size=n + 1).astype(float)
-        key[rng.random(n + 1) < 0.1] = np.inf
-        assert kernel._floors(key).tolist() == [key[a:b].min() for a, b in zip(lo, mid)], n
-        if n <= 70:
-            cover = np.zeros((n + 1, n + 1), dtype=int)
-            for a, b, c in zip(lo, mid, hi):
-                cover[b:c, a:b] += 1
-            assert (cover == np.tri(n + 1, k=-1, dtype=int)).all(), n
+        for cut, end in slices(rng, n):
+            rects = kernel._rectangles(cut, end)
+            mid, hi, lo, _ = rects
+            key = rng.integers(-20, 20, size=end - cut).astype(float)
+            key[rng.random(end - cut) < 0.1] = np.inf
+            assert (kernel._floors(key, rects).tolist()
+                    == [key[a:b].min() for a, b in zip(lo, mid)]), (n, cut)
+            if n <= 70:
+                cover = np.zeros((end - cut, end - cut), dtype=int)
+                for a, b, c in zip(lo, mid, hi):
+                    cover[b:c, a:b] += 1
+                assert (cover == np.tri(end - cut, k=-1, dtype=int)).all(), (n, cut)
 
 
 def monotone_layers(seed, count):
-    """``(kernel, table, dist, b, rows)`` of every harmonic layer that the
-    monotone path solves on ``count`` clustered instances, n in 100..299."""
+    """``(kernel, table, dist, b, rows, cut)`` of every harmonic layer that
+    the monotone path solves on ``count`` clustered instances, n in
+    100..299, half of them windowed."""
     layers = []
     call = _blockdp._MonotoneMinima.__call__
 
-    def record(self, table, dist, b, rows, keys):
-        layers.append((self, table.copy(), dist, b, rows))
-        return call(self, table, dist, b, rows, keys)
+    def record(self, table, dist, b, rows, keys, cut):
+        layers.append((self, table.copy(), dist, b, rows, cut))
+        return call(self, table, dist, b, rows, keys, cut)
 
     rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_blockdp, "_DENSE_CELLS", 0)
         patch.setattr(_blockdp._MonotoneMinima, "__call__", record)
-        for _ in range(count):
+        for case in range(count):
             inst = clustered_instance(rng, int(rng.integers(100, 300)), 8)
-            _blockdp.solve_block_partition(*partition_args(inst), fs.harmonic_numbers(inst.n))
+            args = partition_args(inst)
+            w = fs.harmonic_numbers(inst.n)
+            windows = _blockdp._windows(*args, w) if case % 2 else None
+            _blockdp.solve_block_partition(*args, w, windows)
+    assert any(layer[-1] > 0 for layer in layers)
     return layers
 
 
-def rectangle_pairs(kernel, table, dist, b, rows):
+def upper_bounds(table, dist, b, weight):
+    """Each row's U: its candidate at the first argmin of ``table - dist``."""
+    n = len(table) - 1
+    at = _blockdp._running_argmin(*_blockdp._keys(table[:n], dist[:n]))
+    return (b * weight[np.arange(1, n + 1) - at] + (dist[1:] - dist[at])) + table[at]
+
+
+def rectangle_pairs(kernel, table, dist, b, rows, cut):
     """Each (rectangle, row) pair of ``rows``: its rectangle, its row, the
     row's U and whether the rectangle bound keeps it."""
-    pair, _, count, keep = kernel._pairs(table, dist, b, rows, _blockdp._keys(table, dist))
+    rects = kernel._rectangles(cut, cut + len(table))
+    pair, _, count, keep = kernel._pairs(table, dist, b, rows, _blockdp._keys(table, dist),
+                                         rects)
     t = rows[pair]
-    upper = _blockdp._prefix_minima(table, dist, b, kernel.weight)[0][t - 1]
+    upper = upper_bounds(table, dist, b, kernel.weight)[t - 1]
     return np.arange(len(count)).repeat(count), t, upper, keep
 
 
-def assert_drops_only_pairs_that_cannot_win(kernel, table, dist, b, rows):
+def assert_drops_only_pairs_that_cannot_win(kernel, table, dist, b, rows, cut):
     """Every pair the rectangle bound drops has every candidate over the
     rectangle's columns strictly above the row's U; returns their count."""
-    mid, _, lo, _, _ = kernel.rects
-    rect, t, upper, keep = rectangle_pairs(kernel, table, dist, b, rows)
+    mid, _, lo, _ = kernel._rectangles(cut, cut + len(table))
+    rect, t, upper, keep = rectangle_pairs(kernel, table, dist, b, rows, cut)
     for r, row, u in zip(rect[~keep], t[~keep], upper[~keep]):
         i = np.arange(lo[r], mid[r])
         cand = (b * kernel.weight[row - i] + (dist[row] - dist[i])) + table[i]
@@ -388,30 +429,37 @@ def assert_drops_only_pairs_that_cannot_win(kernel, table, dist, b, rows):
 
 @pytest.mark.parametrize("scale", [1.0, 1e8])
 def test_rectangle_bound_drops_only_pairs_that_cannot_win(scale):
+    # Also on windows' slices, whose first key and distance are not 0.
     rng = np.random.default_rng(int(scale) % 1000 + 3)
-    dropped = 0
+    dropped = windowed = 0
     for n in (2, 7, 40, 130):
         for _ in range(40):
             table, dist, b, weight = near_tie_layer(rng, n, scale)
-            rows = _blockdp._live_rows(table, dist, b * weight[1],
-                                       _blockdp._keys(table, dist)[1])
-            dropped += assert_drops_only_pairs_that_cannot_win(
-                _blockdp._MonotoneMinima(weight), table, dist, b, rows)
-    assert dropped > 5000
+            kernel = _blockdp._MonotoneMinima(weight)
+            for cut, end in slices(rng, n):
+                held, dist_f = table[cut:end], dist[cut:end]
+                rows = _blockdp._live_rows(held, dist_f, b * weight[1],
+                                           _blockdp._keys(held, dist_f)[1])
+                count = assert_drops_only_pairs_that_cannot_win(kernel, held, dist_f, b, rows,
+                                                                cut)
+                dropped += count
+                windowed += count if cut else 0
+    assert dropped > 5000 and windowed > 500
 
 
 def test_size_aware_bound_drops_more_pairs_than_the_lightest_weight():
     # On clustered instances the bound b * least[t - mid + 1] drops every
     # pair that b * min(w[1:]) drops, and more, and still none that can win.
     flat_dropped = dropped = 0
-    for kernel, table, dist, b, rows in monotone_layers(17, 6):
-        rect, t, upper, keep = rectangle_pairs(kernel, table, dist, b, rows)
-        floors = kernel._floors(_blockdp._keys(table, dist)[0])
+    for kernel, table, dist, b, rows, cut in monotone_layers(17, 6):
+        rect, t, upper, keep = rectangle_pairs(kernel, table, dist, b, rows, cut)
+        floors = kernel._floors(_blockdp._keys(table, dist)[0],
+                                kernel._rectangles(cut, cut + len(table)))
         flat = (b * kernel.weight[1:].min() + dist[t]) + floors[rect]
         flat_keep = _blockdp._may_reach(flat, upper, dist[t])
         assert not (keep & ~flat_keep).any()
         flat_dropped += int((~flat_keep).sum())
-        dropped += assert_drops_only_pairs_that_cannot_win(kernel, table, dist, b, rows)
+        dropped += assert_drops_only_pairs_that_cannot_win(kernel, table, dist, b, rows, cut)
     assert dropped > flat_dropped > 0
 
 
@@ -430,16 +478,16 @@ def test_first_pass_prices_rectangle_ends_unless_all_cells_fit(monkeypatch, budg
 
     monkeypatch.setattr(_blockdp, "_price", record)
     split = single = 0
-    for kernel, table, dist, b, rows in monotone_layers(19, 3):
-        mid, _, lo, _, _ = kernel.rects
-        rect, _, _, keep = rectangle_pairs(kernel, table, dist, b, rows)
+    for kernel, table, dist, b, rows, cut in monotone_layers(19, 3):
+        mid, _, lo, _ = kernel._rectangles(cut, cut + len(table))
+        rect, _, _, keep = rectangle_pairs(kernel, table, dist, b, rows, cut)
         count = np.bincount(rect[keep], minlength=len(mid))
         width = mid - lo
         total = int(count @ width)
         ends = np.where(np.minimum(count, width) == 1, count * width,
                         np.minimum(count, 2) * width)
         priced.clear()
-        got = kernel(table, dist, b, rows, _blockdp._keys(table, dist))
+        got = kernel(table, dist, b, rows, _blockdp._keys(table, dist), cut)
         if total <= budget:
             assert priced == ([total] if total else [])
             single += 1
@@ -447,8 +495,8 @@ def test_first_pass_prices_rectangle_ends_unless_all_cells_fit(monkeypatch, budg
             assert priced[0] == ends.sum() and len(priced) > 1
             split += 1
         best, arg = map(np.array, scan_layer(table, dist, b, kernel.weight))
-        assert got[0][rows - 1].tolist() == best[rows - 1].tolist()
-        assert got[1][rows - 1].tolist() == arg[rows - 1].tolist()
+        assert got[0].tolist() == best[rows - 1].tolist()
+        assert got[1].tolist() == arg[rows - 1].tolist()
     assert (split > 3 or budget > 1 << 16) and (single > 3 or budget == 0)
 
 
@@ -463,18 +511,17 @@ def test_solver_assignments_equal_checked_ones(suite500):
             assert all(type(c) is int and 1 <= c <= inst.m for c in got.choices)
 
 
-def window_agents(rows):
+def window_agents(windows):
     """Each facility's window as the list of its sorted agents."""
-    return [list(range(start - 1, stop - 1)) for start, stop in rows]
+    return [list(range(first, stop)) for first, stop in windows]
 
 
-def windowed_solves(inst):
-    """``(rows, unwindowed, windowed)`` harmonic solves of ``inst``."""
+def windowed_solves(inst, w):
+    """``(windows, unwindowed, windowed)`` solves of ``inst`` under ``w``."""
     args = partition_args(inst)
-    w = fs.harmonic_numbers(inst.n)
-    rows = _blockdp._equilibrium_windows(*args)
-    return (rows, _blockdp.solve_block_partition(*args, w),
-            _blockdp.solve_block_partition(*args, w, rows))
+    windows = _blockdp._windows(*args, w)
+    return (windows, _blockdp.solve_block_partition(*args, w),
+            _blockdp.solve_block_partition(*args, w, windows))
 
 
 def replaced(inst, x=None, locations=None):
@@ -500,10 +547,35 @@ def edge_windows():
     return cases
 
 
+def binding_near_tie_cases():
+    """Positions and locations on an integer lattice of span 6 to 60 with
+    one shared building cost, each moved by up to 3 ulps: the far
+    facilities' windows exclude many agents, and the near-ties sit at the
+    windows' edges."""
+    rng = np.random.default_rng(61)
+    cases = []
+    for _ in range(400):
+        span, n, m = int(rng.integers(6, 61)), int(rng.integers(1, 41)), int(rng.integers(2, 7))
+        b = float(rng.integers(1, 4))
+        env = fs.Environment(nudged(rng, rng.integers(0, span + 1, size=m), 1.0),
+                             nudged(rng, [b] * m, 1.0))
+        cases.append(fs.Instance(env, fs.Profile(nudged(rng, rng.integers(0, span + 1, size=n),
+                                                        1.0))))
+    return cases
+
+
 def window_cases(kind):
     rng = np.random.default_rng(len(kind))
-    if kind.startswith("near-tie"):
+    if kind.startswith("near-tie-1"):
         return near_tie_cases(1e8 if kind.endswith("1e8") else 1.0)
+    if kind == "near-tie-binding":
+        return binding_near_tie_cases()
+    if kind == "lattice":
+        return lattice_cases()
+    if kind == "suite500":
+        return [fs.generate_instance(*suite_dims(seed), seed=seed) for seed in range(500)]
+    if kind == "large-random":
+        return large_random_cases()
     if kind == "clustered":
         return [clustered_instance(rng, int(rng.integers(2, 2 * DENSE_N)),
                                    int(rng.integers(1, 12))) for _ in range(30)]
@@ -535,31 +607,45 @@ def window_cases(kind):
     return edge_windows()
 
 
-WINDOW_KINDS = ["near-tie-1", "near-tie-1e8", "clustered", "co-located",
-                "one-facility", "duplicate-locations", "large", "edges"]
+WINDOW_KINDS = ["near-tie-1", "near-tie-1e8", "near-tie-binding", "lattice", "suite500",
+                "large-random", "clustered", "co-located", "one-facility",
+                "duplicate-locations", "large", "edges"]
+def assert_windows_change_no_partition(kind, objective):
+    """The windowed solve returns the unwindowed value and blocks, compared
+    with ==, and every block lies inside its facility's window."""
+    cut = binding = 0
+    for inst in window_cases(kind):
+        windows, whole, got = windowed_solves(inst, weights(inst.n)[objective])
+        assert (got.value, got.blocks) == (whole.value, whole.blocks), inst
+        assert all(windows[f - 1, 0] <= i and t <= windows[f - 1, 1]
+                   for i, t, f in got.blocks), inst
+        excluded = sum(inst.n - len(agents) for agents in window_agents(windows))
+        cut += excluded
+        binding += excluded > 0
+    assert cut > 0 or kind == "one-facility"
+    if kind == "near-tie-binding":
+        assert binding > 300
 
 
 @pytest.mark.parametrize("path", ["default", "monotone"])
 @pytest.mark.parametrize("kind", WINDOW_KINDS)
 def test_windows_change_no_partition(monkeypatch, kind, path):
-    # The windowed solve returns the unwindowed value and blocks, compared
-    # with ==, and every block lies inside its facility's window. With no
-    # dense budget the monotone path also sees windows at small n.
+    # The potential's windows. With no dense budget the monotone path also
+    # sees windows at small n.
     if path == "monotone":
         monkeypatch.setattr(_blockdp, "_DENSE_CELLS", 0)
-    cut = 0
-    for inst in window_cases(kind):
-        rows, whole, got = windowed_solves(inst)
-        assert (got.value, got.blocks) == (whole.value, whole.blocks), inst
-        assert all(rows[f - 1, 0] <= i + 1 and t < rows[f - 1, 1]
-                   for i, t, f in got.blocks), inst
-        cut += sum(inst.n - len(agents) for agents in window_agents(rows))
-    assert cut > 0 or kind == "one-facility"
+    assert_windows_change_no_partition(kind, "harmonic")
+
+
+@pytest.mark.parametrize("kind", WINDOW_KINDS)
+def test_social_cost_windows_change_no_partition(kind):
+    # The social cost's windows, on its flat layers.
+    assert_windows_change_no_partition(kind, "unit")
 
 
 def test_edge_windows_hold_all_or_no_agents():
     for inst in edge_windows():
-        windows = window_agents(windowed_solves(inst)[0])
+        windows = window_agents(windowed_solves(inst, fs.harmonic_numbers(inst.n))[0])
         everyone = list(range(inst.n))
         if inst.environment.locations[2] == 1000.0:
             assert windows[0] == everyone and windows[2] == []
@@ -567,10 +653,19 @@ def test_edge_windows_hold_all_or_no_agents():
             assert windows[1] == [] and windows[0] and windows[2]
 
 
-@pytest.mark.parametrize("kind", ["random", "lattice", "clustered", "duplicate-locations"])
-def test_windows_match_per_agent_test(kind):
-    # The closed form agrees with the agent-by-agent test, and so every
-    # window is one run of sorted agents.
+def window_rule(inst, objective):
+    """``(stay, leave)`` of the per-agent test: ``b_f * W-`` and ``b_g * W+``
+    of the potential (``W- = 1/n``, ``W+ = 1``) or of the social cost
+    (``W- = 0`` for ``n >= 2``, ``W+ = 1``)."""
+    b = list(inst.environment.building_costs)
+    if objective == "harmonic":
+        return [bf / inst.n for bf in b], b
+    return ([0.0] * inst.m if inst.n >= 2 else b), b
+
+
+def assert_windows_match_per_agent_test(kind, objective):
+    """The closed form agrees with the agent-by-agent test, and so every
+    window is one run of sorted agents."""
     rng = np.random.default_rng(31 + len(kind))
     if kind == "random":
         cases = [fs.generate_instance(int(rng.integers(1, 150)), int(rng.integers(1, 13)),
@@ -583,26 +678,40 @@ def test_windows_match_per_agent_test(kind):
     cut = 0
     for inst in cases:
         args = partition_args(inst)
-        windows = window_agents(_blockdp._equilibrium_windows(*args))
-        assert windows == oracle_equilibrium_windows(*map(list, args)), inst
+        windows = window_agents(_blockdp._windows(*args, weights(inst.n)[objective]))
+        expected = oracle_windows(*map(list, args), *window_rule(inst, objective))
+        assert windows == expected, inst
         cut += sum(inst.n - len(agents) for agents in windows)
     assert cut > 0
 
 
-def potential_minimizers(inst):
+WINDOW_TEST_KINDS = ["random", "lattice", "clustered", "duplicate-locations"]
+
+
+@pytest.mark.parametrize("kind", WINDOW_TEST_KINDS)
+def test_windows_match_per_agent_test(kind):
+    assert_windows_match_per_agent_test(kind, "harmonic")
+
+
+@pytest.mark.parametrize("kind", WINDOW_TEST_KINDS)
+def test_social_cost_windows_match_per_agent_test(kind):
+    assert_windows_match_per_agent_test(kind, "unit")
+
+
+def minimizers(inst, weight):
     """Every assignment (0-based facilities, caller's agent order) whose
-    potential is within 1e-12 of the least, by enumeration."""
+    objective under ``weight`` is within 1e-12 of the least, by
+    enumeration."""
     x = np.asarray(inst.profile.positions)
     locs = np.asarray(inst.environment.locations)
     b = np.asarray(inst.environment.building_costs)
     digits = np.array(list(itertools.product(range(inst.m), repeat=inst.n)))
     loads = (digits[:, :, None] == np.arange(inst.m)).sum(axis=1)
-    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, inst.n + 1))))
-    value = np.abs(x - locs[digits]).sum(axis=1) + (b * harmonic[loads]).sum(axis=1)
+    value = np.abs(x - locs[digits]).sum(axis=1) + (b * weight[loads]).sum(axis=1)
     return digits[value <= value.min() * (1.0 + 1e-12)]
 
 
-def test_every_potential_minimizer_lies_inside_the_windows():
+def small_window_cases():
     rng = np.random.default_rng(41)
     cases = [lattice_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 5)))
              for _ in range(120)]
@@ -610,67 +719,111 @@ def test_every_potential_minimizer_lies_inside_the_windows():
     # Lattice cases moved by a few ulps: a near-minimizer may then miss the
     # window test by a rounding error, which the margin must absorb.
     cases += near_tie_cases(1.0) + near_tie_cases(1e8)
-    cases = [inst for inst in cases if inst.n <= 8 and inst.m <= 4]
+    return [inst for inst in cases if inst.n <= 8 and inst.m <= 4]
+
+
+def assert_minimizers_inside_windows(objective):
+    """Every minimizer, all ties included, lies inside the windows of the
+    objective's weights; returns how many cases had tied minimizers."""
     tied = 0
-    for inst in cases:
-        windows = window_agents(_blockdp._equilibrium_windows(*partition_args(inst)))
+    for inst in small_window_cases():
+        weight = weights(inst.n)[objective]
+        windows = window_agents(_blockdp._windows(*partition_args(inst), weight))
         rank = np.argsort(np.argsort(inst.profile.positions, kind="stable"), kind="stable")
-        minimizers = potential_minimizers(inst)
-        tied += len(minimizers) > 1
-        for choice in minimizers:
+        found = minimizers(inst, weight)
+        tied += len(found) > 1
+        for choice in found:
             assert all(rank[a] in windows[f] for a, f in enumerate(choice)), (inst, choice)
-    assert tied > 10
+    return tied
 
 
-def test_only_the_equilibrium_takes_windows(monkeypatch):
-    # The optimum, a non-harmonic concave weight and the batch values run
-    # unwindowed; compute_pne_dp passes the windows.
+def test_every_potential_minimizer_lies_inside_the_windows():
+    assert assert_minimizers_inside_windows("harmonic") > 10
+
+
+def test_every_social_cost_minimizer_lies_inside_the_windows():
+    assert assert_minimizers_inside_windows("unit") > 10
+
+
+def test_both_solvers_take_windows(monkeypatch):
+    # compute_pne_dp and optimal_block_dp each pass the windows of their
+    # weights; the batch values take none.
     given, calls = [], []
-    solve, windows = _blockdp.solve_block_partition, _blockdp._equilibrium_windows
+    solve, windows = _blockdp.solve_block_partition, _blockdp._windows
 
     def record_solve(*args):
         given.append(args[4] if len(args) > 4 else None)
         return solve(*args)
 
     def record_windows(*args):
-        calls.append(args)
+        calls.append(args[3].tolist())
         return windows(*args)
 
     monkeypatch.setattr(_blockdp, "solve_block_partition", record_solve)
-    monkeypatch.setattr(_blockdp, "_equilibrium_windows", record_windows)
+    monkeypatch.setattr(_blockdp, "_windows", record_windows)
     inst = fs.generate_instance(40, 5, seed=2)
-    capped = np.minimum(np.arange(inst.n + 1), 4).astype(float)
-    fs.optimal_block_dp(inst)
-    _blockdp._block_assignment(inst, capped)
     args = partition_args(inst)
-    _blockdp._block_values(args[0][None], *args[1:], _blockdp._unit_weights(inst.n))
-    assert given == [None, None] and calls == []
     fs.compute_pne_dp(inst)
-    assert len(calls) == 1 and given[-1] is not None
-
+    fs.optimal_block_dp(inst)
+    assert calls == [weights(inst.n)["harmonic"].tolist(), weights(inst.n)["unit"].tolist()]
+    assert [g.tolist() for g in given] == [windows(*args, w).tolist()
+                                           for w in weights(inst.n).values()]
+    _blockdp._block_values(args[0][None], *args[1:], _blockdp._unit_weights(inst.n))
+    assert len(given) == 2 and len(calls) == 2
 
 
 def test_windowed_layers_price_only_window_rows(monkeypatch):
-    # A windowed layer hands its kernel only rows inside its window, and on
-    # clustered instances the windowed solves price under half the rows.
+    # A windowed layer hands its kernel only its window's slice of the
+    # table, from the window's first agent, so no column below that agent
+    # is priced, and only rows inside the window. On clustered instances the
+    # windowed solves price under half the rows.
     given = []
     for kernel in (_blockdp._DenseMinima, _blockdp._MonotoneMinima):
-        def spy(self, table, dist, b, rows, keys, price=kernel.__call__):
-            given.append((b, rows))
-            return price(self, table, dist, b, rows, keys)
+        def spy(self, table, dist, b, rows, keys, cut, price=kernel.__call__):
+            given.append((b, rows, cut, len(table)))
+            return price(self, table, dist, b, rows, keys, cut)
         monkeypatch.setattr(kernel, "__call__", spy)
     rng = np.random.default_rng(8)
     priced = {False: 0, True: 0}
     for _ in range(6):
         inst = clustered_instance(rng, int(rng.integers(200, 500)), 30)
         args = partition_args(inst)
-        rows = _blockdp._equilibrium_windows(*args)
+        windows = _blockdp._windows(*args, fs.harmonic_numbers(inst.n))
         for windowed in (False, True):
             given.clear()
             _blockdp.solve_block_partition(*args, fs.harmonic_numbers(inst.n),
-                                           rows if windowed else None)
-            priced[windowed] += sum(len(live) for _, live in given)
-        for b, live in given:  # the building costs tell the layers apart
-            start, stop = rows[list(args[2]).index(b)]
-            assert start <= live.min() and live.max() < stop
+                                           windows if windowed else None)
+            priced[windowed] += sum(len(live) for _, live, _, _ in given)
+        for b, live, cut, size in given:  # the building costs tell the layers apart
+            first, stop = windows[list(args[2]).index(b)]
+            assert cut == first and size == stop - first + 1
+            assert 1 <= live.min() and live.max() + cut <= stop
     assert priced[True] < priced[False] / 2
+
+
+def test_windowed_flat_layers_work_on_window_slices(monkeypatch):
+    # The optimum's layers take only their window's slice too; on clustered
+    # instances these hold under half the agents.
+    sizes = []
+    prefix = _blockdp._prefix_minima
+
+    def spy(table, dist, b, weight):
+        sizes.append((b, len(table)))
+        return prefix(table, dist, b, weight)
+
+    monkeypatch.setattr(_blockdp, "_prefix_minima", spy)
+    rng = np.random.default_rng(9)
+    total = {False: 0, True: 0}
+    for _ in range(6):
+        inst = clustered_instance(rng, int(rng.integers(200, 500)), 30)
+        args = partition_args(inst)
+        w = _blockdp._unit_weights(inst.n)
+        windows = _blockdp._windows(*args, w)
+        for windowed in (False, True):
+            sizes.clear()
+            _blockdp.solve_block_partition(*args, w, windows if windowed else None)
+            total[windowed] += sum(size for _, size in sizes)
+        for b, size in sizes:
+            first, stop = windows[list(args[2]).index(b)]
+            assert size == stop - first + 1
+    assert total[True] < total[False] / 2

@@ -255,7 +255,7 @@ class TestComputePneDp:
     def test_internal_error_names_the_instance(self, running_instance, monkeypatch):
         # agent 0 at the left facility saves 3 by leaving the right one
         monkeypatch.setattr(equilibrium, "_block_assignment",
-                            lambda instance, w, windows: fs.Assignment((2, 2)))
+                            lambda instance, w: fs.Assignment((2, 2)))
         with pytest.raises(RuntimeError, match=r"Deviation\(agent=0.*"
                            r"on instance 'running' \(n=2, m=2\)"):
             fs.compute_pne_dp(running_instance)
@@ -268,7 +268,7 @@ class TestComputePneDp:
             "import facshare as fs\n"
             "from facshare import equilibrium\n"
             "assert not __debug__\n"
-            "equilibrium._block_assignment = lambda instance, w, windows: fs.Assignment((2, 2))\n"
+            "equilibrium._block_assignment = lambda instance, w: fs.Assignment((2, 2))\n"
             "try:\n"
             "    fs.compute_pne_dp(fs.load_instance(sys.argv[1]))\n"
             "except RuntimeError as exc:\n"

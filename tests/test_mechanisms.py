@@ -92,8 +92,36 @@ class TestClassify:
                                    == ("type4" in types) == ("type5" in types)),
             "2delta=b2-b1": ("2delta=b2-b1" in rows) == ("type3" in types),
             "2delta>b2-b1": "2delta>b2-b1" not in rows or "type3" not in types,
+            "2delta<b2-b1": "2delta<b2-b1" not in rows  # M > delta: no family needs it
+                            or not types & {"type2", "type3", "type4"},
         }
         return [row for row, ok in agrees.items() if not ok]
+
+    def test_costly_left_facility_row(self):
+        env = fs.Environment((0.0, 1.0), (1.0, 10.0))  # M = 2.75 > delta = 1
+        cls = fs.classify_environment(env)
+        assert cls.conditions == ("2delta<b2-b1",)
+        assert cls.admitted_types == ("type1",)
+        assert self.contradictions(cls) == []
+
+    def test_every_environment_satisfies_some_row(self):
+        # M drawn from well below 0 to well above delta, plus the two bands.
+        rng = np.random.default_rng(3)
+        left, delta = rng.uniform(-10.0, 10.0, 4000), rng.uniform(0.0, 5.0, 4000)
+        b2 = rng.uniform(0.1, 20.0, 4000)
+        b1 = b2 + rng.uniform(-4.0, 4.0, 4000) * delta
+        b1[:400] = b2[:400] + 2.0 * delta[:400]
+        b1[400:800] = b2[400:800] - 2.0 * delta[400:800]
+        seen = set()
+        for l, d, c1, c2 in zip(left, delta, b1, b2):
+            if c1 <= 0.0:
+                continue
+            cls = fs.classify_environment(fs.Environment((l, l + d), (c1, c2)))
+            assert cls.conditions and self.contradictions(cls) == [], cls
+            m = cls.params.M
+            seen.add("M<0" if m < 0.0 else "M>delta" if m > cls.params.delta
+                     else "between")
+        assert seen == {"M<0", "between", "M>delta"}
 
     # Each sat within rounding of the tolerance band, where the scaled row
     # tests once disagreed with the tests on M.
