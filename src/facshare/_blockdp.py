@@ -377,14 +377,11 @@ def _prefix_minima(table: np.ndarray, dist: np.ndarray, b: float,
                    weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The row minima and smallest argmins of a layer with flat ``weight``:
     each row's candidate at the first argmin of ``table - dist`` over its
-    columns, tracked as a running prefix minimum. Leading axes of ``table``
-    and ``dist`` are batch axes."""
+    columns, tracked as a running prefix minimum. Every ``w[t - arg]`` is
+    ``w[1]``. Leading axes of ``table`` and ``dist`` are batch axes."""
     n = table.shape[-1] - 1
     arg = _running_argmin(*_keys(table[..., :n], dist[..., :n]))
-    if table.ndim == 1:  # every w[t - arg] is w[1]
-        return (b * weight[1] + (dist[1:] - dist[arg])) + table[arg], arg
-    return ((b * weight[np.arange(1, n + 1) - arg]
-             + (dist[..., 1:] - np.take_along_axis(dist, arg, -1)))
+    return ((b * weight[1] + (dist[..., 1:] - np.take_along_axis(dist, arg, -1)))
             + np.take_along_axis(table, arg, -1)), arg
 
 
