@@ -6,8 +6,9 @@ Subcommands: ``gen`` (random instances), ``solve`` (equilibrium / optimum),
 compact JSON line, so downstream scripts never screen-scrape.
 
 Exit codes are a stable contract: 0 success, 1 I/O failure, 2 validation
-failure (bad flags, malformed or invalid instance), 3 mechanism/environment
-precondition mismatch. Randomized behavior always requires an explicit seed.
+failure (bad flags, a malformed or invalid input document), 3
+mechanism/environment precondition mismatch. Randomized behavior always
+requires an explicit seed.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .model import (
     Environment,
     Instance,
     ValidationError,
+    _read_json,
     generate_instance,
     load_instance,
     save_instance,
@@ -74,8 +76,9 @@ def _result(command: str, instance_name: str, outputs: dict,
 
 
 def _emit(docs: list[dict], out: str | None) -> None:
-    """Write each result as one compact JSON line, to ``out`` or stdout."""
-    text = "".join(json.dumps(doc) + "\n" for doc in docs)
+    """Write each result as one compact JSON line, to ``out`` or stdout; a
+    non-finite float raises ``ValueError``, as the reader rejects it."""
+    text = "".join(json.dumps(doc, allow_nan=False) + "\n" for doc in docs)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -182,8 +185,7 @@ def _parse_start(token: str, instance: Instance) -> Assignment:
         rng = np.random.default_rng(seed)
         return Assignment(tuple(int(v) for v in rng.integers(1, m + 1, size=n)))
     if token.startswith("file:"):
-        path = token.split(":", 1)[1]
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = _read_json(token.split(":", 1)[1])
         if not isinstance(doc, list):
             raise ValidationError("assignment file must be a JSON array")
         return Assignment(tuple(doc))
@@ -252,11 +254,8 @@ def _cmd_mech(args) -> int:
     started = time.perf_counter()
     instance = load_instance(args.input)
     raw = args.mech.strip()
-    if raw.startswith("{"):
-        doc = json.loads(raw)
-    else:
-        doc = json.loads(Path(raw).read_text(encoding="utf-8"))
-    spec = spec_from_dict(doc)
+    spec = spec_from_dict(_read_json("--mech", raw) if raw.startswith("{")
+                          else _read_json(raw))
     env, profile = instance.environment, instance.profile
     assignment = apply_mechanism(spec, profile, env)
     outputs: dict = {

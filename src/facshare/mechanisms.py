@@ -767,7 +767,11 @@ def _lemma_rows(form: _SpecForm, profiles: np.ndarray, truthful_share: np.ndarra
 class Counterexample:
     """One audit violation. ``deviation`` is the misreported position for
     strategyproofness, the permutation for anonymity, and the expected
-    facility for unanimity; cost fields are filled where they apply."""
+    facility for unanimity. ``cost_before`` and ``cost_after`` are the
+    agent's truthful and lied cost for strategyproofness; for P2 they are
+    not costs but the sandwich bounds ``|r - l_alt| - |r - l_base|`` and
+    ``|x - l_alt| - |x - l_base|`` at report ``r`` and true position ``x``;
+    every other audit leaves them ``None``."""
 
     profile: tuple[float, ...]
     agent: int | None

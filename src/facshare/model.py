@@ -45,7 +45,9 @@ class ValidationError(ValueError):
 
 
 class InstanceParseError(ValueError):
-    """An instance document is syntactically malformed."""
+    """An outside JSON document (an instance, a mechanism spec or a start
+    assignment) is not strict UTF-8 JSON, or an instance document has the
+    wrong shape. The message starts with the document's source."""
 
 
 # The largest cost scale an entry point may price (see _check_scale).
@@ -278,30 +280,50 @@ def _reject_constant(token: str) -> float:
     raise InstanceParseError(f"non-finite number {token!r} is not allowed")
 
 
+def _read_json(source, text=None):
+    """The value of the JSON document in the UTF-8 file at path ``source``,
+    or in ``text`` given inline and named ``source`` (``--mech``): the one
+    place that reads a document or parses JSON.
+
+    Text that is not UTF-8 (inline, a lone surrogate: an argument byte that
+    did not decode), not JSON, too deep to parse, or holding a ``NaN`` or
+    ``Infinity`` literal raises :class:`InstanceParseError` starting with
+    ``source``. I/O failures propagate as ``OSError``.
+    """
+    try:
+        if text is None:
+            text = Path(source).read_text(encoding="utf-8")
+        else:
+            text.encode("utf-8")
+        return json.loads(text, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, UnicodeError, InstanceParseError, RecursionError) as exc:
+        raise InstanceParseError(f"{source}: invalid JSON: {exc}") from exc
+
+
 def load_instance(path) -> Instance:
     """Read and validate an instance file.
 
     Every location, building cost and agent position must be a real number:
     a JSON integer or float, not a bool, string or null, whose value is a
     finite float. Raises :class:`InstanceParseError` for text that is not
-    JSON, a document of the wrong shape and the ``NaN``/``Infinity``
-    literals, and :class:`ValidationError` for a value that is not a real
-    number (a 400-digit integer or an overflowing float literal included)
-    and for any other violated invariant, such as a cost that is not
-    positive or costs that overflow (see :class:`Instance`). I/O failures
-    propagate as ``OSError``.
+    UTF-8 JSON (nesting too deep to parse included), a document of the
+    wrong shape and the ``NaN``/``Infinity`` literals, and
+    :class:`ValidationError` for a value that is not a real number (a
+    400-digit integer or an overflowing float literal included) and for any
+    other violated invariant, such as a cost that is not positive or costs
+    that overflow (see :class:`Instance`). Every such message starts with
+    ``path``. I/O failures propagate as ``OSError``.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    doc = _read_json(path)
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise InstanceParseError(f"invalid instance file: {exc}") from exc
-    return instance_from_dict(doc)
+        return instance_from_dict(doc)
+    except (InstanceParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def dumps_instance(instance: Instance) -> str:
     """Serialize deterministically: same instance, byte-identical text."""
-    return json.dumps(instance_to_dict(instance), indent=2) + "\n"
+    return json.dumps(instance_to_dict(instance), indent=2, allow_nan=False) + "\n"
 
 
 def save_instance(instance: Instance, path) -> None:

@@ -577,6 +577,12 @@ class TestJsonLines:
         assert text == dumps_instance(fs.load_instance(path))
         assert json.loads(text) == shown["outputs"]["instance"]
 
+    def test_non_finite_float_is_not_written(self, capsys):
+        # the reader rejects Infinity, so the writer never emits it
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._emit([{"value": float("inf")}], None)
+        assert capsys.readouterr().out == ""
+
 
 class TestParserReuse:
     """``main`` builds the argparse tree once per process and reuses it."""

@@ -6,19 +6,23 @@ seed, a size, a limit, an index) is a ``numbers.Integral`` that is not a bool
 and at least its minimum. Anything else raises ``ValidationError``, and
 exits with code 2 from the command line. An agent index out of range raises
 ``IndexError``, as for a sequence. The numbers an entry point prices must
-keep its cost scale within a quarter of the largest float.
+keep its cost scale within a quarter of the largest float. Every outside
+JSON document is read by one reader, whose errors name the document.
 
 Each case below was accepted, coerced or raised some other exception before
 the rule was shared; negative counts that were already rejected are tested
 where they were.
 """
 
+import ast
 import inspect
 import json
 import math
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ import pytest
 import facshare as fs
 from facshare.cli import main
 from facshare.mechanisms import MechanismSpec
-from facshare.model import instance_from_dict
+from facshare.model import instance_from_dict, instance_to_dict
 
 ENV = fs.Environment((0.0, 3.0), (2.0, 4.0))
 SPEC = MechanismSpec("krank", k=1)
@@ -164,7 +168,7 @@ class TestCostScale:
         code = main(["solve", path])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
-        assert err.startswith("error: instance 'edge': cost scale")
+        assert err.startswith(f"error: {path}: instance 'edge': cost scale")
 
     def test_overflowing_instance_exits_2(self, capsys, tmp_path):
         # every value finite, but the distances between them overflow
@@ -356,3 +360,97 @@ def test_dynamics_start_file_object_exits_2(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err == "error: assignment file must be a JSON array\n"
+
+
+# One reader for every outside JSON document. Each malformed kind, as text;
+# a file holds its UTF-8 bytes, where a lone surrogate stands for a byte
+# that is not UTF-8, as Python decodes such a byte in a command argument.
+DEPTH = 100_000
+MALFORMED = {
+    "truncated": "[1, ",
+    "NaN": "[NaN]",
+    "deep": "[" * DEPTH + "]" * DEPTH,
+    "non-UTF-8": '["\udcff"]',
+}
+INLINE_SPEC = '{"kind": "krank", "params": {"k": 1}}'
+
+# Each document input: (argv, source), given a good instance file and the
+# malformed document as a file and as inline text.
+DOCUMENT_INPUTS = {
+    "solve-INSTANCE": lambda good, bad, text: (["solve", good, bad], bad),
+    "dynamics-INSTANCE": lambda good, bad, text: (
+        ["dynamics", bad, "--start", "all-1"], bad),
+    "mech-INSTANCE": lambda good, bad, text: (["mech", bad, "--mech", INLINE_SPEC], bad),
+    "mech---mech-inline": lambda good, bad, text: (
+        ["mech", good, "--mech", '{"x": %s}' % text], "--mech"),
+    "mech---mech-PATH": lambda good, bad, text: (["mech", good, "--mech", bad], bad),
+    "dynamics---start-file": lambda good, bad, text: (
+        ["dynamics", good, "--start", f"file:{bad}"], bad),
+}
+
+
+def write_malformed(tmp_path, kind):
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED[kind].encode("utf-8", "surrogateescape"))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+@pytest.mark.parametrize("entry", DOCUMENT_INPUTS)
+def test_malformed_document_exits_2_naming_its_source(capsys, tmp_path, entry, kind):
+    good = tmp_path / "good.json"
+    fs.save_instance(RUNNING, good)
+    argv, source = DOCUMENT_INPUTS[entry](str(good), write_malformed(tmp_path, kind),
+                                          MALFORMED[kind])
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {source}: invalid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_load_instance_names_a_malformed_file(tmp_path, kind):
+    path = write_malformed(tmp_path, kind)
+    with pytest.raises(fs.InstanceParseError, match=f"^{re.escape(path)}: invalid JSON: "):
+        fs.load_instance(path)
+
+
+def test_solve_names_the_invalid_file_among_several(capsys, tmp_path):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    fs.save_instance(RUNNING, good)
+    doc = instance_to_dict(RUNNING)
+    doc["facilities"][1]["building_cost"] = -1.0
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(fs.ValidationError, match=f"^{re.escape(str(bad))}: building cost"):
+        fs.load_instance(bad)
+    code = main(["solve", str(good), str(bad)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: building cost must be > 0\n"
+
+
+def reader_calls(node, where=None):
+    """``(function, method)`` for each call of a method that reads or
+    parses text, under ``node``; ``function`` is the innermost enclosing
+    function's name, or None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from reader_calls(child, child.name)
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr in {"load", "loads", "read_text", "read_bytes"}):
+            yield where, child.func.attr
+        yield from reader_calls(child, where)
+
+
+def test_one_reader_parses_every_document():
+    """Only ``model._read_json`` reads a document file or parses JSON
+    text, so no input can bypass its rules."""
+    found = []
+    for path in sorted(Path(fs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.ImportFrom) and node.module == "json"
+                       for node in ast.walk(tree))
+        found += [(path.name, *call) for call in reader_calls(tree)]
+    assert sorted(found) == [("model.py", "_read_json", "loads"),
+                             ("model.py", "_read_json", "read_text")]
