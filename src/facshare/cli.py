@@ -108,6 +108,12 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _close(value: float, expected: float) -> bool:
+    """``value`` equals ``expected`` to 1e-9 relative, or 1e-9 absolute when
+    ``|expected| < 1``."""
+    return abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
 def _matches_bruteforce(oracle, value: float) -> bool | str:
     """Compare ``value`` with the brute-force ``oracle()``; "skipped", with a
     warning, when the search space exceeds the guard."""
@@ -116,7 +122,7 @@ def _matches_bruteforce(oracle, value: float) -> bool | str:
     except BruteForceLimitError as exc:
         print(f"warning: partial verification, {exc}", file=sys.stderr)
         return "skipped"
-    return abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
+    return _close(value, expected)
 
 
 def _solve_one(path: str, mode: str, verify: bool) -> dict:
@@ -317,7 +323,7 @@ def _cmd_ratio(args) -> int:
         params = env_params(env)
         pooling_term, threshold_term = ratio_lower_bound_terms(env)
         reference = 1.0 / square
-        matches = abs(pooling_term - reference) <= 1e-9 * max(1.0, reference)
+        matches = _close(pooling_term, reference)
         all_match &= matches
         rows.append({
             "epsilon": eps,

@@ -153,21 +153,23 @@ def env_params(env: Environment) -> EnvParams:
     )
 
 
-# The precondition of each two-facility family, as its error messages name it.
-_NEEDS = {"type2": "M = 0", "type3": "M = delta",
-          "type4": "0 < M < delta", "type5": "0 < M < delta"}
+# The two-facility case split: five disjoint rows in order along M, each
+# with the families it admits besides type1, which exists everywhere.
+_ROWS = {"M < 0": (), "M = 0": ("type2",), "0 < M < delta": ("type4", "type5"),
+         "M = delta": ("type3",), "M > delta": ()}
 
 
 @dataclass(frozen=True)
 class EnvironmentClass:
-    """Which algebraic conditions on (2*delta, b1 - b2) hold, and which
-    mechanism families are constructible for the environment.
+    """Where M lies against 0 and delta, and which mechanism families are
+    constructible for the environment.
 
-    ``conditions`` lists every satisfied row of the six-way case split (the
-    equal-cost case satisfies two of the strict rows simultaneously, so this
-    is deliberately not forced to be unique). ``admitted_types`` comes from
-    the constructor preconditions: M = 0 admits type2, M = delta admits
-    type3, 0 < M < delta admits type4 and type5; type1 always exists.
+    ``conditions`` holds the one row of the five-way case split that holds:
+    ``"M < 0"`` (2*delta < b1 - b2), ``"M = 0"`` (2*delta = b1 - b2),
+    ``"0 < M < delta"`` (|b1 - b2| < 2*delta), ``"M = delta"``
+    (2*delta = b2 - b1) or ``"M > delta"`` (2*delta < b2 - b1). When
+    delta <= 2*tol both equality rows may hold: ``("M = 0", "M = delta")``.
+    ``admitted_types`` is type1 plus the families those rows admit.
     ``boundary_gaps`` reports the distance of M to each equality boundary.
     """
 
@@ -178,23 +180,21 @@ class EnvironmentClass:
 
 
 def classify_environment(env: Environment, tol: float = EPS_CMP) -> EnvironmentClass:
-    """The case split, decided once on M within ``tol``. The rows on
-    (2*delta, b1 - b2) are the same tests scaled by 4, since
-    M = (2*delta - (b1 - b2)) / 4 and delta - M = (2*delta - (b2 - b1)) / 4,
-    so ``conditions`` and ``admitted_types`` never disagree."""
+    """The case split, decided once on M within ``tol``: M < -tol,
+    |M| <= tol, tol < M < delta - tol and |M - delta| <= tol name the first
+    four rows, and ``"M > delta"`` is every M they leave. That is
+    M > delta + tol, and also the one float M = fl(delta - tol) where that
+    rounds below delta - tol, which neither the interior test nor the
+    M = delta test takes."""
     params = env_params(env)
     m, delta = params.M, params.delta
-    low, high = abs(m) <= tol, abs(m - delta) <= tol
-    interior = tol < m < delta - tol
-    rows = {"2delta<b1-b2": m < -tol, "2delta=b1-b2": low,
-            "b1-b2<2delta<b2-b1": interior, "2delta=b2-b1": high,
-            "2delta>b2-b1": m < delta - tol, "2delta<b2-b1": m > delta + tol}
-    types = {"type1": True, "type2": low, "type3": high,
-             "type4": interior, "type5": interior}
+    tests = (m < -tol, abs(m) <= tol, tol < m < delta - tol, abs(m - delta) <= tol)
+    conditions = tuple(row for row, holds in zip(_ROWS, tests) if holds) or ("M > delta",)
+    families = tuple(kind for row in conditions for kind in _ROWS[row])
     return EnvironmentClass(
         params=params,
-        conditions=tuple(row for row, holds in rows.items() if holds),
-        admitted_types=tuple(kind for kind, holds in types.items() if holds),
+        conditions=conditions,
+        admitted_types=("type1",) + families,
         boundary_gaps={"M=0": abs(m), "M=delta": abs(m - delta)},
     )
 
@@ -204,8 +204,9 @@ def _require_admitted(kind: str, env: Environment, tol: float, what: str) -> Env
     :func:`classify_environment` admits the two-facility family ``kind``."""
     cls = classify_environment(env, tol)
     if kind not in cls.admitted_types:
+        row = next(row for row, kinds in _ROWS.items() if kind in kinds)
         raise MechanismPreconditionError(
-            f"{what} requires {_NEEDS[kind]}, got M = {cls.params.M}, "
+            f"{what} requires {row}, got M = {cls.params.M}, "
             f"delta = {cls.params.delta}")
     return cls.params
 
@@ -274,7 +275,7 @@ def spec_from_dict(doc: dict) -> MechanismSpec:
     if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
         raise ValidationError("mechanism document must be an object with a 'kind'")
     kind = doc["kind"]
-    params = doc.get("params", {}) or {}
+    params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ValidationError("'params' must be an object")
     diag = params.get("diag_choice")

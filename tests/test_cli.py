@@ -318,6 +318,13 @@ class TestMech:
         assert code == 3
         assert "0 < M < delta" in err
 
+    @pytest.mark.parametrize("params", ["[]", "0", "false", '""', "null"])
+    def test_falsy_params_are_not_an_empty_object(self, capsys, running_file, params):
+        code, _, err = run_cli(capsys, "mech", running_file, "--mech",
+                               f'{{"kind": "type1", "params": {params}}}')
+        assert code == 2
+        assert "'params' must be an object" in err
+
     @pytest.mark.parametrize("params", [
         '{"k": true}', '{"k": 2.5}', '{"k": "2"}',
     ])

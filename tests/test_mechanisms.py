@@ -52,57 +52,66 @@ class TestEnvParams:
         assert p.L < p.M < p.R
 
 
+# The case split's rows and the families each admits besides type1.
+FAMILIES = {"M < 0": (), "M = 0": ("type2",), "0 < M < delta": ("type4", "type5"),
+            "M = delta": ("type3",), "M > delta": ()}
+TOL = 1e-9
+
+
+def head_admitted(m, delta, tol=TOL):
+    """The admitted families from the three tests on M, written out apart
+    from the case-split table."""
+    return (("type1",) + ("type2",) * (abs(m) <= tol) + ("type3",) * (abs(m - delta) <= tol)
+            + ("type4", "type5") * (tol < m < delta - tol))
+
+
+def partition_breaks(cls):
+    """What ``cls`` gets wrong about the partition: a row count other than
+    one (or both equality rows when delta <= 2*tol), or ``admitted_types``
+    other than type1 plus the families of its rows."""
+    rows = cls.conditions
+    one_row = len(rows) == 1 and rows[0] in FAMILIES
+    both = rows == ("M = 0", "M = delta") and cls.params.delta <= 2.0 * TOL
+    breaks = [] if one_row or both else [("rows", rows)]
+    families = tuple(kind for row in rows for kind in FAMILIES.get(row, ()))
+    if cls.admitted_types != ("type1",) + families:
+        breaks.append(("admitted", cls.admitted_types))
+    return breaks
+
+
 class TestClassify:
-    def test_interior_environment_reports_both_strict_rows(self):
+    def test_interior_environment_row(self):
         cls = fs.classify_environment(ENV)
-        # 2*delta exceeds both cost differences: the two-sided row and the
-        # bottom row hold simultaneously; the admitted set follows M.
-        assert "b1-b2<2delta<b2-b1" in cls.conditions
-        assert "2delta>b2-b1" in cls.conditions
+        assert cls.conditions == ("0 < M < delta",)
         assert cls.admitted_types == ("type1", "type4", "type5")
 
     def test_equality_row_low(self):
         cls = fs.classify_environment(ENV_M0)
-        assert "2delta=b1-b2" in cls.conditions
+        assert cls.conditions == ("M = 0",)
         assert cls.admitted_types == ("type1", "type2")
         assert cls.boundary_gaps["M=0"] <= 1e-9
 
     def test_equality_row_high(self):
         cls = fs.classify_environment(ENV_MD)
-        assert "2delta=b2-b1" in cls.conditions
+        assert cls.conditions == ("M = delta",)
         assert cls.admitted_types == ("type1", "type3")
 
     def test_trivial_only_row(self):
         env = fs.Environment((0.0, 1.0), (10.0, 2.0))  # 2*delta < b1 - b2
         cls = fs.classify_environment(env)
-        # the literal bottom-row predicate also holds whenever b1 > b2; all
-        # satisfied rows are reported rather than forcing a unique one
-        assert "2delta<b1-b2" in cls.conditions
+        assert cls.conditions == ("M < 0",)
         assert cls.admitted_types == ("type1",)
-
-    @staticmethod
-    def contradictions(cls):
-        """The rows of ``conditions`` that ``admitted_types`` contradicts."""
-        rows, types = set(cls.conditions), set(cls.admitted_types)
-        agrees = {
-            "2delta<b1-b2": "2delta<b1-b2" not in rows  # M < 0: no family needs it
-                            or not types & {"type2", "type3", "type4"},
-            "2delta=b1-b2": ("2delta=b1-b2" in rows) == ("type2" in types),
-            "b1-b2<2delta<b2-b1": (("b1-b2<2delta<b2-b1" in rows)
-                                   == ("type4" in types) == ("type5" in types)),
-            "2delta=b2-b1": ("2delta=b2-b1" in rows) == ("type3" in types),
-            "2delta>b2-b1": "2delta>b2-b1" not in rows or "type3" not in types,
-            "2delta<b2-b1": "2delta<b2-b1" not in rows  # M > delta: no family needs it
-                            or not types & {"type2", "type3", "type4"},
-        }
-        return [row for row, ok in agrees.items() if not ok]
 
     def test_costly_left_facility_row(self):
         env = fs.Environment((0.0, 1.0), (1.0, 10.0))  # M = 2.75 > delta = 1
         cls = fs.classify_environment(env)
-        assert cls.conditions == ("2delta<b2-b1",)
+        assert cls.conditions == ("M > delta",)
         assert cls.admitted_types == ("type1",)
-        assert self.contradictions(cls) == []
+
+    def test_colocated_facilities_take_both_equality_rows(self):
+        cls = fs.classify_environment(fs.Environment((2.0, 2.0), (1.0, 1.0)))
+        assert cls.conditions == ("M = 0", "M = delta")
+        assert cls.admitted_types == ("type1", "type2", "type3")
 
     def test_every_environment_satisfies_some_row(self):
         # M drawn from well below 0 to well above delta, plus the two bands.
@@ -117,22 +126,24 @@ class TestClassify:
             if c1 <= 0.0:
                 continue
             cls = fs.classify_environment(fs.Environment((l, l + d), (c1, c2)))
-            assert cls.conditions and self.contradictions(cls) == [], cls
-            m = cls.params.M
-            seen.add("M<0" if m < 0.0 else "M>delta" if m > cls.params.delta
-                     else "between")
-        assert seen == {"M<0", "between", "M>delta"}
+            assert partition_breaks(cls) == [], cls
+            seen.update(cls.conditions)
+        assert seen == set(FAMILIES)
 
     # Each sat within rounding of the tolerance band, where the scaled row
-    # tests once disagreed with the tests on M.
-    EDGE = [((7.894317243923471, 12.12725914430839), (14.365009404989477, 5.89912560021964)),
-            ((9.922823802372559, 12.362546290792768), (7.455550970439174, 2.576105997598756)),
-            ((-2.804261470147795, 3.6144592890131824), (16.6534470918599, 3.8160055775379442))]
+    # tests once disagreed with the tests on M; the ids name the row those
+    # scaled tests gave, the third entry the row the tests on M give.
+    EDGE = [((7.894317243923471, 12.12725914430839), (14.365009404989477, 5.89912560021964),
+             "M = 0"),
+            ((9.922823802372559, 12.362546290792768), (7.455550970439174, 2.576105997598756),
+             "M = 0"),
+            ((-2.804261470147795, 3.6144592890131824), (16.6534470918599, 3.8160055775379442),
+             "0 < M < delta")]
 
-    @pytest.mark.parametrize("locations, costs", EDGE, ids=["M<0", "interior", "M=0"])
-    def test_rows_agree_with_admitted_types_at_the_band_edge(self, locations, costs):
-        assert self.contradictions(fs.classify_environment(
-            fs.Environment(locations, costs))) == []
+    @pytest.mark.parametrize("locations, costs, row", EDGE, ids=["M<0", "interior", "M=0"])
+    def test_rows_agree_with_admitted_types_at_the_band_edge(self, locations, costs, row):
+        cls = fs.classify_environment(fs.Environment(locations, costs))
+        assert cls.conditions == (row,) and partition_breaks(cls) == []
 
     def test_rows_agree_with_admitted_types_on_an_edge_sample(self):
         # b1 = b2 +- 2 delta +- 4e-9 (1 +- 1e-6): M within rounding of +-tol
@@ -145,9 +156,53 @@ class TestClassify:
         left = rng.uniform(-10.0, 10.0, size)
         envs = [fs.Environment((l, l + d), (c1, c2))
                 for l, d, c1, c2 in zip(left, delta, b1, b2) if c1 > 0]
-        bad = [(env, rows) for env in envs
-               if (rows := self.contradictions(fs.classify_environment(env)))]
+        bad = [(env, breaks) for env in envs
+               if (breaks := partition_breaks(fs.classify_environment(env)))]
         assert len(envs) > 2500 and bad == []
+
+    def test_case_split_partitions_a_guard_sweep(self):
+        rng = np.random.default_rng(23)
+        size = 14000
+        left, b2 = rng.uniform(-10.0, 10.0, size), rng.uniform(0.1, 20.0, size)
+        delta = rng.uniform(0.0, 5.0, size)
+        m = rng.uniform(-1.0, 2.0, size) * delta  # M uniform over [-delta, 2 delta]
+        b1 = b2 + 2.0 * delta - 4.0 * m
+        # On the lines M = 0 and M = delta, nudged to within rounding of the
+        # tolerance band's edges, as in the edge sample.
+        sign, side, nudge = rng.choice([-1.0, 1.0], (3, 5000))
+        b1[:5000] = (b2[:5000] + sign * 2.0 * delta[:5000]
+                     + side * 4e-9 * (1.0 + nudge * 1e-6))
+        # delta <= 2*tol and a little above, with M around 0 and delta.
+        delta[5000:5600] = rng.uniform(0.0, 3e-9, 600)
+        b1[5000:5600] = b2[5000:5600] + 2.0 * delta[5000:5600] - rng.uniform(-8e-9, 1.6e-8, 600)
+        specs = {"type2": MechanismSpec("type2", diag_choice=1),
+                 "type3": MechanismSpec("type3", diag_choice=1),
+                 "type4": MechanismSpec("type4", boundary_choice=1),
+                 "type5": MechanismSpec("type5", boundary_choice=1)}
+        checked, between, seen = 0, 0, set()
+        for l, d, c1, c2 in zip(left, delta, b1, b2):
+            if c1 <= 0.0:
+                continue
+            env = fs.Environment((l, l + d), (c1, c2))
+            cls = fs.classify_environment(env)
+            assert partition_breaks(cls) == [], cls
+            m, d = cls.params.M, cls.params.delta
+            assert cls.admitted_types == head_admitted(m, d), cls
+            # M equal to the rounded delta - tol or delta + tol, which no test
+            # on M but the fallback "M > delta" takes
+            between += (head_admitted(m, d) == ("type1",)
+                        and not (m < -TOL or m > d + TOL))
+            for kind, spec in specs.items():
+                try:
+                    fs.validate_spec(spec, env)
+                    accepted = True
+                except fs.MechanismPreconditionError:
+                    accepted = False
+                assert accepted == any(kind in FAMILIES[row] for row in cls.conditions)
+            checked += 1
+            seen.add(cls.conditions)
+        assert checked >= 10_000 and between > 0
+        assert seen == {(row,) for row in FAMILIES} | {("M = 0", "M = delta")}
 
 
 class TestSpecValidation:
@@ -444,6 +499,42 @@ class TestAudits:
                                            n=2, max_profiles=128)
         assert report.p2.passed and report.p3.passed
 
+    def test_p3_counterexamples_match_a_per_report_loop(self):
+        # Agents 0 and 1 always use facility 1; agent 2 joins them iff agent 0
+        # reports below 1.5, so agent 0's report moves her load, not her facility.
+        def joiner(profiles):
+            out = np.ones(profiles.shape, dtype=int)
+            out[:, 2] = np.where(profiles[:, 0] < 1.5, 1, 2)
+            return out
+
+        grid = fs.default_audit_grid(ENV)
+        report = fs.audit_lemma_properties(joiner, ENV, n=3).p3
+        expected = []
+        for profile in mechanisms._profiles_from_grid(grid, 3, 512, 0):
+            truthful = joiner(profile[None, :])[0]
+            for i, r in itertools.product(range(3), grid):
+                moved = profile.copy()
+                moved[i] = r
+                altered = joiner(moved[None, :])[0]
+                if (altered[i] == truthful[i]
+                        and np.sum(altered == altered[i]) != np.sum(truthful == truthful[i])):
+                    expected.append((tuple(profile.tolist()), i, r))
+        found = [(c.profile, c.agent, c.deviation) for c in report.counterexamples]
+        assert not report and len(expected) > 1000
+        assert found == sorted(expected, key=lambda c: (c[0], c[1], repr(c[2])))
+
+    @pytest.mark.parametrize("spec, env, n", [
+        (MechanismSpec("type1", target=2), ENV, 2),
+        (MechanismSpec("type2", diag_choice=2), ENV_M0, 2),
+        (MechanismSpec("type3", diag_choice=1), ENV_MD, 2),
+        (MechanismSpec("type4", boundary_choice=1), ENV, 2),
+        (MechanismSpec("type5", boundary_choice=2), ENV, 2),
+        (MechanismSpec("krank", k=2), ENV, 3),
+    ], ids=["type1", "type2", "type3", "type4", "type5", "krank"])
+    def test_p3_holds_for_every_spec_family(self, spec, env, n):
+        report = fs.audit_lemma_properties(spec, env, n=n).p3
+        assert report and report.checked > 0
+
     def test_lemma_properties_generalize_beyond_two_agents(self):
         report = fs.audit_lemma_properties(MechanismSpec("krank", k=2), ENV,
                                            n=3, max_profiles=128)
@@ -519,7 +610,7 @@ class TestAudits:
 
     def test_audit_report_invariant(self):
         report = fs.audit_strategyproof(MechanismSpec("type1", target=1), ENV, n=2)
-        assert report.passed == (len(report.counterexamples) == 0)
+        assert report.passed == (len(report.counterexamples) == 0) == bool(report)
         assert report.checked > 0
 
     def test_counterexamples_sorted_deterministically(self):

@@ -58,6 +58,7 @@ def test_profile_validation():
 
 def test_assignment_accessors():
     a = fs.Assignment((2, 1, 2))
+    assert a.n == 3
     assert assignment_counts(a, 3) == (1, 2, 0)
     assert used_facilities(a) == (1, 2)
     assert agents_of(a, 2) == (0, 2)
