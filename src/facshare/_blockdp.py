@@ -57,7 +57,8 @@ the float the scan itself gives. The later layers follow from ``w`` and
   ``mid..hi-1`` and columns ``lo..mid-1``, and every pair ``i < t`` lies in
   exactly one rectangle. Two ``searchsorted`` calls on the live rows give
   each rectangle's live rows, and the rectangle bound below drops those
-  that cannot hold the row's minimum. A task is a run of remaining rows with a
+  that cannot hold the row's minimum, or cannot reach the value the row
+  already holds. A task is a run of remaining rows with a
   column range; each rectangle starts as one. All tasks of all rectangles
   run together, one level per pass, each pass one ragged
   ``np.minimum.reduceat``. A pass whose tasks hold at most
@@ -79,29 +80,32 @@ and any set ``I`` of columns below ``t``, in exact arithmetic::
 
     min_{i in I} cand_f(t, i) >= p + D_f[t] + min_{i in I} (G_{f-1}[i] - D_f[i])
 
-A row is dead when this bound over all ``i < t`` exceeds ``G_{f-1}[t]``
-by more than the margin ``1e-9 * (1 + G_{f-1}[t] + D_f[t])``; its
-``R_f[t]`` is stored as +inf. A dead row's every float candidate is
-strictly above ``G_{f-1}[t]``, which an earlier layer attains at ``t``, so
-neither ``G_f`` nor the traceback (least ``R``, then smallest argmin, then
-smallest ``f``) can pick it, and every result stays bit-identical. The
-rectangle bound is the same test over a rectangle's columns against
-``U[t]``, the candidate at the first argmin of ``G_{f-1}[i] - D_f[i]``
-over ``i < t``, which is at least ``R_f[t]``: a rectangle that fails it
-holds no candidate at or below the row's minimum, so the row's minimum and
-smallest argmin are unchanged. It is size-aware: a column ``i <= mid - 1``
-of row ``t`` closes a block of ``t - i >= t - mid + 1`` agents, so the
-rectangle bound uses ``p = fl(b_f * least[t - mid + 1])``, ``least[s]``
-the least ``w[s']`` over ``s' >= s``, and ``p <= fl(b_f * w[t - i])``
-still holds for every column by monotone rounding. The margin's argument,
-with ``u = 2**-53`` and ``h`` the held value (``G_{f-1}[t]`` or
-``U[t]``): suppose a float candidate ``c = cand_f(t, i) <= h``. Its three
-roundings act on nonnegative operands and rounding is monotone, so ``p <=
-fl(b_f * w[t - i]) <= c`` and, exactly, ``p + (D_f[t] - D_f[i]) +
+A row is dead when this bound over all ``i < t`` exceeds ``G_{f-1}[t]`` by
+more than the margin ``1e-9 * (1 + G_{f-1}[t] + D_f[t])``; its ``R_f[t]``
+is stored as +inf. A dead row's every float candidate is strictly above
+``G_{f-1}[t]``, which an earlier layer attains at ``t``, so neither ``G_f``
+nor the traceback (least ``R``, then smallest argmin, then smallest ``f``)
+can pick it, and every result stays bit-identical. The rectangle bound is
+the same test over a rectangle's columns against the lesser of ``U[t]`` and
+the row's cap ``G_{f-1}[t]``, ``U[t]`` the candidate at the first argmin of
+``G_{f-1}[i] - D_f[i]`` over ``i < t``, which is at least ``R_f[t]``. A
+rectangle that fails it holds no candidate at or below that lesser value.
+So a row with ``R_f[t] <= G_{f-1}[t]`` keeps its minimum and smallest
+argmin; any other row gets some value at least ``R_f[t]``, so above
+``G_{f-1}[t]``, which, like a dead row's +inf, neither ``G_f`` nor the
+traceback can pick. It is size-aware: a column ``i <= mid - 1`` of row
+``t`` closes a block of ``t - i >= t - mid + 1`` agents, so the rectangle
+bound uses ``p = fl(b_f * least[t - mid + 1])``, ``least[s]`` the least
+``w[s']`` over ``s' >= s``, and ``p <= fl(b_f * w[t - i])`` still holds for
+every column by monotone rounding. The margin's argument, with ``u =
+2**-53`` and ``h`` the value tested against (``G_{f-1}[t]``, or the lesser
+of it and ``U[t]``): suppose a float candidate ``c = cand_f(t, i) <= h``.
+Its three roundings act on nonnegative operands and rounding is monotone,
+so ``p <= fl(b_f * w[t - i]) <= c`` and, exactly, ``p + (D_f[t] - D_f[i]) +
 G_{f-1}[i] <= c / (1 - u)**3 <= h * (1 + 4u)``. Every key ``G_{f-1}[j] -
 D_f[j]`` is at least ``-D_f[t]``, and the one at ``i`` at most ``h -
-D_f[t]``, so each of the three roundings in the float bound (the key, ``p
-+ D_f[t]`` and their sum) errs by at most about ``u * (h + D_f[t])``. The
+D_f[t]``, so each of the three roundings in the float bound (the key, ``p +
+D_f[t]`` and their sum) errs by at most about ``u * (h + D_f[t])``. The
 float bound is then at most ``h + 7u * (h + D_f[t])``, far inside the
 margin; the margin's absolute term covers subnormal sums. A row with
 ``G_{f-1}[t] = +inf`` is always live. Each layer computes the keys and
@@ -110,9 +114,9 @@ floors (the least key over each rectangle's columns). The floors come from
 one ``np.minimum.reduceat``: the rectangles are stored by midpoint, which
 runs over ``1..n``, and the next rectangle's ``lo`` is below its midpoint
 ``mid + 1``, so the cuts ``lo, mid`` of consecutive rectangles ascend only
-within a rectangle's columns. The bound holds over any set of columns
-below ``t``, so a layer that prices only some columns (the windows below)
-applies it over those.
+within a rectangle's columns. The bound holds over any set of columns below
+``t``, so a layer that prices only some columns (the windows below) applies
+it over those.
 
 Windows. Take an assignment whose objective ``sum_f b_f * w[load_f]`` plus
 distances is within ``e`` of the least, and move one agent at ``x`` from
@@ -154,11 +158,13 @@ profile.
 Why the windowed table gives the same result. Let ``P`` be the path the
 unwindowed traceback follows and suppose its every block lies inside its
 facility's window. Windowing stores +inf in some rows, drops columns, and
-float operations are monotone, so with concave layers every windowed
-``R'`` and ``G'`` is at least the unwindowed one. Along ``P``, from the left, each
-state's inputs are unchanged and its block's start column is kept, so its
-chosen candidate is priced to the same float, the windowed table holds the
-same value there, and the stored argmin is the same: a smaller column
+float operations are monotone, so with concave layers every windowed ``R'``
+and ``G'`` is at least the unwindowed one (a row above its cap holds at
+least its minimum). Along ``P``, from the left, each state's inputs are
+unchanged and its block's start column is kept, so its chosen candidate is
+priced to the same float (its row is exact, as the chosen value is at most
+every earlier layer's there, so at most the cap), the windowed table holds
+the same value there, and the stored argmin is the same: a smaller column
 tying in ``R'`` would tie in ``R``. At a traceback state every other
 layer's windowed minimum is at least its old one, and where it ties, its
 argmin is at least the old argmin. The old choice, the least value, then
@@ -208,6 +214,7 @@ order.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import partial
 
@@ -263,7 +270,10 @@ def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
     price no other block; the result is the same."""
     n = len(sorted_x)
     m = len(locations)
-    dist = distance_prefix(sorted_x, locations)
+    # The last view's own read-only arrays carry their prefix.
+    view = (_last_view or (None, None))[1]
+    dist = (view.dist if view and sorted_x is view.x and locations is view.locations
+            else distance_prefix(sorted_x, locations))
     weight = np.asarray(size_weight, dtype=float)[:n + 1]
     flat = np.all(weight[1:] == weight[1:2])
     if flat:
@@ -295,7 +305,9 @@ def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
             if not len(live):
                 continue
             rows = live + cut
-            low, arg = layer(held, dist_f, b, live, keys, cut)
+            # A row's kernel value need only be exact where it may reach the
+            # value the row already holds.
+            low, arg = layer(held, dist_f, b, live, keys, cut, held[live])
         rowmin[f, rows] = low
         argmin[f, rows] = arg + cut
         table[rows] = np.minimum(table[rows], low)
@@ -378,11 +390,12 @@ def _prefix_minima(table: np.ndarray, dist: np.ndarray, b: float,
     """The row minima and smallest argmins of a layer with flat ``weight``:
     each row's candidate at the first argmin of ``table - dist`` over its
     columns, tracked as a running prefix minimum. Every ``w[t - arg]`` is
-    ``w[1]``. Leading axes of ``table`` and ``dist`` are batch axes."""
+    ``w[1]``. Leading axes of ``table`` and ``dist`` are batch axes; one flat
+    index, ``arg`` plus each row's offset, gathers from both."""
     n = table.shape[-1] - 1
     arg = _running_argmin(*_keys(table[..., :n], dist[..., :n]))
-    return ((b * weight[1] + (dist[..., 1:] - np.take_along_axis(dist, arg, -1)))
-            + np.take_along_axis(table, arg, -1)), arg
+    at = arg + np.arange(0, table.size, n + 1).reshape(table.shape[:-1] + (1,))
+    return (b * weight[1] + (dist[..., 1:] - dist.take(at))) + table.take(at), arg
 
 
 def _block_values(sorted_profiles: np.ndarray, locations: np.ndarray,
@@ -411,10 +424,10 @@ class _DenseMinima:
         sizes = np.concatenate((weight[:0:-1], np.full(n - 1, math.inf)))
         self.block_weight = np.lib.stride_tricks.sliding_window_view(sizes, n)
 
-    def __call__(self, table, dist, b, rows, keys, cut):
+    def __call__(self, table, dist, b, rows, keys, cut, cap):
         """Minima and smallest argmins of ``rows`` (ascending, within
-        ``1..len(table) - 1``) over the columns below them. The scan needs
-        neither ``keys`` nor ``cut``."""
+        ``1..len(table) - 1``) over the columns below them, on every row.
+        The scan needs neither ``keys``, ``cut`` nor ``cap``."""
         n, width = len(self.block_weight), len(table) - 1
         cand = self.block_weight[n - rows, :width] * b
         cand += np.subtract.outer(dist[rows], dist[:width])
@@ -465,12 +478,13 @@ class _MonotoneMinima:
         cuts[::2], cuts[1::2] = lo, mid
         return np.minimum.reduceat(key, cuts)[::2]
 
-    def _pairs(self, table, dist, b, given, keys, rects):
+    def _pairs(self, table, dist, b, given, keys, rects, cap):
         """Every (rectangle, row) pair of the rows ``given``, as an index into
         ``given``, grouped by rectangle: ``count`` pairs from ``start`` each.
         ``keep`` marks the pairs whose row bound over the rectangle's columns
-        may reach the row's upper bound U, a candidate at or above its
-        minimum; no other pair can hold the row's minimum."""
+        may reach the lesser of the row's ``cap`` and its upper bound U, a
+        candidate at or above its minimum; no other pair can hold the row's
+        minimum if that minimum is at most the cap."""
         key, run = keys
         # A rectangle's rows mid..hi-1 are given[head:head + count].
         mid, hi = rects[:2]
@@ -479,8 +493,8 @@ class _MonotoneMinima:
         start = count.cumsum() - count
         pair = np.arange(start[-1] + count[-1]) + (head - start).repeat(count)
         at = _running_argmin(key, run)[given - 1]
-        upper = ((b * self.weight[given - at] + (dist[given] - dist[at]))
-                 + table[at])[pair]
+        upper = np.minimum((b * self.weight[given - at] + (dist[given] - dist[at]))
+                           + table[at], cap)[pair]
         t = given[pair]
         reach = dist[t]
         # Row t closes a block of at least t - mid + 1 agents in this rectangle.
@@ -488,14 +502,15 @@ class _MonotoneMinima:
                  + self._floors(key, rects).repeat(count))
         return pair, start, count, _may_reach(bound, upper, reach)
 
-    def __call__(self, table, dist, b, rows, keys, cut):
+    def __call__(self, table, dist, b, rows, keys, cut, cap):
         """Minima and smallest argmins of ``rows`` (ascending, within
-        ``1..len(table) - 1``) over the columns below them. ``keys`` is
-        ``table - dist`` and its running minimum; ``table[0]`` is index
-        ``cut`` of the rectangles' range ``[0, n]``."""
+        ``1..len(table) - 1``) over the columns below them, on every row
+        whose minimum is at most its ``cap``; every other row gets some value
+        above its cap. ``keys`` is ``table - dist`` and its running minimum;
+        ``table[0]`` is index ``cut`` of the rectangles' range ``[0, n]``."""
         size = len(rows)
         rects = self._rectangles(cut, cut + len(table))
-        pair, start, count, keep = self._pairs(table, dist, b, rows, keys, rects)
+        pair, start, count, keep = self._pairs(table, dist, b, rows, keys, rects, cap)
         kept = np.zeros(len(pair) + 1, dtype=np.intp)
         np.cumsum(keep, out=kept[1:])
         pair = pair[keep]
@@ -579,21 +594,64 @@ def _price(t, lo, width, table, dist, bw):
     return low, cols[hits[hits.searchsorted(starts)]]
 
 
-def _block_assignment(instance: Instance, size_weight: np.ndarray) -> Assignment:
-    """Solve the block DP on stably sorted agents, each layer on its
-    :func:`_windows`, and map the blocks back to the caller's agent order.
-    ``size_weight``'s marginals must lie in ``[0, 1]``."""
+@dataclass(frozen=True)
+class _SortedView:
+    """An instance's agent order after a stable sort by position, the sorted
+    positions, its facilities' locations and building costs, and the
+    distance prefix of the sorted agents; every array read-only."""
+
+    order: np.ndarray
+    x: np.ndarray
+    locations: np.ndarray
+    costs: np.ndarray
+    dist: np.ndarray
+
+
+# The view of the last instance object solved, dropped when that object is
+# freed: the two solves of one instance share it.
+_last_view: tuple[weakref.ref, _SortedView] | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _last_view
+    held = _last_view
+    if held and held[0] is ref:
+        _last_view = None
+
+
+def _sorted_view(instance: Instance) -> _SortedView:
+    """The :class:`_SortedView` of this very object, built at most once while
+    it is the last instance solved; an equal but distinct instance gets its
+    own."""
+    global _last_view
+    held = _last_view
+    if held and held[0]() is instance:
+        return held[1]
     positions = np.asarray(instance.profile.positions, dtype=float)
     env = instance.environment
     order = np.argsort(positions, kind="stable")
     sorted_x = positions[order]
     locations = np.asarray(env.locations, dtype=float)
-    costs = np.asarray(env.building_costs, dtype=float)
-    windows = _windows(sorted_x, locations, costs, size_weight)
-    solution = solve_block_partition(sorted_x, locations, costs, size_weight, windows)
-    choices = np.empty(len(positions), dtype=int)
+    view = _SortedView(order, sorted_x, locations,
+                       np.asarray(env.building_costs, dtype=float),
+                       distance_prefix(sorted_x, locations))
+    for array in (view.order, view.x, view.locations, view.costs, view.dist):
+        array.flags.writeable = False
+    _last_view = (weakref.ref(instance, _forget), view)
+    return view
+
+
+def _block_assignment(instance: Instance, size_weight: np.ndarray) -> Assignment:
+    """Solve the block DP on stably sorted agents, each layer on its
+    :func:`_windows`, and map the blocks back to the caller's agent order.
+    ``size_weight``'s marginals must lie in ``[0, 1]``. The sorted agents and
+    their distance prefix come from :func:`_sorted_view`."""
+    view = _sorted_view(instance)
+    windows = _windows(view.x, view.locations, view.costs, size_weight)
+    solution = solve_block_partition(view.x, view.locations, view.costs, size_weight, windows)
+    choices = np.empty(len(view.x), dtype=int)
     for lo, hi, fac in solution.blocks:
-        choices[order[lo:hi]] = fac
+        choices[view.order[lo:hi]] = fac
     return Assignment._trusted(choices.tolist())
 
 

@@ -75,10 +75,17 @@ def _deviation_costs(positions, choices, env: Environment,
                      agents=slice(None)) -> np.ndarray:
     """``(k, m)`` matrix of each listed agent's cost at each facility, the
     other agents fixed: joining a facility other than her own raises its
-    load by one. ``agents`` indexes the agent axis (all agents by default)."""
+    load by one. ``agents`` indexes the agent axis (all agents by default).
+    Each facility's joining share is priced once, then each agent's own
+    column is overwritten by her cost where she is."""
     idx = np.asarray(choices) - 1
-    users = np.bincount(idx, minlength=env.m) + (np.arange(env.m) != idx[agents, None])
-    return _facility_costs(np.asarray(positions, dtype=float)[agents], env, users)
+    loads = np.bincount(idx, minlength=env.m)
+    x = np.asarray(positions, dtype=float)[agents]
+    own = idx[agents]
+    dev = _facility_costs(x, env, loads + 1)
+    dev[np.arange(len(own)), own] = (np.abs(x - np.asarray(env.locations)[own])
+                                     + np.asarray(env.building_costs)[own] / loads[own])
+    return dev
 
 
 def agent_cost(agent: int, profile: Profile, assignment: Assignment,

@@ -75,6 +75,17 @@ def oracle_best_move(positions, choices, locations, building_costs, i):
     return best, fac
 
 
+def oracle_deviation_costs(positions, choices, locations, building_costs, agents):
+    """Each listed agent's cost at each facility, the others fixed, with one
+    load and one division per (agent, facility) cell: her own facility
+    keeps its load, any other gains her."""
+    idx = np.asarray(choices) - 1
+    m = len(locations)
+    users = np.bincount(idx, minlength=m) + (np.arange(m) != idx[agents, None])
+    x = np.asarray(positions, dtype=float)[agents]
+    return np.abs(x[:, None] - np.asarray(locations)) + np.asarray(building_costs) / users
+
+
 def oracle_no_cross(positions, choices, locations):
     """First crossing ``(left_agent, right_agent)``, or ``None``. Agents are
     scanned in stable position order, one group of equal positions at a

@@ -10,14 +10,19 @@ moved by a few ulps: there the harmonic layers' row bound and its rounding
 margin must not drop a row that can still win.
 """
 
+import gc
 import itertools
+import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
 import pytest
 
 import facshare as fs
-from facshare import _blockdp
+from facshare import _blockdp, cli
+from facshare.model import instance_to_dict
 from oracles import (lattice_instance, oracle_block_partition, oracle_min_social_cost,
                      oracle_windows, suite_dims)
 
@@ -112,9 +117,9 @@ def test_layer_without_live_rows_runs_no_kernel(monkeypatch, n):
     # exhaustive scan's.
     sizes = []
     for kernel in (_blockdp._DenseMinima, _blockdp._MonotoneMinima):
-        def spy(self, table, dist, b, rows, keys, cut, price=kernel.__call__):
+        def spy(self, table, dist, b, rows, keys, cut, cap, price=kernel.__call__):
             sizes.append(len(rows))
-            return price(self, table, dist, b, rows, keys, cut)
+            return price(self, table, dist, b, rows, keys, cut, cap)
         monkeypatch.setattr(kernel, "__call__", spy)
     rng = np.random.default_rng(n)
     x = np.sort(rng.uniform(0.0, 1.0, size=n))
@@ -124,6 +129,11 @@ def test_layer_without_live_rows_runs_no_kernel(monkeypatch, n):
     got = _blockdp.solve_block_partition(x, locations, costs, w)
     assert (got.value, got.blocks) == (value, blocks)
     assert len(sizes) == 1 and sizes[0] > 0
+
+
+def uncapped(rows):
+    """A kernel ``cap`` of +inf on every row: every row's minimum is exact."""
+    return np.full(len(rows), np.inf)
 
 
 def scan_layer(table, dist, b, weight, cut=0):
@@ -171,8 +181,9 @@ def test_layer_kernels_match_row_scan(kind):
                 windowed += cut > 0
                 held, dist_f = table[cut:end], dist[cut:end]
                 expected = scan_layer(table[:end], dist[:end], b, weight, cut)
-                given = dict(rows=np.arange(1, end - cut), keys=_blockdp._keys(held, dist_f),
-                             cut=cut)
+                rows = np.arange(1, end - cut)
+                given = dict(rows=rows, keys=_blockdp._keys(held, dist_f), cut=cut,
+                             cap=uncapped(rows))
                 kernels = [partial(_blockdp._DenseMinima(weight), **given),
                            partial(_blockdp._MonotoneMinima(weight), **given)]
                 if kind == "unit":
@@ -238,7 +249,8 @@ def test_harmonic_kernels_on_row_subsets(monkeypatch, budget, kind):
                 rows = np.flatnonzero(rng.random(end - cut - 1) < rng.random()) + 1
                 held, dist_f = table[cut:end], dist[cut:end]
                 for layer in (_blockdp._DenseMinima(weight), _blockdp._MonotoneMinima(weight)):
-                    got, at = layer(held, dist_f, b, rows, _blockdp._keys(held, dist_f), cut)
+                    got, at = layer(held, dist_f, b, rows, _blockdp._keys(held, dist_f), cut,
+                                    uncapped(rows))
                     assert got.tolist() == best[rows - 1].tolist(), (layer, n, cut)
                     assert (at + cut).tolist() == arg[rows - 1].tolist(), (layer, n, cut)
 
@@ -379,9 +391,9 @@ def monotone_layers(seed, count):
     layers = []
     call = _blockdp._MonotoneMinima.__call__
 
-    def record(self, table, dist, b, rows, keys, cut):
+    def record(self, table, dist, b, rows, keys, cut, cap):
         layers.append((self, table.copy(), dist, b, rows, cut))
-        return call(self, table, dist, b, rows, keys, cut)
+        return call(self, table, dist, b, rows, keys, cut, cap)
 
     rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as patch:
@@ -404,22 +416,25 @@ def upper_bounds(table, dist, b, weight):
     return (b * weight[np.arange(1, n + 1) - at] + (dist[1:] - dist[at])) + table[at]
 
 
-def rectangle_pairs(kernel, table, dist, b, rows, cut):
+def rectangle_pairs(kernel, table, dist, b, rows, cut, cap=None):
     """Each (rectangle, row) pair of ``rows``: its rectangle, its row, the
-    row's U and whether the rectangle bound keeps it."""
+    lesser of the row's U and its ``cap`` (+inf by default), and whether the
+    rectangle bound keeps it."""
+    cap = uncapped(rows) if cap is None else cap
     rects = kernel._rectangles(cut, cut + len(table))
     pair, _, count, keep = kernel._pairs(table, dist, b, rows, _blockdp._keys(table, dist),
-                                         rects)
+                                         rects, cap)
     t = rows[pair]
-    upper = upper_bounds(table, dist, b, kernel.weight)[t - 1]
+    upper = np.minimum(upper_bounds(table, dist, b, kernel.weight)[t - 1], cap[pair])
     return np.arange(len(count)).repeat(count), t, upper, keep
 
 
-def assert_drops_only_pairs_that_cannot_win(kernel, table, dist, b, rows, cut):
+def assert_drops_only_pairs_that_cannot_win(kernel, table, dist, b, rows, cut, cap=None):
     """Every pair the rectangle bound drops has every candidate over the
-    rectangle's columns strictly above the row's U; returns their count."""
+    rectangle's columns strictly above the lesser of the row's U and its
+    ``cap``; returns their count."""
     mid, _, lo, _ = kernel._rectangles(cut, cut + len(table))
-    rect, t, upper, keep = rectangle_pairs(kernel, table, dist, b, rows, cut)
+    rect, t, upper, keep = rectangle_pairs(kernel, table, dist, b, rows, cut, cap)
     for r, row, u in zip(rect[~keep], t[~keep], upper[~keep]):
         i = np.arange(lo[r], mid[r])
         cand = (b * kernel.weight[row - i] + (dist[row] - dist[i])) + table[i]
@@ -463,6 +478,103 @@ def test_size_aware_bound_drops_more_pairs_than_the_lightest_weight():
     assert dropped > flat_dropped > 0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_capped_rectangle_bound_drops_only_pairs_that_cannot_win(scale):
+    # Against the lesser of U and the value each row holds, as the solver
+    # calls the kernel, the bound drops more pairs, and still none that
+    # holds a candidate at or below that lesser value.
+    rng = np.random.default_rng(int(scale) % 1000 + 5)
+    dropped = {False: 0, True: 0}
+    for n in (2, 7, 40, 130):
+        for _ in range(40):
+            table, dist, b, weight = near_tie_layer(rng, n, scale)
+            kernel = _blockdp._MonotoneMinima(weight)
+            for cut, end in slices(rng, n):
+                held, dist_f = table[cut:end], dist[cut:end]
+                rows = _blockdp._live_rows(held, dist_f, b * weight[1],
+                                           _blockdp._keys(held, dist_f)[1])
+                for capped in (False, True):
+                    cap = held[rows] if capped else None
+                    dropped[capped] += assert_drops_only_pairs_that_cannot_win(
+                        kernel, held, dist_f, b, rows, cut, cap)
+    assert dropped[True] > dropped[False] > 5000
+
+
+def random_caps(rng, held, best):
+    """Per row: the value it holds, its scanned minimum moved by up to 2 ulps
+    either way, that minimum times 0.5 to 1.5, or +inf."""
+    pick = rng.integers(4, size=len(best))
+    ulp = np.spacing(np.where(np.isfinite(best), best, 0.0))
+    nudged_best = best + rng.integers(-2, 3, size=len(best)) * ulp
+    scaled = best * rng.uniform(0.5, 1.5, size=len(best))
+    return np.choose(pick, [held, nudged_best, scaled, np.full(len(best), np.inf)])
+
+
+@pytest.mark.parametrize("budget", FINISH_BUDGETS)
+@pytest.mark.parametrize("kind", ["harmonic", "capped", "near-tie", "near-tie-1e8"])
+def test_capped_monotone_kernel_matches_row_scan(monkeypatch, budget, kind):
+    # Rows whose scanned minimum is at most their cap get that minimum and
+    # its smallest argmin bit for bit; every other row reads above its cap.
+    # Caps are the values the rows hold, as the solver passes them, or
+    # random, with +inf entries; also on windows' slices.
+    monkeypatch.setattr(_blockdp, "_FINISH_CELLS", budget)
+    rng = np.random.default_rng(budget + 7 * len(kind))
+    exact = above = 0
+    for n in (1, 2, 3, 7, 40, 130, 400):
+        for _ in range(12 if n < 400 else 3):
+            if kind.startswith("near-tie"):
+                table, dist, b, weight = near_tie_layer(rng, n, 1e8 if "1e8" in kind else 1.0)
+            else:
+                table, dist, b, weight = integer_layer(rng, n, kind)
+            kernel = _blockdp._MonotoneMinima(weight)
+            for cut, end in slices(rng, n):
+                best, arg = map(np.array, scan_layer(table[:end], dist[:end], b, weight, cut))
+                rows = np.flatnonzero(rng.random(end - cut - 1) < rng.random()) + 1
+                held, dist_f = table[cut:end], dist[cut:end]
+                best, arg = best[rows - 1], arg[rows - 1]
+                for cap in (held[rows], random_caps(rng, held[rows], best)):
+                    got, at = kernel(held, dist_f, b, rows, _blockdp._keys(held, dist_f), cut,
+                                     cap)
+                    fits = best <= cap
+                    assert got[fits].tolist() == best[fits].tolist(), (n, cut)
+                    assert (at[fits] + cut).tolist() == arg[fits].tolist(), (n, cut)
+                    assert (got[~fits] > cap[~fits]).all(), (n, cut)
+                    exact += int(fits.sum())
+                    above += int((~fits).sum())
+    assert exact > 1000 and above > 1000
+
+
+def test_held_value_cap_keeps_fewer_pairs():
+    # On a large instance at the default dense budget, the cap the solver
+    # passes keeps strictly fewer (rectangle, row) pairs than no cap, and
+    # the partition is the same.
+    kept = {False: 0, True: 0}
+    capped = [True]
+    pairs, call = _blockdp._MonotoneMinima._pairs, _blockdp._MonotoneMinima.__call__
+
+    def count(self, *args):
+        out = pairs(self, *args)
+        kept[capped[0]] += int(out[3].sum())
+        return out
+
+    def maybe_uncapped(self, table, dist, b, rows, keys, cut, cap):
+        return call(self, table, dist, b, rows, keys, cut, cap if capped[0] else uncapped(rows))
+
+    inst = fs.generate_instance(1000, 100, seed=4)
+    args = partition_args(inst)
+    w = fs.harmonic_numbers(inst.n)
+    windows = _blockdp._windows(*args, w)
+    solves = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_blockdp._MonotoneMinima, "_pairs", count)
+        patch.setattr(_blockdp._MonotoneMinima, "__call__", maybe_uncapped)
+        for capped[0] in (False, True):
+            got = _blockdp.solve_block_partition(*args, w, windows)
+            solves[capped[0]] = (got.value, got.blocks)
+    assert solves[True] == solves[False]
+    assert 0 < kept[True] < kept[False]
+
+
 @pytest.mark.parametrize("budget", FINISH_BUDGETS)
 def test_first_pass_prices_rectangle_ends_unless_all_cells_fit(monkeypatch, budget):
     # The first pass prices every kept cell when they total at most the
@@ -487,7 +599,7 @@ def test_first_pass_prices_rectangle_ends_unless_all_cells_fit(monkeypatch, budg
         ends = np.where(np.minimum(count, width) == 1, count * width,
                         np.minimum(count, 2) * width)
         priced.clear()
-        got = kernel(table, dist, b, rows, _blockdp._keys(table, dist), cut)
+        got = kernel(table, dist, b, rows, _blockdp._keys(table, dist), cut, uncapped(rows))
         if total <= budget:
             assert priced == ([total] if total else [])
             single += 1
@@ -509,6 +621,73 @@ def test_solver_assignments_equal_checked_ones(suite500):
             checked = fs.Assignment(got.choices)
             assert got == checked and hash(got) == hash(checked)
             assert all(type(c) is int and 1 <= c <= inst.m for c in got.choices)
+
+
+def test_solve_both_builds_one_distance_prefix(monkeypatch, tmp_path):
+    # `solve --mode both` sorts the agents and builds their distance prefix
+    # once: both solvers of one instance object share a read-only view.
+    calls = []
+    prefix = _blockdp.distance_prefix
+
+    def spy(sorted_x, locations):
+        calls.append(len(sorted_x))
+        return prefix(sorted_x, locations)
+
+    monkeypatch.setattr(_blockdp, "distance_prefix", spy)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_dict(fs.generate_instance(500, 20, seed=6))),
+                    encoding="utf-8")
+    assert cli.main(["solve", str(path), "--mode", "both", "-o", str(tmp_path / "out.json")]) == 0
+    assert calls == [500]
+
+
+def test_sorted_view_belongs_to_one_instance_object(monkeypatch):
+    # An equal but distinct instance (here one agent at -0.0 instead of 0.0)
+    # gets its own view, with the same results; the view is read-only and
+    # goes with the last instance object that holds it.
+    calls = []
+    prefix = _blockdp.distance_prefix
+    monkeypatch.setattr(_blockdp, "distance_prefix",
+                        lambda *args: calls.append(1) or prefix(*args))
+    base = fs.generate_instance(400, 12, seed=3)
+    x = list(base.profile.positions)
+    x[5] = 0.0
+    first = fs.Instance(base.environment, fs.Profile(tuple(x)))
+    x[5] = -0.0
+    twin = fs.Instance(base.environment, fs.Profile(tuple(x)))
+    assert first == twin
+    solves = []
+    for inst in (first, first, twin, twin):
+        solves.append((fs.compute_pne_dp(inst), fs.optimal_block_dp(inst)))
+        view = _blockdp._sorted_view(inst)
+        assert np.signbit(view.x).any() == (inst is twin)
+        assert not any(a.flags.writeable for a in (view.order, view.x, view.locations,
+                                                    view.costs, view.dist))
+    assert len(calls) == 2 and solves.count(solves[0]) == 4
+    del first, twin, inst
+    gc.collect()
+    assert _blockdp._last_view is None
+
+
+def test_concurrent_solves_keep_their_own_results():
+    # Threads that solve different instances at once replace one another's
+    # view in the module-wide slot; each must still get its own instance's
+    # results, whichever view it finds there.
+    instances = [fs.generate_instance(60 + 7 * k, 5, seed=k) for k in range(4)]
+
+    def solve(inst):
+        return {(fs.compute_pne_dp(inst), fs.optimal_block_dp(inst)) for _ in range(40)}
+
+    expected = [{next(iter(solve(inst)))} for inst in instances]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(solve, inst) for inst in instances * 2]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected * 2
 
 
 def window_agents(windows):
@@ -779,9 +958,9 @@ def test_windowed_layers_price_only_window_rows(monkeypatch):
     # windowed solves price under half the rows.
     given = []
     for kernel in (_blockdp._DenseMinima, _blockdp._MonotoneMinima):
-        def spy(self, table, dist, b, rows, keys, cut, price=kernel.__call__):
+        def spy(self, table, dist, b, rows, keys, cut, cap, price=kernel.__call__):
             given.append((b, rows, cut, len(table)))
-            return price(self, table, dist, b, rows, keys, cut)
+            return price(self, table, dist, b, rows, keys, cut, cap)
         monkeypatch.setattr(kernel, "__call__", spy)
     rng = np.random.default_rng(8)
     priced = {False: 0, True: 0}

@@ -4,9 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import facshare as fs
-from facshare.costs import _loads
+import facshare.equilibrium as equilibrium
+from facshare.costs import _deviation_costs, _loads
 from oracles import (
     oracle_block_cost,
+    oracle_deviation_costs,
     oracle_potential_grouped,
     random_assignment,
     suite_dims,
@@ -100,6 +102,37 @@ def test_deviation_identity():
         lhs = fs.potential(prof, a, env) - fs.potential(prof, b, env)
         rhs = fs.agent_cost(i, prof, a, env) - fs.agent_cost(i, prof, b, env)
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def per_cell_deviation_costs(positions, choices, env, agents=slice(None)):
+    return oracle_deviation_costs(positions, choices, env.locations, env.building_costs,
+                                  agents)
+
+
+def test_deviation_costs_equal_the_per_cell_formula(suite500, monkeypatch):
+    # Bit for bit, on all agents and on random chunks of them; so is_pne's
+    # and best_response's answers, witnesses included, are the ones the
+    # per-cell matrix gives.
+    rng = np.random.default_rng(23)
+    instances = suite500 + [fs.generate_instance(300, 10, seed=s) for s in range(4)]
+    cases = []
+    for inst in instances:
+        for a in (random_assignment(rng, inst.n, inst.m), fs.compute_pne_dp(inst)):
+            x, c, env = inst.profile.positions, a.choices, inst.environment
+            lo = int(rng.integers(inst.n))
+            for agents in (slice(None), slice(lo, int(rng.integers(lo + 1, inst.n + 1)))):
+                assert (_deviation_costs(x, c, env, agents).tolist()
+                        == per_cell_deviation_costs(x, c, env, agents).tolist())
+            cases.append((inst, a, int(rng.integers(inst.n))))
+
+    def answers():
+        return [(fs.is_pne(inst.profile, a, inst.environment),
+                 fs.best_response(i, inst.profile, a, inst.environment)) for inst, a, i in cases]
+
+    got = answers()
+    monkeypatch.setattr(equilibrium, "_deviation_costs", per_cell_deviation_costs)
+    assert got == answers()
+    assert sum(verdict.witness is not None for verdict, _ in got) > 300
 
 
 def test_block_cost_examples():

@@ -27,13 +27,14 @@ import json
 import numpy as np
 
 import facshare as fs
-from facshare import cli
+from facshare import _blockdp, cli
 from facshare.model import instance_to_dict
 from facshare.mechanisms import MechanismSpec
 from oracles import lattice_instance, random_assignment, random_environment, suite_dims
 
 EXPECTED = "98039938f02eef721e7024b45c0e9415370842e676dfda99413ac740cdc737ce"
 AUDIT_EXPECTED = "732053857878459a96d030933aa7c3aa6e2bdd37ccbca25293b259adfed098ac"
+MONOTONE_EXPECTED = "c5548f49ff5423047a8fdc4dfd72a15f6f50570e7423f0806fb8151aa26fb344"
 
 ORDERS = ("round-robin", "max-gain", "seeded-random")
 
@@ -77,6 +78,11 @@ def cli_records(tmp_path):
         runs += [["dynamics", path, "--start", "random:5", "--order", order, "--seed", "9"]
                  for order in ORDERS]
         runs.append(["mech", path, "--mech", '{"kind": "krank", "params": {"k": 2}}'])
+    yield from cli_outputs(runs, tmp_path)
+
+
+def cli_outputs(runs, tmp_path):
+    """Each run's JSON output with ``elapsed_ms`` dropped."""
     out = tmp_path / "out.json"
     for argv in runs:
         assert cli.main([*argv, "-o", str(out)]) == 0
@@ -88,6 +94,32 @@ def cli_records(tmp_path):
 def test_golden_output(tmp_path):
     text = "\n".join(map(repr, library_records())) + "\n" + "\n".join(cli_records(tmp_path))
     assert hashlib.sha256(text.encode()).hexdigest() == EXPECTED
+
+
+def monotone_instances():
+    """The benchmark's three large shapes, and one with agents on a 0.01
+    lattice, so that many share a position: every equilibrium layer after
+    the first takes the monotone path."""
+    instances = [fs.generate_instance(n, m, seed=300 + k)
+                 for k, (n, m) in enumerate(((1000, 100), (2000, 30), (3000, 10)))]
+    inst = fs.generate_instance(2000, 30, seed=303)
+    x = np.round(inst.profile.positions, 2)
+    return instances + [fs.Instance(inst.environment, fs.Profile(tuple(x.tolist())))]
+
+
+def test_monotone_golden_output(tmp_path):
+    # EXPECTED's instances all have n <= 300 and take the dense path.
+    instances = monotone_instances()
+    assert all(inst.n ** 2 > _blockdp._DENSE_CELLS for inst in instances)
+    assert len(set(instances[-1].profile.positions)) < instances[-1].n / 2
+    paths = []
+    for k, inst in enumerate(instances):
+        path = tmp_path / f"large{k}.json"
+        path.write_text(json.dumps(instance_to_dict(inst)), encoding="utf-8")
+        paths.append(str(path))
+    text = "\n".join(cli_outputs([["solve", path, "--mode", "both"] for path in paths],
+                                 tmp_path))
+    assert hashlib.sha256(text.encode()).hexdigest() == MONOTONE_EXPECTED
 
 
 def two_agent_specs(env):
