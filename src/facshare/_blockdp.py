@@ -214,7 +214,6 @@ order.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import partial
 
@@ -259,7 +258,8 @@ class PartitionSolution:
 
 def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
                           building_costs: np.ndarray, size_weight: np.ndarray,
-                          windows: np.ndarray | None = None) -> PartitionSolution:
+                          windows: np.ndarray | None = None,
+                          dist: np.ndarray | None = None) -> PartitionSolution:
     """Cheapest consecutive-block partition of ``sorted_x`` (ascending) over
     the location-sorted facilities, priced by ``size_weight`` (``w[0] = 0``,
     at least ``n + 1`` entries, nonnegative, flat or concave on ``s >= 1``).
@@ -267,13 +267,13 @@ def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
     ``windows``, an ``(m, 2)`` array, promises that the block the traceback
     picks at facility ``f`` lies inside agents ``windows[f - 1, 0] ..
     windows[f - 1, 1] - 1``, as :func:`_windows` does. Layers 2..m then
-    price no other block; the result is the same."""
+    price no other block; the result is the same. ``dist`` is
+    :func:`distance_prefix` of ``sorted_x`` and ``locations``, built here
+    when not given."""
     n = len(sorted_x)
     m = len(locations)
-    # The last view's own read-only arrays carry their prefix.
-    view = (_last_view or (None, None))[1]
-    dist = (view.dist if view and sorted_x is view.x and locations is view.locations
-            else distance_prefix(sorted_x, locations))
+    if dist is None:
+        dist = distance_prefix(sorted_x, locations)
     weight = np.asarray(size_weight, dtype=float)[:n + 1]
     flat = np.all(weight[1:] == weight[1:2])
     if flat:
@@ -607,26 +607,15 @@ class _SortedView:
     dist: np.ndarray
 
 
-# The view of the last instance object solved, dropped when that object is
-# freed: the two solves of one instance share it.
-_last_view: tuple[weakref.ref, _SortedView] | None = None
-
-
-def _forget(ref: weakref.ref) -> None:
-    global _last_view
-    held = _last_view
-    if held and held[0] is ref:
-        _last_view = None
-
-
 def _sorted_view(instance: Instance) -> _SortedView:
-    """The :class:`_SortedView` of this very object, built at most once while
-    it is the last instance solved; an equal but distinct instance gets its
-    own."""
-    global _last_view
-    held = _last_view
-    if held and held[0]() is instance:
-        return held[1]
+    """The :class:`_SortedView` of this very object, built on first use and
+    kept on it outside its fields: both solves of one instance share it, it
+    is no part of the instance's value and goes with the object. An equal
+    but distinct instance builds its own. Its ``dist`` is built here, once
+    per object, by :func:`distance_prefix` of the sorted agents."""
+    view = getattr(instance, "_block_view", None)
+    if view is not None:
+        return view
     positions = np.asarray(instance.profile.positions, dtype=float)
     env = instance.environment
     order = np.argsort(positions, kind="stable")
@@ -637,7 +626,7 @@ def _sorted_view(instance: Instance) -> _SortedView:
                        distance_prefix(sorted_x, locations))
     for array in (view.order, view.x, view.locations, view.costs, view.dist):
         array.flags.writeable = False
-    _last_view = (weakref.ref(instance, _forget), view)
+    object.__setattr__(instance, "_block_view", view)
     return view
 
 
@@ -645,10 +634,12 @@ def _block_assignment(instance: Instance, size_weight: np.ndarray) -> Assignment
     """Solve the block DP on stably sorted agents, each layer on its
     :func:`_windows`, and map the blocks back to the caller's agent order.
     ``size_weight``'s marginals must lie in ``[0, 1]``. The sorted agents and
-    their distance prefix come from :func:`_sorted_view`."""
+    their distance prefix come from the instance's :func:`_sorted_view`, and
+    the prefix is passed to :func:`solve_block_partition`."""
     view = _sorted_view(instance)
     windows = _windows(view.x, view.locations, view.costs, size_weight)
-    solution = solve_block_partition(view.x, view.locations, view.costs, size_weight, windows)
+    solution = solve_block_partition(view.x, view.locations, view.costs, size_weight,
+                                     windows, view.dist)
     choices = np.empty(len(view.x), dtype=int)
     for lo, hi, fac in solution.blocks:
         choices[view.order[lo:hi]] = fac

@@ -11,6 +11,9 @@ file. Agents are never reordered here: algorithms that need sorted agents sort
 internally and track the permutation themselves.
 
 All types are immutable after construction and safe to share between threads.
+A solved :class:`Instance` object also holds the block DP's derived, read-only
+sorted view of its agents, outside its fields: it takes no part in equality,
+hashing, ``repr``, copies or pickles, and is freed with the object.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +243,10 @@ class Instance:
     @property
     def m(self) -> int:
         return self.environment.m
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles carry the fields, not a solver's derived view.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def instance_to_dict(instance: Instance) -> dict:

@@ -10,12 +10,17 @@ moved by a few ulps: there the harmonic layers' row bound and its rounding
 margin must not drop a row that can still win.
 """
 
+import ast
+import copy
 import gc
 import itertools
 import json
+import pickle
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -643,8 +648,8 @@ def test_solve_both_builds_one_distance_prefix(monkeypatch, tmp_path):
 
 def test_sorted_view_belongs_to_one_instance_object(monkeypatch):
     # An equal but distinct instance (here one agent at -0.0 instead of 0.0)
-    # gets its own view, with the same results; the view is read-only and
-    # goes with the last instance object that holds it.
+    # gets its own view, with the same results; the view is read-only, no
+    # part of the instance's value, and is freed with its instance.
     calls = []
     prefix = _blockdp.distance_prefix
     monkeypatch.setattr(_blockdp, "distance_prefix",
@@ -656,6 +661,7 @@ def test_sorted_view_belongs_to_one_instance_object(monkeypatch):
     x[5] = -0.0
     twin = fs.Instance(base.environment, fs.Profile(tuple(x)))
     assert first == twin
+    unsolved = fs.Instance(first.environment, first.profile)
     solves = []
     for inst in (first, first, twin, twin):
         solves.append((fs.compute_pne_dp(inst), fs.optimal_block_dp(inst)))
@@ -664,30 +670,52 @@ def test_sorted_view_belongs_to_one_instance_object(monkeypatch):
         assert not any(a.flags.writeable for a in (view.order, view.x, view.locations,
                                                     view.costs, view.dist))
     assert len(calls) == 2 and solves.count(solves[0]) == 4
-    del first, twin, inst
+    assert first == unsolved and hash(first) == hash(unsolved)
+    assert repr(first) == repr(unsolved) and pickle.dumps(first) == pickle.dumps(unsolved)
+    for again in (copy.copy(first), pickle.loads(pickle.dumps(first))):
+        assert (fs.compute_pne_dp(again), fs.optimal_block_dp(again)) == solves[0]
+    ref = weakref.ref(_blockdp._sorted_view(first))
+    del first, inst
     gc.collect()
-    assert _blockdp._last_view is None
+    assert ref() is None
 
 
 def test_concurrent_solves_keep_their_own_results():
-    # Threads that solve different instances at once replace one another's
-    # view in the module-wide slot; each must still get its own instance's
-    # results, whichever view it finds there.
+    # Threads that solve different instances at once, and eight threads that
+    # race to build the first view of one unsolved instance object, each
+    # get that instance's own results.
     instances = [fs.generate_instance(60 + 7 * k, 5, seed=k) for k in range(4)]
+    shared = fs.generate_instance(90, 6, seed=9)
 
     def solve(inst):
         return {(fs.compute_pne_dp(inst), fs.optimal_block_dp(inst)) for _ in range(40)}
 
     expected = [{next(iter(solve(inst)))} for inst in instances]
+    alone = {next(iter(solve(fs.Instance(shared.environment, shared.profile))))}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(solve, inst) for inst in instances * 2]
             got = [future.result(timeout=60) for future in futures]
+            futures = [pool.submit(solve, shared) for _ in range(8)]
+            raced = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     assert got == expected * 2
+    assert raced == [alone] * 8
+
+
+def test_library_keeps_no_process_wide_state():
+    """No module rebinds a global or an enclosing name, or imports
+    ``weakref``: what a solver keeps between calls lives on the objects it
+    is given."""
+    for path in sorted(Path(fs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not isinstance(node, (ast.Global, ast.Nonlocal)), path.name
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [getattr(node, "module", None)] + [a.name for a in node.names]
+                assert "weakref" not in modules, path.name
 
 
 def window_agents(windows):
