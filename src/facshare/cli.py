@@ -34,12 +34,8 @@ from .equilibrium import (
 )
 from .mechanisms import (
     MechanismPreconditionError,
-    _audit_anon,
-    _audit_sp,
-    _audit_unanimous,
-    _Draw,
+    _run_audits,
     apply_mechanism,
-    audit_lemma_properties,
     default_audit_grid,
     env_params,
     ratio_lower_bound_terms,
@@ -256,6 +252,10 @@ def _audit_summary(report, facility=None) -> dict:
     }
 
 
+_AUDIT_NAMES = {"sp": "strategyproof", "anon": "anonymous", "unanimous": "unanimous",
+                "props": "properties"}
+
+
 def _cmd_mech(args) -> int:
     started = time.perf_counter()
     instance = load_instance(args.input)
@@ -272,33 +272,25 @@ def _cmd_mech(args) -> int:
     if args.audit:
         wanted = [token.strip() for token in args.audit.split(",") if token.strip()]
         for token in wanted:
-            if token not in ("sp", "anon", "unanimous", "props"):
+            if token not in _AUDIT_NAMES:
                 raise ValidationError(
                     f"unknown audit {token!r}; expected sp, anon, unanimous, props")
-        grid = default_audit_grid(env, extra=args.grid_extra)
-        n = profile.n
-        # sp, anon and unanimous share one draw of their default profile set
-        draw = None
+        # One draw and one spec form serve every audit; props prices the
+        # rows of the draw that hold its own profiles, and draws its own
+        # when they are not rows of it. The reports do not change.
+        reports = _run_audits(spec, env, default_audit_grid(env, extra=args.grid_extra),
+                              profile.n, wanted, args.seed)
         audits: dict = {}
-        for token in wanted:
+        for token, report in reports.items():
             if token == "props":
-                report = audit_lemma_properties(spec, env, grid, n=n, seed=args.seed)
-                audits["properties"] = {
-                    name: (_audit_summary(r) if r is not None else None)
-                    for name, r in (("P1", report.p1), ("P2", report.p2),
-                                    ("P3", report.p3), ("P4", report.p4),
-                                    ("P5", report.p5))
-                }
-                continue
-            if draw is None:
-                draw = _Draw(spec, env, grid, n, seed=args.seed)
-            if token == "sp":
-                audits["strategyproof"] = _audit_summary(_audit_sp(draw))
-            elif token == "anon":
-                audits["anonymous"] = _audit_summary(_audit_anon(draw))
+                summary = {name: (_audit_summary(r) if r is not None else None)
+                           for name, r in (("P1", report.p1), ("P2", report.p2),
+                                           ("P3", report.p3), ("P4", report.p4),
+                                           ("P5", report.p5))}
             else:
-                audits["unanimous"] = _audit_summary(_audit_unanimous(draw),
-                                                     env.to_input_facility)
+                summary = _audit_summary(
+                    report, env.to_input_facility if token == "unanimous" else None)
+            audits[_AUDIT_NAMES[token]] = summary
         outputs["audits"] = audits
     name = instance.name or Path(args.input).stem
     _emit([_result("mech", name, outputs, started)], args.out)

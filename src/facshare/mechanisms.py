@@ -52,21 +52,28 @@ batch callable's loop uses, so reports are identical to checking every report.
 
 The sp, anon and unanimous audits draw the same profiles for the same grid,
 n, profile cap and seed, so they share one :class:`_Draw`: the profiles, the
-truthful outcome (taken from sp's form when sp built one, else from one
-:func:`_batch_apply`) and every agent's cost at every facility at load n.
-Each public audit builds its own draw; ``facshare mech`` builds one for all
-three. The costs are laid out facility-major, ``(m, P, n)``, so that work
+truthful outcome (taken from the spec's form when one is built, else from
+one :func:`_batch_apply`) and every agent's cost at every facility at load
+n. The costs are laid out facility-major, ``(m, P, n)``, so that work
 across facilities is m - 1 elementwise passes over ``(P, n)`` arrays, and
 work across agents n - 1 passes over columns: no reduction runs along a
 trailing axis of length m or n, where numpy is slowest. sp reads each
 facility's cost from it, and unanimity finds each agent's favorite and the
-cost gap to her runner-up in one pass over the facilities. P1-P5 and
-:func:`empirical_ratio` take draws of their own: their default profile caps
-differ, and so would their profiles.
+cost gap to her runner-up in one pass over the facilities.
+
+Each public audit, and :func:`empirical_ratio`, builds its own draw.
+``facshare mech`` runs its audits through :func:`_run_audits`, which builds
+one draw for the op. P1-P5 have a smaller default profile cap, but their
+profiles are rows of that draw: all g^n profiles are drawn in mixed-radix
+order, and a seeded sample is the first rows of the larger sample from the
+same seed. So P1-P5 price those rows, from sp's form restricted to them
+when sp runs (:meth:`_SpecForm.restrict`); when the rows do not match,
+they take a draw of their own. Either way the reports are the same.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -112,6 +119,7 @@ BatchMechanism = Callable[[np.ndarray], np.ndarray]
 Mechanism = Union["MechanismSpec", BatchMechanism]
 
 _AUDIT_PROFILES = 2048  # the sp, anon and unanimous audits' default profile cap
+_PROPS_PROFILES = 512  # P1-P5's default profile cap
 _AUDIT_PERMUTATIONS = 100  # anon's default permutation sample for n > 5
 _GRID_OFFSET = 1e-3  # the audit grid's neighbors on each side of an anchor
 
@@ -503,22 +511,33 @@ def default_audit_grid(env: Environment, *, extra: int = 0) -> tuple[float, ...]
     return tuple(sorted(grid))
 
 
-def _profiles_from_grid(grid: Sequence[float], n: int, max_profiles: int,
-                        seed: int) -> np.ndarray:
-    """All grid^n profiles when that fits under ``max_profiles``, otherwise a
-    seeded uniform sample of ``max_profiles`` profiles from the grid."""
+def _grid_indices(g: int, n: int, max_profiles: int, seed: int) -> np.ndarray:
+    """The ``(P, n)`` grid indices of an audit's profiles on a g-point grid:
+    all g^n when that fits under ``max_profiles``, in mixed-radix order,
+    otherwise a seeded uniform sample of ``max_profiles`` of them."""
     max_profiles = _integer(max_profiles, "max_profiles", 1)
     seed = _integer(seed, "seed", 0)
-    arr = np.array(_reals(grid, "audit grid positions"))
-    g = len(arr)
-    if g == 0:
-        raise ValidationError("audit grid must be nonempty")
+    _require(g > 0, "audit grid must be nonempty")
     if g ** n <= max_profiles:
-        # mixed-radix order, the order of itertools.product(range(g), repeat=n)
-        combos = np.indices((g,) * n).reshape(n, g ** n)
-        return np.ascontiguousarray(arr[combos].T)
-    rng = np.random.default_rng(seed)
-    return arr[rng.integers(0, g, size=(max_profiles, n))]
+        # the order of itertools.product(range(g), repeat=n)
+        return np.indices((g,) * n).reshape(n, g ** n).T
+    return np.random.default_rng(seed).integers(0, g, size=(max_profiles, n))
+
+
+def _rows_of(indices: np.ndarray, sub: np.ndarray, g: int) -> np.ndarray | None:
+    """Where each profile of the grid-index draw ``sub`` sits in the draw
+    ``indices`` on the same g-point grid, or None when it does not sit
+    there. When ``indices`` holds all g^n profiles, a profile's row is its
+    mixed-radix number; otherwise a draw from the same seed with a cap no
+    larger is the first rows of the sample. The map is checked, not assumed."""
+    p, n = indices.shape
+    if p == g ** n:
+        rows = sub @ g ** np.arange(n - 1, -1, -1)
+    elif len(sub) <= p:
+        rows = np.arange(len(sub))
+    else:
+        return None
+    return rows if np.array_equal(indices.take(rows, axis=0), sub) else None
 
 
 def _batch_changes(mechanism: BatchMechanism, env: Environment, profiles: np.ndarray,
@@ -541,23 +560,30 @@ class _SpecForm:
     """A spec's outcome under every single-agent report change, in
     value-index space (see the module docstring).
 
-    ``values`` are the sorted distinct profile and report values. When agent
-    i of profile p reports the value of index v, the k-th smallest report
-    becomes ``clip(v, lo[p, i], hi[p, i])``, where lo and hi are the (k-1)-th
-    and k-th smallest reports of the others (-1 and ``size`` stand for -inf
-    and +inf), so everyone goes to ``table[clip(v, lo, hi)]`` and every load
-    is n. ``table`` holds ``h`` on the values that can occur as that order
+    Agent i of profile p holds ``points[index[p, i]]``; for a draw the
+    points are its grid and the index its grid indices. ``values`` are the
+    sorted distinct points and report values. When agent i of profile p
+    reports the value of index v, the k-th smallest report becomes
+    ``clip(v, lo[p, i], hi[p, i])``, where lo and hi are the (k-1)-th and
+    k-th smallest reports of the others (-1 and ``size`` stand for -inf and
+    +inf), so everyone goes to ``table[clip(v, lo, hi)]`` and every load is
+    n. ``table`` holds ``h`` on the values that can occur as that order
     statistic, 0 elsewhere, and one trailing 0 that ``lo = -1`` and
-    ``hi = size`` both read.
+    ``hi = size`` both read. Points no profile holds are never such a value,
+    so they change no outcome.
+
+    One form serves a whole ``facshare mech`` op: when P1-P5's profiles are
+    rows of the op's draw, they read those rows of sp's form
+    (:meth:`restrict`), and otherwise build a form on a draw of their own.
+    The reports are the same either way.
     """
 
-    def __init__(self, spec: MechanismSpec, env: Environment, profiles: np.ndarray,
-                 reports: np.ndarray) -> None:
-        p, n = profiles.shape
+    def __init__(self, spec: MechanismSpec, env: Environment, points: np.ndarray,
+                 index: np.ndarray, reports: np.ndarray) -> None:
+        p, n = index.shape
         k, h = _order_rule(spec, env, n)
-        values, inverse = np.unique(np.concatenate((profiles.ravel(), reports)),
-                                    return_inverse=True)
-        index, r_index = inverse.ravel()[:p * n].reshape(p, n), inverse.ravel()[p * n:]
+        values, inverse = np.unique(np.concatenate((points, reports)), return_inverse=True)
+        index, r_index = inverse[:len(points)][index], inverse[len(points):]
         size = len(values)
         # The others' j-th smallest, for j = k - 1 and k, drops one copy of the
         # agent's own value from the sorted row.
@@ -602,6 +628,18 @@ class _SpecForm:
             np.where(interior, level * size + hi - (1 << level), end),
             np.where(lo >= 0, self.levels * size + lo, end),
             np.where(hi < size, end - size + hi, end)))
+
+    def restrict(self, rows: np.ndarray) -> _SpecForm:
+        """The form of the profiles at ``rows`` alone: ``lo``, ``hi``, ``at``
+        and ``truthful`` taken by row; ``values``, ``table``, ``is_report``
+        and ``levels`` shared, as they price every row alike."""
+        # take along axis 0 picks rows several times faster than a[rows]
+        form = copy.copy(self)
+        form.lo, form.hi, form.truthful = (a.take(rows, axis=0)
+                                           for a in (self.lo, self.hi, self.truthful))
+        form.at = tuple(part.reshape(self.lo.shape).take(rows, axis=0).ravel()
+                        for part in self.at)
+        return form
 
     def reach_max(self, weight: np.ndarray, key: np.ndarray) -> Iterator[np.ndarray]:
         """For each facility f in turn, ``max weight[c, key[p], f, v]`` over
@@ -649,7 +687,12 @@ class _SpecForm:
 class _Draw:
     """One profile set of an audit on ``grid`` (:func:`default_audit_grid` by
     default), and what the audits price on it, once (see the module
-    docstring). ``form`` is the spec's :class:`_SpecForm` once built.
+    docstring). ``indices`` are the profiles' grid indices, and ``form`` is
+    the spec's :class:`_SpecForm` once built. A ``facshare mech`` op builds
+    one draw (:func:`_run_audits`): P1-P5 price the rows of it that hold
+    their own profiles (:meth:`restrict`), with its form when sp built one,
+    and take a draw of their own when their profiles are not rows of it,
+    with the same reports either way.
 
     The grid's cost scale is checked at one agent, since the audits price
     one agent at a time."""
@@ -665,16 +708,37 @@ class _Draw:
         self.grid = (default_audit_grid(env) if grid is None
                      else _reals(grid, "audit grid positions"))
         _check_scale(env, self.grid, 1, "audit grid positions")
-        self.profiles = _profiles_from_grid(self.grid, n, max_profiles, seed)
+        self.points = np.array(self.grid)
+        self.indices = _grid_indices(len(self.points), n, max_profiles, seed)
+        self.profiles = self.points[self.indices]
         self.form: _SpecForm | None = None
+
+    def restrict(self, rows: np.ndarray) -> _Draw:
+        """The draw of the profiles at ``rows`` alone, on this draw's checked
+        grid, with its form, when built, restricted to them."""
+        draw = object.__new__(_Draw)
+        draw.mechanism, draw.env, draw.seed = self.mechanism, self.env, self.seed
+        draw.grid, draw.points = self.grid, self.points
+        draw.indices, draw.profiles = (a.take(rows, axis=0)
+                                       for a in (self.indices, self.profiles))
+        draw.form = None if self.form is None else self.form.restrict(rows)
+        return draw
+
+    def spec_form(self, reports: np.ndarray) -> _SpecForm:
+        """The spec's form for ``reports``: the kept one when it was built
+        for them, else a new one, kept in its place."""
+        if self.form is None or self.form.reports is not reports:
+            self.form = _SpecForm(self.mechanism, self.env, self.points, self.indices,
+                                  reports)
+        return self.form
 
     def changes(self, reports: np.ndarray,
                 flagged: Callable[[_SpecForm], np.ndarray]) -> Iterator[tuple]:
         """:func:`_batch_changes`' outcomes; a spec's, on the rows ``flagged``
         picks, from its form, built before anything reads :attr:`outcome`."""
         if isinstance(self.mechanism, MechanismSpec):
-            self.form = _SpecForm(self.mechanism, self.env, self.profiles, reports)
-            return self.form.changes(flagged(self.form))
+            form = self.spec_form(reports)
+            return form.changes(flagged(form))
         return _batch_changes(self.mechanism, self.env, self.profiles, reports)
 
     @functools.cached_property
@@ -822,7 +886,7 @@ def _audit_sp(draw: _Draw, misreports: Sequence[float] | None = None,
     if misreports is not None:
         misreports = _reals(misreports, "misreport positions")
         _check_scale(env, misreports, 1, "misreport positions")
-    reports = np.array(draw.grid if misreports is None else misreports)
+    reports = draw.points if misreports is None else np.array(misreports)
     changes = draw.changes(
         reports, lambda form: _sp_rows(form, draw.costs, draw.truthful_cost, tol))
     base_cost = draw.truthful_cost
@@ -956,15 +1020,21 @@ class LemmaPropertyReport:
 
 def audit_lemma_properties(mechanism: Mechanism, env: Environment,
                            grid: Sequence[float] | None = None, *,
-                           n: int = 2, max_profiles: int = 512, seed: int = 0,
+                           n: int = 2, max_profiles: int = _PROPS_PROFILES, seed: int = 0,
                            tol: float = EPS_CMP) -> LemmaPropertyReport:
     """Check P1 (no jumping over the move interval), P2 (the share-difference
     sandwich), P3 (same facility implies same load) over report changes, and
     for n = 2 also P4 (agents on one side pool) and P5 (never cross-assign
     when the agent gap meets the facility gap)."""
-    draw = _Draw(mechanism, env, grid, n, max_profiles, seed)
-    profiles = draw.profiles
-    reports = np.asarray(draw.grid, dtype=float)
+    return _audit_props(_Draw(mechanism, env, grid, n, max_profiles, seed), tol)
+
+
+def _audit_props(draw: _Draw, tol: float = EPS_CMP) -> LemmaPropertyReport:
+    """:func:`audit_lemma_properties` on a draw; a spec prices its kept form
+    when that was built for the grid's reports."""
+    profiles, env = draw.profiles, draw.env
+    n = profiles.shape[1]
+    reports = draw.points
     changes = draw.changes(reports, lambda form: np.logical_or(
         *_lemma_rows(form, profiles, draw.split[1], env, tol)))
     truthful = draw.outcome
@@ -1026,6 +1096,33 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
         p4=p4,
         p5=p5,
     )
+
+
+def _run_audits(spec: MechanismSpec, env: Environment, grid: Sequence[float],
+                n: int, tokens: Sequence[str],
+                seed: int) -> dict[str, AuditReport | LemmaPropertyReport]:
+    """The reports of ``facshare mech``'s audits, each of sp, anon,
+    unanimous and props in ``tokens`` once, in order, on one draw with the
+    default caps.
+
+    props prices the rows of the draw that hold its profiles, with sp's form
+    restricted to them when sp runs too, and draws its own profiles when
+    they are not rows of it (:func:`_rows_of`). Every report is the one the
+    public audit gives alone with the same grid and seed."""
+    draw = _Draw(spec, env, grid, n, _AUDIT_PROFILES, seed)
+    wanted = dict.fromkeys(tokens)
+    if "sp" in wanted and "props" in wanted:
+        draw.spec_form(draw.points)  # one form for both, before the outcome is read
+
+    def props() -> LemmaPropertyReport:
+        g = len(draw.points)
+        rows = _rows_of(draw.indices, _grid_indices(g, n, _PROPS_PROFILES, seed), g)
+        return _audit_props(_Draw(spec, env, grid, n, _PROPS_PROFILES, seed) if rows is None
+                            else draw.restrict(rows))
+
+    audits = {"sp": lambda: _audit_sp(draw), "anon": lambda: _audit_anon(draw),
+              "unanimous": lambda: _audit_unanimous(draw), "props": props}
+    return {token: audits[token]() for token in wanted}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import itertools
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import facshare as fs
+import facshare.mechanisms as mechanisms
 from facshare import cli
 from facshare.cli import main
 from facshare.model import dumps_instance
@@ -407,14 +409,28 @@ class TestMech:
     def test_audit_list_is_checked_before_any_audit_runs(self, capsys, running_file,
                                                          monkeypatch):
         ran = []
-        for name in ("_audit_sp", "_audit_anon", "_audit_unanimous",
-                     "audit_lemma_properties"):
-            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: ran.append(name))
+        for name in ("_audit_sp", "_audit_anon", "_audit_unanimous", "_audit_props"):
+            monkeypatch.setattr(mechanisms, name,
+                                lambda *a, name=name, **k: ran.append(name))
         code, out, err = run_cli(capsys, "mech", running_file,
                                  "--mech", '{"kind": "krank", "params": {"k": 1}}',
                                  "--audit", "sp,props,bogus")
         assert code == 2 and out == "" and ran == []
         assert "unknown audit 'bogus'; expected sp, anon, unanimous, props" in err
+
+    def test_cli_reaches_the_audits_only_through_the_runner(self):
+        # The runner owns the draw and the form of a mech op; the CLI imports
+        # no other private name of the mechanisms module.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        private = {(node.module, alias.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module in ("mechanisms", "facshare.mechanisms")
+                   for alias in node.names if alias.name.startswith("_")}
+        assert private == {("mechanisms", "_run_audits")}
+        reached = {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "mechanisms"}
+        assert not reached, reached
 
 
 class TestRatio:

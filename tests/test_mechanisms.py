@@ -18,6 +18,20 @@ ENV_MD = fs.Environment((0.0, 1.0), (2.0, 4.0))       # M = delta
 ENV_EPS = fs.Environment((0.0, 9.9), (0.1, 0.1))      # the unbounded-ratio family, eps=0.1
 
 
+def draw_profiles(grid, n, max_profiles, seed):
+    """The ``(P, n)`` profiles an audit draws on ``grid``."""
+    return np.asarray(grid, dtype=float)[
+        mechanisms._grid_indices(len(grid), n, max_profiles, seed)]
+
+
+def profile_form(spec, env, profiles, reports):
+    """A spec's form on ``profiles`` themselves: each entry is its own point,
+    so the value space is the distinct profile and report values."""
+    return mechanisms._SpecForm(spec, env, profiles.ravel(),
+                                np.arange(profiles.size).reshape(profiles.shape),
+                                np.asarray(reports))
+
+
 class TestEnvParams:
     def test_running_environment(self):
         p = fs.env_params(ENV)
@@ -510,7 +524,7 @@ class TestAudits:
         grid = fs.default_audit_grid(ENV)
         report = fs.audit_lemma_properties(joiner, ENV, n=3).p3
         expected = []
-        for profile in mechanisms._profiles_from_grid(grid, 3, 512, 0):
+        for profile in draw_profiles(grid, 3, 512, 0):
             truthful = joiner(profile[None, :])[0]
             for i, r in itertools.product(range(3), grid):
                 moved = profile.copy()
@@ -686,7 +700,7 @@ class TestOrderStatisticPath:
             failing["sp"] += not sp.passed
             failing["P1"] += not props.p1.passed
             failing["P2"] += not props.p2.passed
-            profiles = mechanisms._profiles_from_grid(grid, n, kw["max_profiles"], case)
+            profiles = draw_profiles(grid, n, kw["max_profiles"], case)
             repeated_rows += len(np.unique(profiles, axis=0)) < len(profiles)
         # the comparison covers counterexamples of every kind, and sampled
         # profiles that repeat a row
@@ -700,14 +714,14 @@ class TestOrderStatisticPath:
         for case in range(120):
             spec, env, n, grid, misreports = self.random_case(rng, case)
             generic = lambda profiles: mechanisms._batch_apply(spec, env, profiles)
-            profiles = mechanisms._profiles_from_grid(grid, n, 120, case)
+            profiles = draw_profiles(grid, n, 120, case)
             reports = np.asarray(grid if misreports is None else misreports)
             truthful = generic(profiles)
             distance, share = mechanisms._split_costs(profiles, truthful, env)
             costs = np.moveaxis(mechanisms._facility_costs(profiles, env, n), -1, 0)
-            sp_rows = mechanisms._sp_rows(mechanisms._SpecForm(spec, env, profiles, reports),
+            sp_rows = mechanisms._sp_rows(profile_form(spec, env, profiles, reports),
                                           costs, distance + share, fs.EPS_CMP)
-            form = mechanisms._SpecForm(spec, env, profiles, np.asarray(grid))
+            form = profile_form(spec, env, profiles, np.asarray(grid))
             p1_rows, p2_rows = mechanisms._lemma_rows(form, profiles, share, env,
                                                       fs.EPS_CMP)
             kw = dict(n=n, max_profiles=120, seed=case)
@@ -763,9 +777,9 @@ class TestOrderStatisticPath:
         rng = np.random.default_rng(47)
         for case in range(90):
             spec, env, n, grid, misreports = self.random_case(rng, case)
-            profiles = mechanisms._profiles_from_grid(grid, n, 80, case)
+            profiles = draw_profiles(grid, n, 80, case)
             reports = np.asarray(grid if misreports is None else misreports)
-            form = mechanisms._SpecForm(spec, env, profiles, reports)
+            form = profile_form(spec, env, profiles, reports)
             base = mechanisms._batch_apply(spec, env, profiles)[:, 0] - 1
             locs = np.asarray(env.locations)
             dist = np.abs(form.values - locs[:, None])
@@ -789,10 +803,10 @@ class TestOrderStatisticPath:
         rng = np.random.default_rng(43)
         for case in range(60):
             spec, env, n, grid, misreports = self.random_case(rng, case)
-            profiles = mechanisms._profiles_from_grid(grid, n, 300, case)
+            profiles = draw_profiles(grid, n, 300, case)
             reports = np.asarray(grid if misreports is None else misreports)
             generic = lambda batch: mechanisms._batch_apply(spec, env, batch)
-            form = mechanisms._SpecForm(spec, env, profiles, reports)
+            form = profile_form(spec, env, profiles, reports)
             truthful = mechanisms._batch_apply(spec, env, profiles)
             assert np.array_equal(form.truthful, truthful)
             every_row = np.ones(profiles.shape, dtype=bool)
@@ -1030,7 +1044,7 @@ class TestUnanimityAudit:
             tol = (fs.EPS_CMP, 0.0, -fs.EPS_CMP)[case % 3]
             kw = dict(n=n, max_profiles=int(rng.choice([50, 700])), seed=case)
             report = fs.audit_unanimous(mechanism, env, grid, tol=tol, **kw)
-            profiles = mechanisms._profiles_from_grid(grid, n, kw["max_profiles"], case)
+            profiles = draw_profiles(grid, n, kw["max_profiles"], case)
             outcome = (mechanisms._batch_apply(mechanism, env, profiles)
                        if isinstance(mechanism, MechanismSpec) else mechanism(profiles))
             want = oracle_unanimous(profiles, outcome, env.locations,
@@ -1119,3 +1133,193 @@ def test_each_kind_is_answered_or_refused(entry, kind):
     else:
         with pytest.raises(fs.MechanismPreconditionError, match=kind):
             call(spec, env)
+
+
+def _environment_admitting(rng, kind):
+    """A random two-facility environment whose case split admits ``kind``."""
+    force = {"type2": "M0", "type3": "Mdelta"}.get(kind)
+    while True:
+        env = random_environment(rng, force=force)
+        if kind in fs.classify_environment(env).admitted_types:
+            return env
+
+
+def _largest_base(n, cap):
+    """The largest g with g**n <= cap."""
+    g = 1
+    while (g + 1) ** n <= cap:
+        g += 1
+    return g
+
+
+class TestSharedForm:
+    """``facshare mech`` builds one draw and one spec form per op, and P1-P5
+    price the rows of that draw that hold their own profiles, from the form
+    restricted to them. That must give what :func:`audit_lemma_properties`
+    gives with a draw and a form of its own."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(67)
+        for kind in ("type1", "type2", "type3", "type4", "type5"):
+            for _ in range(2):
+                choice = int(rng.integers(1, 3))
+                yield MechanismSpec(
+                    kind, target=choice if kind == "type1" else None,
+                    diag_choice=choice if kind in ("type2", "type3") else None,
+                    boundary_choice=choice if kind in ("type4", "type5") else None,
+                ), _environment_admitting(rng, kind), 2
+        for n in range(3, 7):
+            for m in range(2, 5):
+                yield (MechanismSpec("krank", k=int(rng.integers(1, n + 1))),
+                       random_environment(rng, m=m), n)
+
+    @staticmethod
+    def grids(env, n):
+        """The default grid with 0 and 5 extra points, and its first points
+        cut so that both draws are exhaustive, or only sp's is."""
+        for extra in (0, 5):
+            full = fs.default_audit_grid(env, extra=extra)
+            for cap in (512, 2048, None):
+                yield full if cap is None else full[:_largest_base(n, cap)]
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = {"_Draw": 0, "_SpecForm": 0}
+        for cls in (mechanisms._Draw, mechanisms._SpecForm):
+            init = cls.__init__
+
+            def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        return built
+
+    def test_props_from_the_shared_form_match_props_alone(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        regimes = set()
+        for case, (spec, env, n) in enumerate(self.cases()):
+            for grid in self.grids(env, n):
+                g = len(grid)
+                regimes.add((g ** n <= 512, g ** n <= 2048))
+                # the runner's steps: one draw, its form, and props' rows of it
+                draw = mechanisms._Draw(spec, env, grid, n, seed=case)
+                draw.spec_form(draw.points)
+                rows = mechanisms._rows_of(
+                    draw.indices, mechanisms._grid_indices(g, n, 512, case), g)
+                assert rows is not None, (case, g)
+                shared = draw.restrict(rows)
+                alone = mechanisms._Draw(spec, env, grid, n, 512, case)
+                alone_form = alone.spec_form(alone.points)
+                assert np.array_equal(shared.profiles, alone.profiles)
+                assert np.array_equal(shared.form.truthful, alone_form.truthful)
+                for got, want in zip(
+                        mechanisms._lemma_rows(shared.form, shared.profiles,
+                                               shared.split[1], env, fs.EPS_CMP),
+                        mechanisms._lemma_rows(alone_form, alone.profiles,
+                                               alone.split[1], env, fs.EPS_CMP)):
+                    assert np.array_equal(got, want), (case, g)
+                every_row = np.ones(alone.profiles.shape, dtype=bool)
+                for got, want in itertools.zip_longest(shared.form.changes(every_row),
+                                                       alone_form.changes(every_row)):
+                    assert got[0] == want[0] and np.array_equal(got[3], want[3])
+
+                props = repr(fs.audit_lemma_properties(spec, env, grid, n=n, seed=case))
+                for tokens in (["sp", "props"], ["props", "sp"], ["props"]):
+                    built.update(_Draw=0, _SpecForm=0)
+                    reports = mechanisms._run_audits(spec, env, grid, n, tokens, case)
+                    assert built == {"_Draw": 1, "_SpecForm": 1}, tokens
+                    assert repr(reports["props"]) == props, (case, g, tokens)
+        # both draws exhaustive, only sp's, and neither
+        assert regimes == {(True, True), (False, True), (False, False)}
+
+    def test_props_not_in_the_draw_take_a_draw_of_their_own(self, monkeypatch):
+        # With sp's cap cut to 100, sp samples fewer profiles than props'
+        # 512: props' profiles are not rows of sp's draw, so props builds its
+        # own draw and form.
+        built = self.count_builds(monkeypatch)
+        monkeypatch.setattr(mechanisms, "_AUDIT_PROFILES", 100)
+        env = fs.Environment((0.0, 2.0, 5.0), (1.0, 3.0, 2.0))
+        spec, grid = MechanismSpec("krank", k=2), fs.default_audit_grid(env)
+        draw = mechanisms._Draw(spec, env, grid, 3, 100, 5)
+        assert mechanisms._rows_of(draw.indices,
+                                   mechanisms._grid_indices(len(grid), 3, 512, 5),
+                                   len(grid)) is None
+        built.update(_Draw=0, _SpecForm=0)
+        reports = mechanisms._run_audits(spec, env, grid, 3, ["sp", "props"], seed=5)
+        assert built == {"_Draw": 2, "_SpecForm": 2}
+        assert repr(reports["sp"]) == repr(
+            fs.audit_strategyproof(spec, env, grid, n=3, max_profiles=100, seed=5))
+        assert repr(reports["props"]) == repr(
+            fs.audit_lemma_properties(spec, env, grid, n=3, seed=5))
+
+
+class TestGridIndexForm:
+    """A draw's form takes its value space from one ``np.unique`` over the
+    grid and the reports, and indexes its profiles through their grid
+    indices. That must equal the form built over every profile entry."""
+
+    @staticmethod
+    def zero_grid(rng):
+        """A user grid with repeated points and both signed zeros, in a
+        random order."""
+        grid = [0.0, -0.0, *rng.integers(-3, 5, size=4).tolist(),
+                *rng.uniform(-4.0, 6.0, size=3).tolist()]
+        grid += rng.choice(grid, size=2).tolist()
+        return [float(v) for v in rng.permutation(grid)]
+
+    def cases(self):
+        rng = np.random.default_rng(71)
+        for case in range(150):
+            spec, env, n, grid, _ = TestOrderStatisticPath.random_case(rng, case)
+            if case % 3 == 2:
+                grid = self.zero_grid(rng)
+            yield case, spec, env, n, grid, int(rng.choice([60, 400, 2048]))
+
+    def test_matches_the_build_over_every_profile_entry(self):
+        regimes = set()
+        signed_zeros = 0
+        for case, spec, env, n, grid, cap in self.cases():
+            draw = mechanisms._Draw(spec, env, grid, n, cap, case)
+            profiles, reports = draw.profiles, draw.points
+            regimes.add(len(grid) ** n <= cap)
+            by_grid = draw.spec_form(reports)
+            by_entry = profile_form(spec, env, profiles, reports)
+            values, inverse = np.unique(np.concatenate((profiles.ravel(), reports)),
+                                        return_inverse=True)
+            assert np.array_equal(by_grid.values, values)
+            assert np.array_equal(np.searchsorted(by_grid.values, profiles),
+                                  inverse[:profiles.size].reshape(profiles.shape))
+            assert np.array_equal(by_grid.r_index, inverse[profiles.size:])
+            for name in ("r_index", "lo", "hi", "table", "truthful", "is_report", "levels"):
+                assert np.array_equal(getattr(by_grid, name), getattr(by_entry, name)), name
+            assert all(map(np.array_equal, by_grid.at, by_entry.at))
+            zeros = values == 0.0
+            signed_zeros += not np.array_equal(np.signbit(by_grid.values[zeros]),
+                                               np.signbit(values[zeros]))
+        assert regimes == {True, False}
+        # the two builds may keep a different signed zero: np.unique sees
+        # its input in another order
+        assert signed_zeros >= 3
+
+    def test_no_report_depends_on_the_sign_of_a_kept_zero(self):
+        # A batch callable's loop prices profiles and reports directly and
+        # reads no value space; a spec's form reads its kept zero. Both must
+        # report the same on grids holding 0.0 and -0.0, in either order.
+        rng = np.random.default_rng(73)
+        for case in range(40):
+            env = random_environment(rng, force=(None, "M0", "Mdelta")[case % 3])
+            kind = str(rng.choice(fs.classify_environment(env).admitted_types))
+            spec = MechanismSpec(kind, target=1 if kind == "type1" else None,
+                                 diag_choice=(lambda x: 1 if x <= 0.0 else 2)
+                                 if kind in ("type2", "type3") else None,
+                                 boundary_choice=2 if kind in ("type4", "type5") else None)
+            generic = lambda profiles: mechanisms._batch_apply(spec, env, profiles)
+            grid = self.zero_grid(rng)
+            for order in (grid, grid[::-1]):
+                kw = dict(n=2, max_profiles=int(rng.choice([40, 2048])), seed=case)
+                for audit in (fs.audit_strategyproof, fs.audit_lemma_properties):
+                    same = repr(audit(spec, env, order, **kw)) == repr(
+                        audit(generic, env, order, **kw))
+                    assert same, (case, audit.__name__)
