@@ -16,6 +16,11 @@ n <= 6 and m <= 4 on full-grid and sampled profiles with off-grid misreports,
 and the greedy control. Counterexample order and ``checked`` counts are part
 of the hash.
 
+A third, ``MECH_AUDIT_EXPECTED``, covers the path ``facshare mech --audit``
+runs: one draw and one spec form shared by sp, anon, unanimous and props,
+for type2-type5 and k-rank, on grids where both draws are exhaustive, only
+sp's is, and neither (``elapsed_ms`` dropped).
+
 The test pins every reported float, assignment and witness bit for bit, so a
 refactor that claims to change no behaviour can prove it. Changing
 ``EXPECTED`` is a behaviour change: state it, and why, in CHANGES.md.
@@ -35,6 +40,7 @@ from oracles import lattice_instance, random_assignment, random_environment, sui
 EXPECTED = "98039938f02eef721e7024b45c0e9415370842e676dfda99413ac740cdc737ce"
 AUDIT_EXPECTED = "732053857878459a96d030933aa7c3aa6e2bdd37ccbca25293b259adfed098ac"
 MONOTONE_EXPECTED = "c5548f49ff5423047a8fdc4dfd72a15f6f50570e7423f0806fb8151aa26fb344"
+MECH_AUDIT_EXPECTED = "7a5398896a2aa20c227a52d458871701c2b397a09ed22d5e2ea715b6dbb55701"
 
 ORDERS = ("round-robin", "max-gain", "seeded-random")
 
@@ -186,3 +192,46 @@ def audit_records():
 def test_audit_golden():
     text = "\n".join(map(repr, audit_records()))
     assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_EXPECTED
+
+
+def mech_audit_runs(tmp_path):
+    """``mech --audit`` argv with their environment and n: type2-type5 on
+    environments at M = 0, 0 < M < delta and M = delta, and k-rank at n = 3
+    and 5 on m = 2..4, each with and without ``--grid-extra 5``."""
+    rng = np.random.default_rng(909)
+    runs = []
+    for locs, costs, kind, key in (((0.0, 1.0), (6.0, 4.0), "type2", "diag_choice"),
+                                   ((0.0, 3.0), (2.0, 4.0), "type4", "boundary_choice"),
+                                   ((0.0, 3.0), (2.0, 4.0), "type5", "boundary_choice"),
+                                   ((0.0, 1.0), (4.0, 6.0), "type3", "diag_choice")):
+        for choice in (1, 2):
+            value = f"fac{choice}" if key == "diag_choice" else choice
+            runs.append((fs.Environment(locs, costs), (-0.5, 0.7),
+                         {"kind": kind, "params": {key: value}}))
+    for n in (3, 5):
+        for m in (2, 3, 4):
+            env = random_environment(rng, m=m)
+            positions = tuple(rng.uniform(-1.0, 11.0, size=n).tolist())
+            for k in sorted({1, n, int(rng.integers(1, n + 1))}):
+                runs.append((env, positions, {"kind": "krank", "params": {"k": k}}))
+    for case, (env, positions, spec) in enumerate(runs):
+        doc = instance_to_dict(fs.Instance(env, fs.Profile(positions)))
+        doc["facilities"].reverse()  # file numbering differs from sorted numbering
+        path = tmp_path / f"mech{case}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["mech", str(path), "--mech", json.dumps(spec),
+                "--audit", "sp,anon,unanimous,props", "--seed", str(case)]
+        yield argv, env, len(positions), 0
+        yield argv + ["--grid-extra", "5"], env, len(positions), 5
+
+
+def test_mech_audit_golden(tmp_path):
+    # AUDIT_EXPECTED hashes the public audits, each on its own draw; this
+    # hashes the one draw and one spec form a `mech --audit` op shares.
+    runs = list(mech_audit_runs(tmp_path))
+    regimes = {(g ** n <= 512, g ** n <= 2048) for g, n in (
+        (len(fs.default_audit_grid(env, extra=extra)), n) for _, env, n, extra in runs)}
+    # both draws exhaustive, only sp's, and neither
+    assert regimes == {(True, True), (False, True), (False, False)}
+    text = "\n".join(cli_outputs([argv for argv, *_ in runs], tmp_path))
+    assert hashlib.sha256(text.encode()).hexdigest() == MECH_AUDIT_EXPECTED
