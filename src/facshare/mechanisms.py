@@ -31,24 +31,27 @@ S(f), are those at or below lo when ``table[lo] == f``, the interior ones
 
 * sp: a report is profitable iff its facility f costs the agent less, by the
   same float ``_split_costs`` gives at load n; a row has one iff some f with
-  S(f) nonempty does.
+  S(f) nonempty does. The flag is exact.
 * P1: a report r above x violates it iff ``loc_f < loc_B``,
   ``not loc_B <= x + tol`` and ``not r <= loc_f + tol``; the last holds for
   every report above one that satisfies it, since float addition is
   monotone. So the largest report of S(f) decides the reports above x, and
-  by the mirror argument the smallest decides those below x. The below-x
-  clause at the largest fires only if it does at the smallest, and vice versa.
-* P2: ``mid > rhs + tol`` depends on f only, and
-  ``|r - loc_f| - |r - loc_B| > mid + tol`` holds for some report of S(f)
-  iff it holds for the largest such difference. Taking a maximum rounds
-  nothing, so that maximum, over a prefix, a suffix and an interior range
-  (two overlapping sparse-table windows), is exactly a report's value.
+  by the mirror argument the smallest decides those below x, exactly: each
+  clause fires at the other end only if it fires at its own.
+* P2: ``mid > rhs + tol`` depends on f only. The flag for the other clause,
+  ``g(r) > mid + tol`` with ``g(r) = |r - loc_f| - |r - loc_B|``, is a
+  superset. Exact g is monotone in r, so its maximum over S(f) is at an end.
+  With u = 2^-53 and X the largest magnitude of a value or location, a float
+  g(r) is within ``(2u + u^2)(|r - loc_f| + |r - loc_B|) <= 8.01uX`` of g(r).
+  Rounding is monotone, so the larger float at the ends plus ``_P2_SLACK * X
+  = 32uX`` rounds to at least every report's float (for X < 2^-1026 every
+  difference here is exact). Where ``loc_f == loc_B``, g is 0.0: no slack.
 * P3 cannot fire: every load is n.
 
 The flags apply :func:`_sp_breaks`, :func:`_p1_breaks` and :func:`_p2_breaks`
 to those reports. Only the (profile, agent) rows some f flags get the
 per-report pass, which applies them to every report with the expressions a
-batch callable's loop uses, so reports are identical to checking every report.
+batch callable's loop uses; no row with a counterexample goes unflagged.
 
 The sp, anon and unanimous audits draw the same profiles for the same grid,
 n, profile cap and seed, so they share one :class:`_Draw`: the profiles, the
@@ -122,6 +125,7 @@ _AUDIT_PROFILES = 2048  # the sp, anon and unanimous audits' default profile cap
 _PROPS_PROFILES = 512  # P1-P5's default profile cap
 _AUDIT_PERMUTATIONS = 100  # anon's default permutation sample for n > 5
 _GRID_OFFSET = 1e-3  # the audit grid's neighbors on each side of an anchor
+_P2_SLACK = 2.0 ** -48  # 32 units of roundoff: the P2 flag's margin per unit magnitude
 
 
 class MechanismPreconditionError(ValueError):
@@ -540,6 +544,22 @@ def _rows_of(indices: np.ndarray, sub: np.ndarray, g: int) -> np.ndarray | None:
     return rows if np.array_equal(indices.take(rows, axis=0), sub) else None
 
 
+def _batch_outcome(mechanism: BatchMechanism, profiles: np.ndarray, m: int) -> np.ndarray:
+    """A batch callable's facilities for ``profiles``: an array of their
+    ``(P, n)`` shape and an integer dtype that is not bool, holding 1..m.
+    Any other answer raises :class:`ValidationError` naming the fault."""
+    outcome = np.asarray(mechanism(profiles))
+    what = "mechanism output"
+    _require(outcome.shape == profiles.shape,
+             f"{what} must have shape {profiles.shape}, got {outcome.shape}")
+    _require(outcome.dtype.kind in "iu",
+             f"{what} must hold integer facilities, got dtype {outcome.dtype}")
+    bad = outcome[(outcome < 1) | (outcome > m)]
+    if bad.size:
+        raise ValidationError(f"{what} must hold facilities 1..{m}, got {bad[0].item()!r}")
+    return outcome
+
+
 def _batch_changes(mechanism: BatchMechanism, env: Environment, profiles: np.ndarray,
                    reports: np.ndarray) -> Iterator[tuple]:
     """Each agent's facility and its load when she alone switches to one
@@ -551,7 +571,7 @@ def _batch_changes(mechanism: BatchMechanism, env: Environment, profiles: np.nda
         for j, report in enumerate(reports):
             mod = profiles.copy()
             mod[:, i] = report
-            outcome = mechanism(mod)
+            outcome = _batch_outcome(mechanism, mod, env.m)
             yield (i, rows, reports[j:j + 1], outcome[:, i, None],
                    _loads(outcome, env.m)[:, i, None])
 
@@ -572,10 +592,9 @@ class _SpecForm:
     ``hi = size`` both read. Points no profile holds are never such a value,
     so they change no outcome.
 
-    One form serves a whole ``facshare mech`` op: when P1-P5's profiles are
-    rows of the op's draw, they read those rows of sp's form
-    (:meth:`restrict`), and otherwise build a form on a draw of their own.
-    The reports are the same either way.
+    ``bottom`` and ``top`` are ``(m, P, n)`` int32 value indices: the
+    smallest and the largest report by which agent i of profile p sends
+    everyone to facility f + 1, or ``size`` and -1 where no report does.
     """
 
     def __init__(self, spec: MechanismSpec, env: Environment, points: np.ndarray,
@@ -610,67 +629,37 @@ class _SpecForm:
         self.truthful = np.broadcast_to(self.table[mid], (p, n))
         self.values, self.reports, self.r_index = values, reports, r_index
         self.lo, self.hi = lo, hi
-        self.is_report = np.zeros(size, dtype=bool)
-        self.is_report[r_index] = True
-        # Where reach_max reads each (p, i) in a row of its table: the
-        # interior reports lo < v < hi as two windows of a sparse table,
-        # [lo + 1, lo + 2**l] and [hi - 2**l, hi - 1]; the reports at or below
-        # lo; those at or above hi; and a trailing -inf for an empty part.
-        count = hi - lo - 1
-        level = np.array([max(c, 1).bit_length() - 1 for c in range(size + 1)])
-        level = level[np.maximum(count, 0)]
-        self.levels = int(level.max(initial=0)) + 1
-        end = (self.levels + 2) * size
-        interior = count > 0
-        # int32 offsets: these four (P, n) arrays set the audit's peak memory
-        self.at = tuple(part.ravel().astype(np.int32) for part in (
-            np.where(interior, level * size + lo + 1, end),
-            np.where(interior, level * size + hi - (1 << level), end),
-            np.where(lo >= 0, self.levels * size + lo, end),
-            np.where(hi < size, end - size + hi, end)))
+        # Each facility's reports, then all (row m): the last at or below each
+        # value index, the first at or above it, and a last column of none.
+        m = env.m
+        fac = np.arange(1, m + 1)[:, None, None]
+        holds = np.zeros((m + 1, size + 1), dtype=bool)
+        holds[m, r_index] = True
+        holds[:m] = holds[m] & (self.table == fac[:, 0])
+        idx = np.arange(size + 1, dtype=np.int32)
+        last = np.maximum.accumulate(np.where(holds, idx, -1), axis=1)
+        last[:, -1] = -1
+        first = np.minimum.accumulate(np.where(holds, idx, size)[:, ::-1], axis=1)[:, ::-1]
+        # S(f) below lo, inside and above hi; table[-1] = table[size] = 0
+        below = (self.table[lo] == fac) & (first[m, 0] <= lo)
+        above = (self.table[hi] == fac) & (last[m, -2] >= hi)
+        inner = last[:m].take(hi - 1, axis=1)
+        self.top = np.where(inner > lo, inner, np.where(below, last[m].take(lo), -1))
+        self.top[above] = last[m, -2]
+        inner = first[:m].take(lo + 1, axis=1)
+        self.bottom = np.where(inner < hi, inner, np.where(above, first[m].take(hi), size))
+        self.bottom[below] = first[m, 0]
 
     def restrict(self, rows: np.ndarray) -> _SpecForm:
-        """The form of the profiles at ``rows`` alone: ``lo``, ``hi``, ``at``
-        and ``truthful`` taken by row; ``values``, ``table``, ``is_report``
-        and ``levels`` shared, as they price every row alike."""
-        # take along axis 0 picks rows several times faster than a[rows]
+        """The form of the profiles at ``rows`` alone: ``lo``, ``hi``,
+        ``bottom``, ``top`` and ``truthful`` taken by row; ``values`` and
+        ``table`` shared, as they price every row alike."""
+        # take along an axis picks rows several times faster than a[rows]
         form = copy.copy(self)
         form.lo, form.hi, form.truthful = (a.take(rows, axis=0)
                                            for a in (self.lo, self.hi, self.truthful))
-        form.at = tuple(part.reshape(self.lo.shape).take(rows, axis=0).ravel()
-                        for part in self.at)
+        form.bottom, form.top = (a.take(rows, axis=1) for a in (self.bottom, self.top))
         return form
-
-    def reach_max(self, weight: np.ndarray, key: np.ndarray) -> Iterator[np.ndarray]:
-        """For each facility f in turn, ``max weight[c, key[p], f, v]`` over
-        the reports v by which agent i of profile p sends everyone to f, as a
-        ``(C, P, n)`` array; -inf where no report reaches f. ``weight`` has
-        shape ``(C, K, m, size)`` and ``key`` selects each profile's K row."""
-        chans, keys, m, size = weight.shape
-        w = np.where(self.is_report, weight, -np.inf)
-        below = np.maximum.accumulate(w, axis=-1)
-        above = np.maximum.accumulate(w[..., ::-1], axis=-1)[..., ::-1]
-        # A report v reaches table[v] from the interior; a report at or below
-        # lo reaches table[lo], one at or above hi reaches table[hi].
-        mine = self.table[:-1] == np.arange(1, m + 1)[:, None]
-        parts = [np.where(mine, w, -np.inf)]
-        for half in (1 << l for l in range(self.levels - 1)):
-            w = parts[-1].copy()
-            np.maximum(w[..., :-half], w[..., half:], out=w[..., :-half])
-            parts.append(w)
-        parts += [np.where(mine, below, -np.inf), np.where(mine, above, -np.inf),
-                  np.full(weight.shape[:-1] + (1,), -np.inf)]
-        flat = np.concatenate(parts, axis=-1)
-        width = flat.shape[-1]
-        flat = flat.ravel()
-        p, n = self.lo.shape
-        row = (np.arange(chans)[:, None] * keys + np.repeat(key, n)) * m
-        for f in range(m):
-            origin = (row + f) * width
-            out = flat.take(origin + self.at[0])
-            for part in self.at[1:]:
-                np.maximum(out, flat.take(origin + part), out=out)
-            yield out.reshape(chans, p, n)
 
     def changes(self, flagged: np.ndarray) -> Iterator[tuple]:
         """The outcomes of every report for the flagged ``(P, n)`` rows only:
@@ -748,7 +737,7 @@ class _Draw:
             return self.form.truthful
         if isinstance(self.mechanism, MechanismSpec):
             return _batch_apply(self.mechanism, self.env, self.profiles)
-        return self.mechanism(self.profiles)
+        return _batch_outcome(self.mechanism, self.profiles, self.env.m)
 
     @functools.cached_property
     def split(self) -> tuple[np.ndarray, np.ndarray]:
@@ -796,36 +785,37 @@ def _sp_rows(form: _SpecForm, costs: np.ndarray, base_cost: np.ndarray,
              tol: float) -> np.ndarray:
     """The ``(P, n)`` rows with a profitable report: some facility a report
     reaches costs less, by the draw's ``(m, P, n)`` costs at load n."""
-    reach = form.reach_max(np.zeros((1, 1, len(costs), len(form.values))),
-                           np.zeros(len(base_cost), dtype=int))
-    flagged = np.zeros(base_cost.shape, dtype=bool)
-    for (top,), lied_cost in zip(reach, costs):
-        flagged |= (top > -np.inf) & _sp_breaks(base_cost, lied_cost, tol)
-    return flagged
+    return ((form.top >= 0) & _sp_breaks(base_cost, costs, tol)).any(axis=0)
+
+
+def _p2_bound(form: _SpecForm, loc: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """For each facility f at ``loc``, an ``(m, P, n)`` bound on the float
+    ``|r - loc_f| - |r - base|`` over the reports r that send everyone to f,
+    read where one does: the larger value at f's extreme reports, plus
+    :data:`_P2_SLACK` times the largest magnitude unless ``loc_f == base``."""
+    bound = np.full(form.top.shape, -np.inf)
+    for end in (form.top, form.bottom):
+        r = form.values.take(end, mode="clip")  # some value where none reaches f
+        np.maximum(bound, np.abs(r - loc) - np.abs(r - base), out=bound)
+    scale = max(-form.values[0], form.values[-1], np.abs(loc).max())
+    return bound + np.where(loc == base, 0.0, _P2_SLACK * scale)
 
 
 def _lemma_rows(form: _SpecForm, profiles: np.ndarray, truthful_share: np.ndarray,
                 env: Environment, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(P, n)`` rows with a report that breaks P1, and those with one
-    that breaks P2, by :func:`_p1_breaks` at each facility's extreme reports
-    and :func:`_p2_breaks` at its largest difference (see the module
-    docstring), all ``(m, P, n)`` facility rows at once."""
+    """The ``(P, n)`` rows with a report that breaks P1, by :func:`_p1_breaks`
+    at each facility's extreme reports, and a superset of those with one that
+    breaks P2, by :func:`_p2_breaks` at :func:`_p2_bound`, all at once."""
     locs = np.asarray(env.locations, dtype=float)
-    x = profiles
-    to = form.truthful[:, 0] - 1
-    base = locs[to][:, None]
-    dist = np.abs(form.values - locs[:, None])
-    reach = np.stack(list(form.reach_max(np.stack(np.broadcast_arrays(
-        form.values, -form.values, dist - dist[:, None])), to)), axis=1)
-    np.negative(reach[1], out=reach[1])  # the smallest report, +inf where none
-    top, _, lhs_max = reach
-    loc = locs[:, None, None]
-    share = (np.asarray(env.building_costs) / x.shape[1])[:, None, None]
-    reached = top > -np.inf
-    p1 = reached & _p1_breaks(x, reach[:2], base, loc, tol).any(axis=0)
-    p2 = reached & _p2_breaks(lhs_max, truthful_share - share,
-                              np.abs(x - loc) - np.abs(x - base), tol)
-    return p1.any(axis=0), p2.any(axis=0)
+    loc, base = locs[:, None, None], locs[form.truthful[:, 0] - 1][:, None]
+    share = (np.asarray(env.building_costs) / profiles.shape[1])[:, None, None]
+    p2 = _p2_breaks(_p2_bound(form, loc, base), truthful_share - share,
+                    np.abs(profiles - loc) - np.abs(profiles - base), tol)
+    p1 = np.zeros(p2.shape, dtype=bool)
+    for end in (form.top, form.bottom):
+        p1 |= _p1_breaks(profiles, form.values.take(end, mode="clip"), base, loc, tol)
+    reached = form.top >= 0
+    return (p1 & reached).any(axis=0), (p2 & reached).any(axis=0)
 
 
 @dataclass(frozen=True)
@@ -947,7 +937,8 @@ def _audit_anon(draw: _Draw, max_permutations: int = _AUDIT_PERMUTATIONS) -> Aud
     else:
         def outcome_key(perm):
             permuted = profiles[:, perm]
-            return np.sort(permuted + 1j * mechanism(permuted), axis=1)
+            return np.sort(permuted + 1j * _batch_outcome(mechanism, permuted, draw.env.m),
+                           axis=1)
 
         base_key = outcome_key(list(range(n)))
         for perm in perms:

@@ -453,6 +453,41 @@ class TestDiagChoiceRange:
         assert fs.apply_mechanism(spec, fs.Profile((-1.0, 0.5)), env).choices == (1, 1)
 
 
+class TestBatchOutput:
+    """A batch callable must answer a ``(P, n)`` batch with an integer array
+    of that shape, not bools, holding facilities 1..m; every entry point
+    that applies one says what was wrong."""
+
+    ENTRY_POINTS = (fs.audit_strategyproof, fs.audit_anonymous, fs.audit_unanimous,
+                    fs.audit_lemma_properties, fs.empirical_ratio)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("answer, message", [
+        (lambda p: np.zeros(p.shape, dtype=int), r"facilities 1\.\.2, got 0$"),
+        (lambda p: np.full(p.shape, 3), r"facilities 1\.\.2, got 3$"),
+        (lambda p: np.full(p.shape, 1.5), "integer facilities, got dtype float64"),
+        (lambda p: np.ones(p.shape, dtype=bool), "integer facilities, got dtype bool"),
+        (lambda p: np.ones(len(p), dtype=int), r"shape \(\d+, 2\), got \(\d+,\)"),
+    ])
+    def test_bad_answers_raise_validation_error(self, entry, answer, message):
+        with pytest.raises(fs.ValidationError, match="mechanism output must .*" + message):
+            entry(answer, ENV, n=2)
+
+    @pytest.mark.parametrize("entry", [fs.audit_strategyproof, fs.audit_anonymous,
+                                       fs.audit_lemma_properties])
+    def test_answers_to_altered_batches_are_checked(self, entry):
+        # valid on the truthful batch, facility 0 on the first altered one
+        calls = []
+
+        def later_zero(profiles):
+            calls.append(len(profiles))
+            return np.full(profiles.shape, 1 if len(calls) == 1 else 0)
+
+        with pytest.raises(fs.ValidationError, match=r"facilities 1\.\.2, got 0$"):
+            entry(later_zero, ENV, n=2)
+        assert len(calls) == 2
+
+
 class TestAudits:
     def constructible_specs(self, env):
         admitted = fs.classify_environment(env).admitted_types
@@ -708,8 +743,9 @@ class TestOrderStatisticPath:
         assert repeated_rows >= 3
 
     def test_flagged_rows_are_the_rows_with_counterexamples(self):
-        # Each flag is exact on its own: a (profile, agent) row is flagged for
-        # sp, P1 or P2 iff the per-report loop finds a counterexample there.
+        # The sp and P1 flags are exact: a (profile, agent) row is flagged iff
+        # the per-report loop finds a counterexample there. The P2 flag is a
+        # superset, which equals on these cases at the CLI's tolerance.
         rng = np.random.default_rng(53)
         for case in range(120):
             spec, env, n, grid, misreports = self.random_case(rng, case)
@@ -757,7 +793,7 @@ class TestOrderStatisticPath:
         # arithmetic, but its float value moves with r's binade: 12.0 gives a
         # larger difference than 3.0 and 48.0, the extreme reports that move
         # everyone to facility 2, and only it exceeds the share difference
-        # b1/2 - b2/2 at tol = 0.
+        # b1/2 - b2/2 at tol = 0. The P2 flag's margin covers that rounding.
         env = fs.Environment((0.1, 0.7), (1.0, 2.2))
         spec = MechanismSpec("type3", diag_choice=2)
         generic = lambda profiles: mechanisms._batch_apply(spec, env, profiles)
@@ -770,10 +806,11 @@ class TestOrderStatisticPath:
         assert same
 
     def test_reach_matches_per_report_enumeration(self):
-        # For every (facility, profile, agent): the largest and smallest report
-        # that sends everyone to the facility, and the largest P2 difference
-        # |r - loc_f| - |r - loc_B| over those reports, against applying the
-        # spec to each altered profile.
+        # For every (facility, profile, agent): the smallest and largest report
+        # that sends everyone to the facility, against applying the spec to
+        # each altered profile; and the P2 bound, which must be at least the
+        # float |r - loc_f| - |r - loc_B| of every such report, and exactly
+        # 0.0 where loc_f == loc_B.
         rng = np.random.default_rng(47)
         for case in range(90):
             spec, env, n, grid, misreports = self.random_case(rng, case)
@@ -782,22 +819,93 @@ class TestOrderStatisticPath:
             form = profile_form(spec, env, profiles, reports)
             base = mechanisms._batch_apply(spec, env, profiles)[:, 0] - 1
             locs = np.asarray(env.locations)
-            dist = np.abs(form.values - locs[:, None])
-            got = np.stack(list(form.reach_max(np.stack(np.broadcast_arrays(
-                form.values, -form.values, dist - dist[:, None])), base)), axis=1)
+            bound = mechanisms._p2_bound(form, locs[:, None, None], locs[base][:, None])
 
-            want = np.full((3, env.m) + profiles.shape, -np.inf)
+            rows = np.arange(len(profiles))
+            top = np.full((env.m,) + profiles.shape, -1)
+            bottom = np.full((env.m,) + profiles.shape, len(form.values))
             for i in range(n):
-                for r in reports:
+                for r, v in zip(reports, form.r_index):
                     altered = profiles.copy()
                     altered[:, i] = r
                     fac = mechanisms._batch_apply(spec, env, altered)[:, i] - 1
+                    top[fac, rows, i] = np.maximum(top[fac, rows, i], v)
+                    bottom[fac, rows, i] = np.minimum(bottom[fac, rows, i], v)
                     diff = np.abs(r - locs[fac]) - np.abs(r - locs[base])
-                    for c, v in enumerate((r, -r, diff)):
-                        cell = want[c, fac, np.arange(len(profiles)), i]
-                        want[c, fac, np.arange(len(profiles)), i] = np.maximum(cell, v)
-            same = np.array_equal(got, want)
+                    assert np.all(bound[fac, rows, i] >= diff), f"case {case}"
+            same = np.array_equal(form.top, top) and np.array_equal(form.bottom, bottom)
             assert same, f"case {case}"
+            assert form.top.dtype == form.bottom.dtype == np.int32
+            # the truthful report reaches the truthful facility
+            equal = (locs[:, None, None] == locs[base][:, None]) & (top >= 0)
+            assert equal.any() and np.all(bound[equal] == 0.0), f"case {case}"
+
+    @pytest.mark.parametrize("tol", [0.0, fs.EPS_CMP])
+    def test_p2_rows_hold_every_row_with_a_p2_counterexample(self, tol):
+        # The P2 flag is a proven superset: the per-report pass must find
+        # every counterexample of the generic loop among the flagged rows.
+        rng = np.random.default_rng(61)
+        violating = 0
+        for case in range(150):
+            spec, env, n, grid, _ = self.random_case(rng, case)
+            generic = lambda profiles: mechanisms._batch_apply(spec, env, profiles)
+            profiles = draw_profiles(grid, n, 120, case)
+            _, share = mechanisms._split_costs(profiles, generic(profiles), env)
+            form = profile_form(spec, env, profiles, np.asarray(grid))
+            _, p2_rows = mechanisms._lemma_rows(form, profiles, share, env, tol)
+            flagged = {(mechanisms._plain(profiles[r]), i)
+                       for r, i in zip(*np.nonzero(p2_rows))}
+            props = fs.audit_lemma_properties(generic, env, grid, n=n, max_profiles=120,
+                                              seed=case, tol=tol)
+            found = {(c.profile, c.agent) for c in props.p2.counterexamples}
+            assert found <= flagged, f"case {case}"
+            violating += bool(found)
+        assert violating >= 10
+
+    @pytest.mark.parametrize("env, spec, grid", [
+        # the case above: beyond both facilities
+        (fs.Environment((0.1, 0.7), (1.0, 2.2)), MechanismSpec("type3", diag_choice=2),
+         (0.0, 3.0, 12.0, 48.0)),
+        # found by a seeded search of random_case environments: at M = 0 the
+        # reports at or left of l1 reach facility 1, where the difference is
+        # l1 - l2 = (b2 - b1)/2 in exact arithmetic; only the interior
+        # report's float exceeds the share difference
+        (fs.Environment((-3.6023808310867023, -1.9161188969980514),
+                        (6.144813222649418, 2.7722893544721168)),
+         MechanismSpec("type2", diag_choice=1),
+         (-6.139584136749057, -6.138584136749056, -3.6023808310867023,
+          -3.6013808310867024)),
+    ])
+    def test_p2_margin_flags_what_the_extreme_reports_round_below(
+            self, monkeypatch, env, spec, grid):
+        # At tol = 0 a report between a facility's extreme reports has a
+        # larger float difference than both, and it alone breaks P2: without
+        # the margin the spec audit misses it.
+        generic = lambda profiles: mechanisms._batch_apply(spec, env, profiles)
+        want = fs.audit_lemma_properties(generic, env, grid, n=2, tol=0.0)
+        assert not want.p2.passed
+        assert repr(fs.audit_lemma_properties(spec, env, grid, n=2, tol=0.0)) == repr(want)
+        monkeypatch.setattr(mechanisms, "_P2_SLACK", 0.0)
+        without = fs.audit_lemma_properties(spec, env, grid, n=2, tol=0.0)
+        assert set(without.p2.counterexamples) < set(want.p2.counterexamples)
+
+    def test_flag_counts_at_the_cli_tolerance(self):
+        # Rows the flags send to the per-report pass, pinned so that extra
+        # per-report work shows as a count, not as wall time.
+        rng = np.random.default_rng(41)
+        counts = {"rows": 0, "sp": 0, "P1": 0, "P2": 0}
+        for case in range(300):
+            spec, env, n, grid, misreports = self.random_case(rng, case)
+            draw = mechanisms._Draw(spec, env, grid, n, 512, case)
+            reports = draw.points if misreports is None else np.asarray(misreports)
+            sp_form = mechanisms._SpecForm(spec, env, draw.points, draw.indices, reports)
+            sp = mechanisms._sp_rows(sp_form, draw.costs, draw.truthful_cost, fs.EPS_CMP)
+            p1, p2 = mechanisms._lemma_rows(draw.spec_form(draw.points), draw.profiles,
+                                            draw.split[1], env, fs.EPS_CMP)
+            counts["rows"] += draw.profiles.size
+            for name, rows in (("sp", sp), ("P1", p1), ("P2", p2)):
+                counts[name] += int(np.count_nonzero(rows))
+        assert counts == {"rows": 259075, "sp": 4564, "P1": 6184, "P2": 6184}
 
     def test_order_statistic_outcomes_match_batch_apply(self):
         rng = np.random.default_rng(43)
@@ -1292,9 +1400,8 @@ class TestGridIndexForm:
             assert np.array_equal(np.searchsorted(by_grid.values, profiles),
                                   inverse[:profiles.size].reshape(profiles.shape))
             assert np.array_equal(by_grid.r_index, inverse[profiles.size:])
-            for name in ("r_index", "lo", "hi", "table", "truthful", "is_report", "levels"):
+            for name in ("r_index", "lo", "hi", "table", "truthful", "bottom", "top"):
                 assert np.array_equal(getattr(by_grid, name), getattr(by_entry, name)), name
-            assert all(map(np.array_equal, by_grid.at, by_entry.at))
             zeros = values == 0.0
             signed_zeros += not np.array_equal(np.signbit(by_grid.values[zeros]),
                                                np.signbit(values[zeros]))
