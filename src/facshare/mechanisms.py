@@ -27,17 +27,21 @@ agent i of profile p reports r, everyone goes to ``table[clip(r, lo, hi)]``
 (:class:`_SpecForm`), so the reports that send everyone to facility f,
 S(f), are those at or below lo when ``table[lo] == f``, the interior ones
 ``lo < r < hi`` with ``table[r] == f``, and those at or above hi when
-``table[hi] == f``. Every load is n, so an outcome is priced by f alone:
+``table[hi] == f``. S(f) depends on the pair (lo, hi) alone, so its ends
+are priced once per pair, not once per row. Every load is n, so an outcome
+is priced by f alone:
 
 * sp: a report is profitable iff its facility f costs the agent less, by the
   same float ``_split_costs`` gives at load n; a row has one iff some f with
   S(f) nonempty does. The flag is exact.
 * P1: a report r above x violates it iff ``loc_f < loc_B``,
-  ``not loc_B <= x + tol`` and ``not r <= loc_f + tol``; the last holds for
-  every report above one that satisfies it, since float addition is
-  monotone. So the largest report of S(f) decides the reports above x, and
-  by the mirror argument the smallest decides those below x, exactly: each
-  clause fires at the other end only if it fires at its own.
+  ``not loc_B <= x + tol`` and ``not r <= loc_f + tol`` (:func:`_p1_right`);
+  the last holds for every report above one that satisfies it, since float
+  addition is monotone. So the largest report of S(f) alone decides the
+  reports above x, and by the mirror argument (:func:`_p1_left`) the
+  smallest alone decides those below x. The flag is exact, and equals
+  :func:`_p1_breaks` at both ends: each branch fires at the other end only
+  if it fires at its own.
 * P2: ``mid > rhs + tol`` depends on f only. The flag for the other clause,
   ``g(r) > mid + tol`` with ``g(r) = |r - loc_f| - |r - loc_B|``, is a
   superset. Exact g is monotone in r, so its maximum over S(f) is at an end.
@@ -584,17 +588,26 @@ class _SpecForm:
     points are its grid and the index its grid indices. ``values`` are the
     sorted distinct points and report values. When agent i of profile p
     reports the value of index v, the k-th smallest report becomes
-    ``clip(v, lo[p, i], hi[p, i])``, where lo and hi are the (k-1)-th and
-    k-th smallest reports of the others (-1 and ``size`` stand for -inf and
-    +inf), so everyone goes to ``table[clip(v, lo, hi)]`` and every load is
-    n. ``table`` holds ``h`` on the values that can occur as that order
-    statistic, 0 elsewhere, and one trailing 0 that ``lo = -1`` and
-    ``hi = size`` both read. Points no profile holds are never such a value,
-    so they change no outcome.
+    ``clip(v, lo, hi)``, where lo and hi are the (k-1)-th and k-th smallest
+    reports of the others (-1 and ``size`` stand for -inf and +inf), so
+    everyone goes to ``table[clip(v, lo, hi)]`` and every load is n. A row
+    keeps its pair as one ``key``, ``(lo + 1) * (size + 1) + hi``.
 
-    ``bottom`` and ``top`` are ``(m, P, n)`` int32 value indices: the
-    smallest and the largest report by which agent i of profile p sends
-    everyone to facility f + 1, or ``size`` and -1 where no report does.
+    ``table`` holds ``h`` on every value and one trailing 0 that ``lo = -1``
+    and ``hi = size`` both read. Only values a row's order statistic can
+    take are read: ``truthful`` reads each profile's k-th smallest,
+    :meth:`changes` ``clip(r, lo, hi)`` for each report r, and a row's
+    entry of the pair tables depends on ``table[lo]`` only with a report at
+    or below lo, on ``table[hi]`` only with one at or above hi, and on
+    ``table[r]`` at reports ``lo < r < hi``. So ``h`` at any other value,
+    such as a point no profile holds, changes no outcome.
+
+    :attr:`bottom` and :attr:`top` are ``(m, P, n)`` int32 value indices:
+    the smallest and the largest report by which agent i of profile p sends
+    everyone to facility f + 1, or ``size`` and -1 where no report does;
+    :attr:`reach` is where some report does. They depend on the pair alone,
+    so they are priced once per pair, in ``(m, (size + 1)^2)`` tables, and
+    each read gathers them by key.
     """
 
     def __init__(self, spec: MechanismSpec, env: Environment, points: np.ndarray,
@@ -611,24 +624,10 @@ class _SpecForm:
         lo, mid, hi = (ranked[:, j, None] for j in (k - 1, k, k + 1))
         lo = np.where(lo < index, lo, mid)
         hi = np.where(mid < index, mid, hi)
-
-        seen = np.zeros(size, dtype=bool)
-        seen[mid[:, 0]] = True
-        if len(r_index):
-            # clip(r, lo, hi) is lo for some r below lo, hi for some r above hi,
-            # and r itself when some agent's interval [lo, hi] contains it.
-            seen[lo[lo > r_index.min()]] = True
-            seen[hi[hi < r_index.max()]] = True
-            edges = (np.bincount(np.maximum(lo, 0).ravel(), minlength=size + 1)
-                     - np.bincount(np.minimum(hi, size - 1).ravel() + 1,
-                                   minlength=size + 1))
-            seen[r_index[np.cumsum(edges)[r_index] > 0]] = True
-        # One call of h for every seen value; no other value reaches h.
-        self.table = np.zeros(size + 1, dtype=int)
-        self.table[:-1][seen] = h(values[seen])
+        self.key = (lo + 1) * (size + 1) + hi
+        self.table = np.append(h(values), 0)
         self.truthful = np.broadcast_to(self.table[mid], (p, n))
         self.values, self.reports, self.r_index = values, reports, r_index
-        self.lo, self.hi = lo, hi
         # Each facility's reports, then all (row m): the last at or below each
         # value index, the first at or above it, and a last column of none.
         m = env.m
@@ -640,25 +639,39 @@ class _SpecForm:
         last = np.maximum.accumulate(np.where(holds, idx, -1), axis=1)
         last[:, -1] = -1
         first = np.minimum.accumulate(np.where(holds, idx, size)[:, ::-1], axis=1)[:, ::-1]
-        # S(f) below lo, inside and above hi; table[-1] = table[size] = 0
+        # Every (lo, hi) pair, lo down the rows: S(f) below lo, inside and
+        # above hi; table[-1] = table[size] = 0
+        lo, hi = np.arange(-1, size)[:, None], np.arange(size + 1)
         below = (self.table[lo] == fac) & (first[m, 0] <= lo)
         above = (self.table[hi] == fac) & (last[m, -2] >= hi)
-        inner = last[:m].take(hi - 1, axis=1)
-        self.top = np.where(inner > lo, inner, np.where(below, last[m].take(lo), -1))
-        self.top[above] = last[m, -2]
+        inner = last[:m, None].take(hi - 1, axis=2)
+        top = np.where(above, last[m, -2],
+                       np.where(inner > lo, inner, np.where(below, last[m].take(lo), -1)))
         inner = first[:m].take(lo + 1, axis=1)
-        self.bottom = np.where(inner < hi, inner, np.where(above, first[m].take(hi), size))
-        self.bottom[below] = first[m, 0]
+        bottom = np.where(below, first[m, 0],
+                          np.where(inner < hi, inner, np.where(above, first[m].take(hi), size)))
+        self._top, self._bottom = top.reshape(m, -1), bottom.reshape(m, -1)
+        self._reach = self._top >= 0
+
+    @property
+    def top(self) -> np.ndarray:
+        return self._top.take(self.key, axis=1)
+
+    @property
+    def bottom(self) -> np.ndarray:
+        return self._bottom.take(self.key, axis=1)
+
+    @property
+    def reach(self) -> np.ndarray:
+        return self._reach.take(self.key, axis=1)
 
     def restrict(self, rows: np.ndarray) -> _SpecForm:
-        """The form of the profiles at ``rows`` alone: ``lo``, ``hi``,
-        ``bottom``, ``top`` and ``truthful`` taken by row; ``values`` and
-        ``table`` shared, as they price every row alike."""
+        """The form of the profiles at ``rows`` alone: ``key`` and
+        ``truthful`` taken by row; ``values``, ``table`` and the pair tables
+        shared, as they price every row alike."""
         # take along an axis picks rows several times faster than a[rows]
         form = copy.copy(self)
-        form.lo, form.hi, form.truthful = (a.take(rows, axis=0)
-                                           for a in (self.lo, self.hi, self.truthful))
-        form.bottom, form.top = (a.take(rows, axis=1) for a in (self.bottom, self.top))
+        form.key, form.truthful = (a.take(rows, axis=0) for a in (self.key, self.truthful))
         return form
 
     def changes(self, flagged: np.ndarray) -> Iterator[tuple]:
@@ -668,8 +681,8 @@ class _SpecForm:
         for i in range(n):
             rows = np.flatnonzero(flagged[:, i])
             if len(rows):
-                theta = np.minimum(np.maximum(self.r_index, self.lo[rows, i, None]),
-                                   self.hi[rows, i, None])
+                lo, hi = np.divmod(self.key[rows, i, None], len(self.values) + 1)
+                theta = np.minimum(np.maximum(self.r_index, lo - 1), hi)
                 yield i, rows, self.reports, self.table[theta], n
 
 
@@ -764,16 +777,28 @@ def _sp_breaks(cost: np.ndarray, lied_cost: np.ndarray, tol: float) -> np.ndarra
     return cost - lied_cost > tol
 
 
+def _p1_right(x: np.ndarray, report: np.ndarray, base_loc: np.ndarray,
+              alt_loc: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`_p1_breaks` right of ``x``: once it holds, it holds further right."""
+    return ((report > x) & (alt_loc < base_loc)
+            & ~(report <= alt_loc + tol) & ~(base_loc <= x + tol))
+
+
+def _p1_left(x: np.ndarray, report: np.ndarray, base_loc: np.ndarray,
+             alt_loc: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`_p1_breaks` left of ``x``: once it holds, it holds further left."""
+    return ((report < x) & (base_loc < alt_loc)
+            & ~(x <= base_loc + tol) & ~(alt_loc <= report + tol))
+
+
 def _p1_breaks(x: np.ndarray, report: np.ndarray, base_loc: np.ndarray,
                alt_loc: np.ndarray, tol: float) -> np.ndarray:
     """Moving the report from ``x`` moves the facility, from ``base_loc`` to
     ``alt_loc``, strictly the other way, although the move starts more than
     ``tol`` short of the old facility and ends more than ``tol`` past the new
     one."""
-    return (((report > x) & (alt_loc < base_loc)
-             & ~(report <= alt_loc + tol) & ~(base_loc <= x + tol))
-            | ((report < x) & (base_loc < alt_loc)
-               & ~(x <= base_loc + tol) & ~(alt_loc <= report + tol)))
+    return (_p1_right(x, report, base_loc, alt_loc, tol)
+            | _p1_left(x, report, base_loc, alt_loc, tol))
 
 
 def _p2_breaks(lhs: np.ndarray, mid: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
@@ -785,36 +810,38 @@ def _sp_rows(form: _SpecForm, costs: np.ndarray, base_cost: np.ndarray,
              tol: float) -> np.ndarray:
     """The ``(P, n)`` rows with a profitable report: some facility a report
     reaches costs less, by the draw's ``(m, P, n)`` costs at load n."""
-    return ((form.top >= 0) & _sp_breaks(base_cost, costs, tol)).any(axis=0)
+    return (form.reach & _sp_breaks(base_cost, costs, tol)).any(axis=0)
 
 
-def _p2_bound(form: _SpecForm, loc: np.ndarray, base: np.ndarray) -> np.ndarray:
+def _p2_bound(values: np.ndarray, ends: Sequence[np.ndarray], loc: np.ndarray,
+              base: np.ndarray) -> np.ndarray:
     """For each facility f at ``loc``, an ``(m, P, n)`` bound on the float
     ``|r - loc_f| - |r - base|`` over the reports r that send everyone to f,
-    read where one does: the larger value at f's extreme reports, plus
-    :data:`_P2_SLACK` times the largest magnitude unless ``loc_f == base``."""
-    bound = np.full(form.top.shape, -np.inf)
-    for end in (form.top, form.bottom):
-        r = form.values.take(end, mode="clip")  # some value where none reaches f
-        np.maximum(bound, np.abs(r - loc) - np.abs(r - base), out=bound)
-    scale = max(-form.values[0], form.values[-1], np.abs(loc).max())
+    read where one does, from the values ``ends`` of f's extreme reports:
+    the larger float there, plus :data:`_P2_SLACK` times the largest
+    magnitude of ``values`` and ``loc`` unless ``loc_f == base``."""
+    bound = np.maximum(*(np.abs(r - loc) - np.abs(r - base) for r in ends))
+    scale = max(-values[0], values[-1], np.abs(loc).max())
     return bound + np.where(loc == base, 0.0, _P2_SLACK * scale)
 
 
 def _lemma_rows(form: _SpecForm, profiles: np.ndarray, truthful_share: np.ndarray,
                 env: Environment, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(P, n)`` rows with a report that breaks P1, by :func:`_p1_breaks`
-    at each facility's extreme reports, and a superset of those with one that
-    breaks P2, by :func:`_p2_breaks` at :func:`_p2_bound`, all at once."""
+    """The ``(P, n)`` rows with a report that breaks P1, by :func:`_p1_right`
+    at each facility's largest report and :func:`_p1_left` at its smallest,
+    and a superset of those with one that breaks P2, by :func:`_p2_breaks`
+    at :func:`_p2_bound`, all at once."""
     locs = np.asarray(env.locations, dtype=float)
     loc, base = locs[:, None, None], locs[form.truthful[:, 0] - 1][:, None]
     share = (np.asarray(env.building_costs) / profiles.shape[1])[:, None, None]
-    p2 = _p2_breaks(_p2_bound(form, loc, base), truthful_share - share,
+    top = form.top
+    # some value where no report reaches f
+    ends = [form.values.take(end, mode="clip") for end in (top, form.bottom)]
+    p2 = _p2_breaks(_p2_bound(form.values, ends, loc, base), truthful_share - share,
                     np.abs(profiles - loc) - np.abs(profiles - base), tol)
-    p1 = np.zeros(p2.shape, dtype=bool)
-    for end in (form.top, form.bottom):
-        p1 |= _p1_breaks(profiles, form.values.take(end, mode="clip"), base, loc, tol)
-    reached = form.top >= 0
+    p1 = (_p1_right(profiles, ends[0], base, loc, tol)
+          | _p1_left(profiles, ends[1], base, loc, tol))
+    reached = top >= 0
     return (p1 & reached).any(axis=0), (p2 & reached).any(axis=0)
 
 

@@ -8,11 +8,12 @@ these functions provide a second route for every value they check.
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 import facshare as fs
-from facshare.mechanisms import AuditReport, Counterexample
+from facshare.mechanisms import AuditReport, Counterexample, _order_rule
 
 
 def oracle_agent_cost(positions, choices, locations, building_costs, i):
@@ -436,3 +437,62 @@ def oracle_p1_breaks(x, report, base_loc, alt_loc, tol):
     first, second = np.where(up, base_loc, alt_loc), np.where(up, alt_loc, base_loc)
     ok = (high <= second + tol) | (first <= low + tol)
     return (second < first) & ~ok & (x != report)
+
+
+def oracle_spec_form(spec, env, points, index, reports):
+    """A spec's form built row by row, as the library built it before it
+    priced each (lo, hi) pair once: ``lo`` and ``hi`` per ``(P, n)`` row,
+    ``h`` asked only on the values some row's order statistic can take
+    (``table`` is 0 elsewhere), and ``bottom``/``top`` as ``(m, P, n)``
+    where-passes over every row. ``h`` is the library's own
+    (``_order_rule``); the reach is what this checks."""
+    p, n = index.shape
+    k, h = _order_rule(spec, env, n)
+    values, inverse = np.unique(np.concatenate((points, reports)), return_inverse=True)
+    index, r_index = inverse[:len(points)][index], inverse[len(points):]
+    size = len(values)
+    ranked = np.column_stack((np.full(p, -1), np.sort(index, axis=1), np.full(p, size)))
+    lo, mid, hi = (ranked[:, j, None] for j in (k - 1, k, k + 1))
+    lo = np.where(lo < index, lo, mid)
+    hi = np.where(mid < index, mid, hi)
+
+    seen = np.zeros(size, dtype=bool)
+    seen[mid[:, 0]] = True
+    if len(r_index):
+        # clip(r, lo, hi) is lo for some r below lo, hi for some r above hi,
+        # and r itself when some agent's interval [lo, hi] contains it.
+        seen[lo[lo > r_index.min()]] = True
+        seen[hi[hi < r_index.max()]] = True
+        edges = (np.bincount(np.maximum(lo, 0).ravel(), minlength=size + 1)
+                 - np.bincount(np.minimum(hi, size - 1).ravel() + 1, minlength=size + 1))
+        seen[r_index[np.cumsum(edges)[r_index] > 0]] = True
+    table = np.zeros(size + 1, dtype=int)
+    table[:-1][seen] = h(values[seen])
+
+    m = env.m
+    fac = np.arange(1, m + 1)[:, None, None]
+    holds = np.zeros((m + 1, size + 1), dtype=bool)
+    holds[m, r_index] = True
+    holds[:m] = holds[m] & (table == fac[:, 0])
+    idx = np.arange(size + 1, dtype=np.int32)
+    last = np.maximum.accumulate(np.where(holds, idx, -1), axis=1)
+    last[:, -1] = -1
+    first = np.minimum.accumulate(np.where(holds, idx, size)[:, ::-1], axis=1)[:, ::-1]
+    below = (table[lo] == fac) & (first[m, 0] <= lo)
+    above = (table[hi] == fac) & (last[m, -2] >= hi)
+    inner = last[:m].take(hi - 1, axis=1)
+    top = np.where(inner > lo, inner, np.where(below, last[m].take(lo), -1))
+    top[above] = last[m, -2]
+    inner = first[:m].take(lo + 1, axis=1)
+    bottom = np.where(inner < hi, inner, np.where(above, first[m].take(hi), size))
+    bottom[below] = first[m, 0]
+    return SimpleNamespace(values=values, r_index=r_index, lo=lo, hi=hi, table=table,
+                           truthful=np.broadcast_to(table[mid], (p, n)),
+                           top=top, bottom=bottom)
+
+
+def oracle_form_changes(form, rows):
+    """Every report's facility for the ``(P, n)`` rows at ``rows``, by
+    ``table[clip(r, lo, hi)]``: ``(len(rows), n, reports)``."""
+    theta = np.clip(form.r_index, form.lo[rows, :, None], form.hi[rows, :, None])
+    return form.table[theta]

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import facshare as fs
 import facshare.mechanisms as mechanisms
 from facshare.mechanisms import Counterexample, MechanismSpec
-from oracles import oracle_p1_breaks, oracle_unanimous, random_environment
+from oracles import (oracle_form_changes, oracle_p1_breaks, oracle_spec_form, oracle_unanimous,
+                     random_environment)
 
 ENV = fs.Environment((0.0, 3.0), (2.0, 4.0))          # 0 < M < delta
 ENV_M0 = fs.Environment((0.0, 1.0), (4.0, 2.0))       # M = 0
@@ -819,7 +820,9 @@ class TestOrderStatisticPath:
             form = profile_form(spec, env, profiles, reports)
             base = mechanisms._batch_apply(spec, env, profiles)[:, 0] - 1
             locs = np.asarray(env.locations)
-            bound = mechanisms._p2_bound(form, locs[:, None, None], locs[base][:, None])
+            ends = [form.values.take(end, mode="clip") for end in (form.top, form.bottom)]
+            bound = mechanisms._p2_bound(form.values, ends, locs[:, None, None],
+                                         locs[base][:, None])
 
             rows = np.arange(len(profiles))
             top = np.full((env.m,) + profiles.shape, -1)
@@ -1400,7 +1403,7 @@ class TestGridIndexForm:
             assert np.array_equal(np.searchsorted(by_grid.values, profiles),
                                   inverse[:profiles.size].reshape(profiles.shape))
             assert np.array_equal(by_grid.r_index, inverse[profiles.size:])
-            for name in ("r_index", "lo", "hi", "table", "truthful", "bottom", "top"):
+            for name in ("r_index", "key", "table", "truthful", "bottom", "top"):
                 assert np.array_equal(getattr(by_grid, name), getattr(by_entry, name)), name
             zeros = values == 0.0
             signed_zeros += not np.array_equal(np.signbit(by_grid.values[zeros]),
@@ -1430,3 +1433,128 @@ class TestGridIndexForm:
                     same = repr(audit(spec, env, order, **kw)) == repr(
                         audit(generic, env, order, **kw))
                     assert same, (case, audit.__name__)
+
+
+class TestPairForm:
+    """A spec's form prices each facility's extreme reports once per
+    (lo, hi) pair, asks ``h`` on every value and gathers by pair key. That
+    must equal the row-by-row build that asks ``h`` only where a row can
+    read it (``oracle_spec_form``)."""
+
+    ENV = fs.Environment((0.0, 2.0, 5.0), (1.0, 3.0, 2.0))  # a 21-point grid at m = 3
+    SPEC = MechanismSpec("krank", k=2)
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(79)
+        for case in range(160):
+            spec, env, n, grid, misreports = TestOrderStatisticPath.random_case(rng, case)
+            if case % 4 == 3:
+                grid = TestGridIndexForm.zero_grid(rng)
+            draw = mechanisms._Draw(spec, env, grid, n, int(rng.choice([60, 400, 2048])),
+                                    case)
+            reports = draw.points if misreports is None else np.asarray(misreports)
+            if case % 7 == 6:
+                reports = np.array([])
+            rows = rng.choice(len(draw.indices), size=int(rng.integers(1, 40)))
+            yield case, spec, env, draw, reports, rows
+
+    def test_matches_the_row_by_row_build(self):
+        regimes = dict.fromkeys(("exhaustive", "sampled", "repeated points", "both zeros",
+                                 "lo = -1", "hi = size", "no reports", "off-grid reports"), 0)
+        for case, spec, env, draw, reports, rows in self.cases():
+            form = mechanisms._SpecForm(spec, env, draw.points, draw.indices, reports)
+            want = oracle_spec_form(spec, env, draw.points, draw.indices, reports)
+            size, n = len(want.values), draw.indices.shape[1]
+            assert np.array_equal(form.values, want.values), case
+            every = np.arange(len(draw.indices))
+            for got, at in ((form, every), (form.restrict(rows), rows)):
+                lo, hi = np.divmod(got.key, size + 1)
+                assert np.array_equal(lo - 1, want.lo[at]) and np.array_equal(hi, want.hi[at])
+                assert got.top.dtype == got.bottom.dtype == np.int32
+                for name, value in (("top", want.top[:, at]), ("bottom", want.bottom[:, at]),
+                                    ("reach", want.top[:, at] >= 0),
+                                    ("truthful", want.truthful[at])):
+                    assert np.array_equal(getattr(got, name), value), (case, name)
+                # every table entry changes() reads, for every report of every row
+                fac = oracle_form_changes(want, at)
+                flagged = np.ones(got.key.shape, dtype=bool)
+                for i, _, _, got_fac, _ in got.changes(flagged):
+                    assert np.array_equal(got_fac, fac[:, i]), (case, i)
+            regimes["exhaustive" if len(draw.indices) == len(draw.points) ** n
+                    else "sampled"] += 1
+            regimes["repeated points"] += len(set(draw.grid)) < len(draw.grid)
+            regimes["both zeros"] += len({math.copysign(1.0, v)
+                                          for v in draw.grid if v == 0.0}) == 2
+            regimes["lo = -1"] += bool((want.lo == -1).any())
+            regimes["hi = size"] += bool((want.hi == size).any())
+            regimes["no reports"] += not len(reports)
+            regimes["off-grid reports"] += not set(reports.tolist()) <= set(draw.grid)
+        assert min(regimes.values()) >= 5, regimes
+
+    def test_no_row_array_until_read(self):
+        # Deterministic counts, not timings: the built form holds no
+        # (m, P, n) array; reading top, bottom or reach gathers one and keeps
+        # nothing; restrict shares the pair tables and copies only (rows, n)
+        # arrays.
+        draw = mechanisms._Draw(self.SPEC, self.ENV, None, 3, 2048, 1)
+        form = mechanisms._SpecForm(self.SPEC, self.ENV, draw.points, draw.indices,
+                                    draw.points)
+        m, (p, n) = self.ENV.m, draw.indices.shape
+        assert (len(form.values) + 1) ** 2 != p * n  # a count names row arrays alone
+
+        def row_arrays(obj, count):
+            return sorted(name for name, a in vars(obj).items()
+                          if isinstance(a, np.ndarray) and a.size == count)
+
+        assert row_arrays(form, m * p * n) == []
+        for name in ("top", "bottom", "reach"):
+            assert getattr(form, name).shape == (m, p, n)
+        assert row_arrays(form, m * p * n) == []
+        g = len(draw.points)
+        rows = mechanisms._rows_of(draw.indices, mechanisms._grid_indices(g, 3, 512, 1), g)
+        part = form.restrict(rows)
+        for name, a in vars(part).items():
+            if isinstance(a, np.ndarray):
+                assert a is getattr(form, name) or a.size <= len(rows) * n, name
+        assert part.top.shape == (m, len(rows), n)
+
+    @pytest.mark.parametrize("misreports, checked", [([], 0), ((100.0,), 2048 * 3)])
+    def test_no_or_off_grid_misreports(self, misreports, checked):
+        # The default grid has 21 points, so the draw samples 2048 profiles.
+        generic = lambda profiles: mechanisms._batch_apply(self.SPEC, self.ENV, profiles)
+        by_spec, by_loop = (fs.audit_strategyproof(mechanism, self.ENV, misreports=misreports,
+                                                   n=3)
+                            for mechanism in (self.SPEC, generic))
+        assert by_spec == fs.AuditReport("strategyproof", True, (), checked)
+        assert repr(by_spec) == repr(by_loop)
+
+    @pytest.mark.parametrize("tol", [0.0, fs.EPS_CMP])
+    def test_p1_rows_match_both_branches_at_both_ends(self, tol):
+        # _lemma_rows tests P1's rightward branch at each facility's largest
+        # report and its leftward branch at its smallest. That must flag the
+        # rows _p1_breaks flags at both ends, on reports equal to a true
+        # position and to a location +/- tol.
+        rng = np.random.default_rng(83)
+        flagged, at_x, at_alt = 0, 0, 0
+        for case in range(150):
+            spec, env, n, grid, _ = TestOrderStatisticPath.random_case(rng, case)
+            locs = np.asarray(env.locations, dtype=float)
+            grid = sorted({*grid, *(locs - tol).tolist(), *(locs + tol).tolist()})
+            profiles = draw_profiles(grid, n, 120, case)
+            truthful = mechanisms._batch_apply(spec, env, profiles)
+            _, share = mechanisms._split_costs(profiles, truthful, env)
+            form = profile_form(spec, env, profiles, np.asarray(grid))
+            p1, _ = mechanisms._lemma_rows(form, profiles, share, env, tol)
+
+            loc, base = locs[:, None, None], locs[truthful[:, 0] - 1][:, None]
+            reached = form.top >= 0
+            both = np.zeros(reached.shape, dtype=bool)
+            for end in (form.top, form.bottom):
+                r = form.values.take(end, mode="clip")
+                both |= mechanisms._p1_breaks(profiles, r, base, loc, tol)
+                at_x += bool(((r == profiles) & reached).any())
+                at_alt += bool((((r == loc - tol) | (r == loc + tol)) & reached).any())
+            assert np.array_equal(p1, (both & reached).any(axis=0)), case
+            flagged += bool(p1.any())
+        assert min(flagged, at_x, at_alt) >= 10, (flagged, at_x, at_alt)
