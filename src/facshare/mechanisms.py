@@ -27,9 +27,10 @@ agent i of profile p reports r, everyone goes to ``table[clip(r, lo, hi)]``
 (:class:`_SpecForm`), so the reports that send everyone to facility f,
 S(f), are those at or below lo when ``table[lo] == f``, the interior ones
 ``lo < r < hi`` with ``table[r] == f``, and those at or above hi when
-``table[hi] == f``. S(f) depends on the pair (lo, hi) alone, so its ends
-are priced once per pair, not once per row. Every load is n, so an outcome
-is priced by f alone:
+``table[hi] == f``. The ends of the part below lo depend on lo alone, and
+those of the other two parts on hi alone, so they are priced once per value
+of lo and of hi, not once per row. Every load is n, so an outcome is priced
+by f alone:
 
 * sp: a report is profitable iff its facility f costs the agent less, by the
   same float ``_split_costs`` gives at load n; a row has one iff some f with
@@ -588,26 +589,36 @@ class _SpecForm:
     points are its grid and the index its grid indices. ``values`` are the
     sorted distinct points and report values. When agent i of profile p
     reports the value of index v, the k-th smallest report becomes
-    ``clip(v, lo, hi)``, where lo and hi are the (k-1)-th and k-th smallest
-    reports of the others (-1 and ``size`` stand for -inf and +inf), so
-    everyone goes to ``table[clip(v, lo, hi)]`` and every load is n. A row
-    keeps its pair as one ``key``, ``(lo + 1) * (size + 1) + hi``.
+    ``clip(v, lo, hi)``, where ``lo[p, i]`` and ``hi[p, i]`` are the
+    (k-1)-th and k-th smallest reports of the others (-1 and ``size`` stand
+    for -inf and +inf), so everyone goes to ``table[clip(v, lo, hi)]`` and
+    every load is n.
 
-    ``table`` holds ``h`` on every value and one trailing 0 that ``lo = -1``
-    and ``hi = size`` both read. Only values a row's order statistic can
-    take are read: ``truthful`` reads each profile's k-th smallest,
-    :meth:`changes` ``clip(r, lo, hi)`` for each report r, and a row's
-    entry of the pair tables depends on ``table[lo]`` only with a report at
-    or below lo, on ``table[hi]`` only with one at or above hi, and on
-    ``table[r]`` at reports ``lo < r < hi``. So ``h`` at any other value,
-    such as a point no profile holds, changes no outcome.
+    ``table`` holds ``h`` only where an order statistic can take the value,
+    as :func:`apply_mechanism` asks it: each profile's k-th smallest, which
+    ``truthful`` reads, and ``clip(r, lo, hi)`` for each report r, which
+    :meth:`changes` reads. It is 0 elsewhere and at its trailing entry,
+    which ``lo = -1`` and ``hi = size`` both read. Over a profile's agents
+    the intervals ``[lo, hi]`` cover exactly ``[a, c]``, its (k-1)-th and
+    (k+1)-th smallest, and every lo other than its k-th smallest is a, every
+    hi other than it c; so these values are found per profile.
 
     :attr:`bottom` and :attr:`top` are ``(m, P, n)`` int32 value indices:
     the smallest and the largest report by which agent i of profile p sends
     everyone to facility f + 1, or ``size`` and -1 where no report does;
-    :attr:`reach` is where some report does. They depend on the pair alone,
-    so they are priced once per pair, in ``(m, (size + 1)^2)`` tables, and
-    each read gathers them by key.
+    :attr:`reach` is where some report does. Those reports, S(f), are the
+    ones at or below lo when ``table[lo] == f``, those inside (lo, hi) with
+    ``table[r] == f``, and those at or above hi when ``table[hi] == f``. So
+    the largest is, when it lies above lo, the largest at or above hi or
+    else inside below hi, which hi alone fixes; otherwise it is the largest
+    at or below lo, which lo alone fixes. The smallest mirrors it. Each side
+    is priced once per value of lo or of hi, in ``(m, size + 1)`` int32
+    tables, and a read gathers both sides by row and picks one by a single
+    comparison. The form holds these tables and the ``(P, n)`` rows ``lo``
+    and ``hi``; no ``(m, P, n)`` array exists until a read. The tables read
+    ``table[lo]`` only with a report at or below lo, ``table[hi]`` only with
+    one at or above hi and ``table[r]`` at reports inside (lo, hi): values
+    ``clip`` takes.
     """
 
     def __init__(self, spec: MechanismSpec, env: Environment, points: np.ndarray,
@@ -621,57 +632,74 @@ class _SpecForm:
         # agent's own value from the sorted row.
         ranked = np.column_stack((np.full(p, -1), np.sort(index, axis=1),
                                   np.full(p, size)))
-        lo, mid, hi = (ranked[:, j, None] for j in (k - 1, k, k + 1))
-        lo = np.where(lo < index, lo, mid)
-        hi = np.where(mid < index, mid, hi)
-        self.key = (lo + 1) * (size + 1) + hi
-        self.table = np.append(h(values), 0)
-        self.truthful = np.broadcast_to(self.table[mid], (p, n))
+        a, mid, c = (ranked[:, j] for j in (k - 1, k, k + 1))
+        self.lo = np.where(a[:, None] < index, a[:, None], mid[:, None])
+        self.hi = np.where(mid[:, None] < index, mid[:, None], c[:, None])
+        # clip(r, lo, hi) is lo for some r below lo, hi for some r above hi,
+        # and r itself when some interval [lo, hi], so some [a, c], holds it.
+        seen = np.zeros(size, dtype=bool)
+        seen[mid] = True
+        if len(r_index):
+            seen[a[a > r_index.min()]] = True
+            seen[c[c < r_index.max()]] = True
+            edges = (np.bincount(np.maximum(a, 0), minlength=size + 1)
+                     - np.bincount(np.minimum(c, size - 1) + 1, minlength=size + 1))
+            seen[r_index[np.cumsum(edges)[r_index] > 0]] = True
+        self.table = np.zeros(size + 1, dtype=int)
+        self.table[:-1][seen] = h(values[seen])
+        self.truthful = np.broadcast_to(self.table[mid, None], (p, n))
         self.values, self.reports, self.r_index = values, reports, r_index
         # Each facility's reports, then all (row m): the last at or below each
         # value index, the first at or above it, and a last column of none.
         m = env.m
-        fac = np.arange(1, m + 1)[:, None, None]
+        fac = np.arange(1, m + 1)[:, None]
         holds = np.zeros((m + 1, size + 1), dtype=bool)
         holds[m, r_index] = True
-        holds[:m] = holds[m] & (self.table == fac[:, 0])
+        holds[:m] = holds[m] & (self.table == fac)
         idx = np.arange(size + 1, dtype=np.int32)
         last = np.maximum.accumulate(np.where(holds, idx, -1), axis=1)
         last[:, -1] = -1
         first = np.minimum.accumulate(np.where(holds, idx, size)[:, ::-1], axis=1)[:, ::-1]
-        # Every (lo, hi) pair, lo down the rows: S(f) below lo, inside and
-        # above hi; table[-1] = table[size] = 0
-        lo, hi = np.arange(-1, size)[:, None], np.arange(size + 1)
+        # Every lo and every hi; lo = -1 is the last column, where take wraps,
+        # and table[-1] = table[size] = 0.
+        lo, hi = np.roll(np.arange(-1, size, dtype=np.int32), -1), idx
         below = (self.table[lo] == fac) & (first[m, 0] <= lo)
         above = (self.table[hi] == fac) & (last[m, -2] >= hi)
-        inner = last[:m, None].take(hi - 1, axis=2)
-        top = np.where(above, last[m, -2],
-                       np.where(inner > lo, inner, np.where(below, last[m].take(lo), -1)))
-        inner = first[:m].take(lo + 1, axis=1)
-        bottom = np.where(below, first[m, 0],
-                          np.where(inner < hi, inner, np.where(above, first[m].take(hi), size)))
-        self._top, self._bottom = top.reshape(m, -1), bottom.reshape(m, -1)
-        self._reach = self._top >= 0
+        # top is hi's side where it lies above lo, else lo's side, which is -1
+        # when S(f) has no report at or below lo; bottom mirrors it. Where
+        # hi's side is a report at or above hi yet not above lo, lo = hi is
+        # that report and lo's side holds it too.
+        inner = last[:m].take(hi - 1, axis=1)  # f's largest report below hi
+        self._top_hi = np.where(above, last[m, -2], inner)
+        self._top_lo = np.where(below, last[m].take(lo), -1)
+        self._reach_lo = np.where(below, -2, lo)
+        inner = first[:m].take(lo + 1, axis=1)  # f's smallest report above lo
+        self._bottom_lo = np.where(below, first[m, 0], inner)
+        self._bottom_hi = np.where(above, first[m].take(hi), size)
 
     @property
     def top(self) -> np.ndarray:
-        return self._top.take(self.key, axis=1)
+        side = self._top_hi.take(self.hi, axis=1)
+        return np.where(self.lo < side, side, self._top_lo.take(self.lo, axis=1))
 
     @property
     def bottom(self) -> np.ndarray:
-        return self._bottom.take(self.key, axis=1)
+        side = self._bottom_lo.take(self.lo, axis=1)
+        return np.where(side < self.hi, side, self._bottom_hi.take(self.hi, axis=1))
 
     @property
     def reach(self) -> np.ndarray:
-        return self._reach.take(self.key, axis=1)
+        """``top >= 0``: hi's side lies above lo, or lo's side holds a report."""
+        return self._reach_lo.take(self.lo, axis=1) < self._top_hi.take(self.hi, axis=1)
 
     def restrict(self, rows: np.ndarray) -> _SpecForm:
-        """The form of the profiles at ``rows`` alone: ``key`` and
-        ``truthful`` taken by row; ``values``, ``table`` and the pair tables
-        shared, as they price every row alike."""
+        """The form of the profiles at ``rows`` alone: ``lo``, ``hi`` and
+        ``truthful`` taken by row; ``values``, ``table`` and the per-value
+        tables shared, as they price every row alike."""
         # take along an axis picks rows several times faster than a[rows]
         form = copy.copy(self)
-        form.key, form.truthful = (a.take(rows, axis=0) for a in (self.key, self.truthful))
+        form.lo, form.hi, form.truthful = (a.take(rows, axis=0)
+                                           for a in (self.lo, self.hi, self.truthful))
         return form
 
     def changes(self, flagged: np.ndarray) -> Iterator[tuple]:
@@ -681,8 +709,8 @@ class _SpecForm:
         for i in range(n):
             rows = np.flatnonzero(flagged[:, i])
             if len(rows):
-                lo, hi = np.divmod(self.key[rows, i, None], len(self.values) + 1)
-                theta = np.minimum(np.maximum(self.r_index, lo - 1), hi)
+                theta = np.minimum(np.maximum(self.r_index, self.lo[rows, i, None]),
+                                   self.hi[rows, i, None])
                 yield i, rows, self.reports, self.table[theta], n
 
 

@@ -441,11 +441,12 @@ def oracle_p1_breaks(x, report, base_loc, alt_loc, tol):
 
 def oracle_spec_form(spec, env, points, index, reports):
     """A spec's form built row by row, as the library built it before it
-    priced each (lo, hi) pair once: ``lo`` and ``hi`` per ``(P, n)`` row,
-    ``h`` asked only on the values some row's order statistic can take
-    (``table`` is 0 elsewhere), and ``bottom``/``top`` as ``(m, P, n)``
-    where-passes over every row. ``h`` is the library's own
-    (``_order_rule``); the reach is what this checks."""
+    priced each facility's extreme reports once per value of lo and of hi:
+    ``lo`` and ``hi`` per ``(P, n)`` row, ``h`` asked only on the values
+    some row's order statistic can take, found row by row (``table`` is 0
+    elsewhere), and ``bottom``/``top`` as ``(m, P, n)`` where-passes over
+    every row. ``h`` is the library's own (``_order_rule``); the reach is
+    what this checks."""
     p, n = index.shape
     k, h = _order_rule(spec, env, n)
     values, inverse = np.unique(np.concatenate((points, reports)), return_inverse=True)

@@ -1,6 +1,8 @@
 import inspect
 import itertools
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1403,7 +1405,7 @@ class TestGridIndexForm:
             assert np.array_equal(np.searchsorted(by_grid.values, profiles),
                                   inverse[:profiles.size].reshape(profiles.shape))
             assert np.array_equal(by_grid.r_index, inverse[profiles.size:])
-            for name in ("r_index", "key", "table", "truthful", "bottom", "top"):
+            for name in ("r_index", "lo", "hi", "table", "truthful", "bottom", "top"):
                 assert np.array_equal(getattr(by_grid, name), getattr(by_entry, name)), name
             zeros = values == 0.0
             signed_zeros += not np.array_equal(np.signbit(by_grid.values[zeros]),
@@ -1436,10 +1438,9 @@ class TestGridIndexForm:
 
 
 class TestPairForm:
-    """A spec's form prices each facility's extreme reports once per
-    (lo, hi) pair, asks ``h`` on every value and gathers by pair key. That
-    must equal the row-by-row build that asks ``h`` only where a row can
-    read it (``oracle_spec_form``)."""
+    """A spec's form prices each facility's extreme reports once per value
+    of lo and of hi and gathers them by row. That must equal the row-by-row
+    build (``oracle_spec_form``)."""
 
     ENV = fs.Environment((0.0, 2.0, 5.0), (1.0, 3.0, 2.0))  # a 21-point grid at m = 3
     SPEC = MechanismSpec("krank", k=2)
@@ -1467,10 +1468,10 @@ class TestPairForm:
             want = oracle_spec_form(spec, env, draw.points, draw.indices, reports)
             size, n = len(want.values), draw.indices.shape[1]
             assert np.array_equal(form.values, want.values), case
+            assert np.array_equal(form.table, want.table), case
             every = np.arange(len(draw.indices))
             for got, at in ((form, every), (form.restrict(rows), rows)):
-                lo, hi = np.divmod(got.key, size + 1)
-                assert np.array_equal(lo - 1, want.lo[at]) and np.array_equal(hi, want.hi[at])
+                assert np.array_equal(got.lo, want.lo[at]) and np.array_equal(got.hi, want.hi[at])
                 assert got.top.dtype == got.bottom.dtype == np.int32
                 for name, value in (("top", want.top[:, at]), ("bottom", want.bottom[:, at]),
                                     ("reach", want.top[:, at] >= 0),
@@ -1478,7 +1479,7 @@ class TestPairForm:
                     assert np.array_equal(getattr(got, name), value), (case, name)
                 # every table entry changes() reads, for every report of every row
                 fac = oracle_form_changes(want, at)
-                flagged = np.ones(got.key.shape, dtype=bool)
+                flagged = np.ones(got.lo.shape, dtype=bool)
                 for i, _, _, got_fac, _ in got.changes(flagged):
                     assert np.array_equal(got_fac, fac[:, i]), (case, i)
             regimes["exhaustive" if len(draw.indices) == len(draw.points) ** n
@@ -1495,13 +1496,12 @@ class TestPairForm:
     def test_no_row_array_until_read(self):
         # Deterministic counts, not timings: the built form holds no
         # (m, P, n) array; reading top, bottom or reach gathers one and keeps
-        # nothing; restrict shares the pair tables and copies only (rows, n)
-        # arrays.
+        # nothing; restrict shares the per-value tables and copies only
+        # (rows, n) arrays.
         draw = mechanisms._Draw(self.SPEC, self.ENV, None, 3, 2048, 1)
         form = mechanisms._SpecForm(self.SPEC, self.ENV, draw.points, draw.indices,
                                     draw.points)
         m, (p, n) = self.ENV.m, draw.indices.shape
-        assert (len(form.values) + 1) ** 2 != p * n  # a count names row arrays alone
 
         def row_arrays(obj, count):
             return sorted(name for name, a in vars(obj).items()
@@ -1518,6 +1518,63 @@ class TestPairForm:
             if isinstance(a, np.ndarray):
                 assert a is getattr(form, name) or a.size <= len(rows) * n, name
         assert part.top.shape == (m, len(rows), n)
+
+    def test_memory_is_linear_in_the_grid(self):
+        # Deterministic counts, not timings: on a 4000-point grid with 64
+        # profiles, no array on the form exceeds m (size + 1) elements, and
+        # the build's traced peak stays within a bound linear in the grid,
+        # where pricing every (lo, hi) pair would take m (size + 1)^2 int32
+        # entries, about 256 MB.
+        env = fs.Environment((0.0, 2.5, 5.0, 9.0), (1.0, 3.0, 2.0, 4.0))
+        grid = np.linspace(-2.0, 11.0, 4000)
+        index = mechanisms._grid_indices(len(grid), 3, 64, 1)
+        tracemalloc.start()
+        try:
+            form = mechanisms._SpecForm(self.SPEC, env, grid, index, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m, size = env.m, len(form.values)
+        assert max(a.size for a in vars(form).values() if isinstance(a, np.ndarray)) \
+            <= m * (size + 1)
+        assert peak < 32 * m * (size + 1) * 8, peak
+
+    def test_h_asked_only_where_an_outcome_reads_it(self):
+        # A type2 diag_choice that answers 3, no facility, at the top grid
+        # point, which no drawn row holds as its smallest report and no
+        # report's clip reaches (sp's misreports leave it out; props' rows do
+        # not hold it). The spec audits must not ask it there, as neither
+        # apply_mechanism on the drawn profiles nor the batch loop does.
+        grid = np.linspace(-4.0, 0.0, 400).tolist()
+        spec = MechanismSpec("type2", diag_choice=lambda x: 3 if x == 0.0 else 1)
+        generic = lambda profiles: mechanisms._batch_apply(spec, ENV_M0, profiles)
+        assert not (mechanisms._grid_indices(400, 2, 2048, 19) == 399).all(axis=1).any()
+        assert not (mechanisms._grid_indices(400, 2, 512, 19) == 399).any()
+        with pytest.raises(fs.ValidationError, match="diag_choice returned 3"):
+            fs.apply_mechanism(spec, fs.Profile((0.0, 0.0)), ENV_M0)
+        for audit, args in ((fs.audit_strategyproof, (grid, grid[:-1])),
+                            (fs.audit_lemma_properties, (grid,))):
+            by_spec = audit(spec, ENV_M0, *args, seed=19)
+            assert repr(by_spec) == repr(audit(generic, ENV_M0, *args, seed=19))
+
+    @pytest.mark.parametrize("truthful, reached, ends, breaking", [
+        (1, 2, (1.0, 20.0), 0),    # leftward: only the smallest report breaks P1
+        (2, 1, (-10.0, 9.0), 1),   # rightward: only the largest report breaks P1
+    ])
+    def test_p1_branch_read_at_its_own_end(self, truthful, reached, ends, breaking):
+        # One agent at x = 5, facilities at 0 and 10; the other facility is
+        # reached by the reports ``ends``, of which one breaks P1.
+        env, x = fs.Environment((0.0, 10.0), (1.0, 1.0)), 5.0
+        top = np.full((2, 1, 1), -1, dtype=np.int32)
+        bottom = np.full((2, 1, 1), 2, dtype=np.int32)
+        top[reached - 1], bottom[reached - 1] = 1, 0
+        form = SimpleNamespace(values=np.array(ends), top=top, bottom=bottom,
+                               truthful=np.array([[truthful]]))
+        p1, _ = mechanisms._lemma_rows(form, np.array([[x]]), np.array([[1.0]]), env, 0.0)
+        assert p1.tolist() == [[True]]
+        base, alt = (env.locations[f - 1] for f in (truthful, reached))
+        flags = [bool(mechanisms._p1_breaks(x, r, base, alt, 0.0)) for r in ends]
+        assert flags == [end == breaking for end in range(2)]
 
     @pytest.mark.parametrize("misreports, checked", [([], 0), ((100.0,), 2048 * 3)])
     def test_no_or_off_grid_misreports(self, misreports, checked):
