@@ -271,10 +271,6 @@ def _cmd_mech(args) -> int:
     }
     if args.audit:
         wanted = [token.strip() for token in args.audit.split(",") if token.strip()]
-        for token in wanted:
-            if token not in _AUDIT_NAMES:
-                raise ValidationError(
-                    f"unknown audit {token!r}; expected sp, anon, unanimous, props")
         # One draw and one spec form serve every audit; props prices the
         # rows of the draw that hold its own profiles, and draws its own
         # when they are not rows of it. The reports do not change.

@@ -60,18 +60,21 @@ batch callable's loop uses; no row with a counterexample goes unflagged.
 
 The sp, anon and unanimous audits draw the same profiles for the same grid,
 n, profile cap and seed, so they share one :class:`_Draw`: the profiles, the
-truthful outcome (taken from the spec's form when one is built, else from
-one :func:`_batch_apply`) and every agent's cost at every facility at load
-n. The costs are laid out facility-major, ``(m, P, n)``, so that work
-across facilities is m - 1 elementwise passes over ``(P, n)`` arrays, and
-work across agents n - 1 passes over columns: no reduction runs along a
-trailing axis of length m or n, where numpy is slowest. sp reads each
-facility's cost from it, and unanimity finds each agent's favorite and the
-cost gap to her runner-up in one pass over the facilities.
+reports they are audited for (sp's misreports, else the grid), the spec's
+one form for those reports, the truthful outcome (taken from that form when
+it is built, else from one :func:`_batch_apply`) and every agent's cost at
+every facility at load n. The costs are laid out facility-major,
+``(m, P, n)``, so that work across facilities is m - 1 elementwise passes
+over ``(P, n)`` arrays, and work across agents n - 1 passes over columns: no
+reduction runs along a trailing axis of length m or n, where numpy is
+slowest. sp reads each facility's cost from it, and unanimity finds each
+agent's favorite and the cost gap to her runner-up in one pass over the
+facilities.
 
-Each public audit, and :func:`empirical_ratio`, builds its own draw.
-``facshare mech`` runs its audits through :func:`_run_audits`, which builds
-one draw for the op. P1-P5 have a smaller default profile cap, but their
+Each public audit, and :func:`empirical_ratio`, builds its own draw, so a
+draw is audited for one report set. ``facshare mech`` runs its audits
+through :func:`_run_audits`, which builds one draw for the op, for the
+grid's reports. P1-P5 have a smaller default profile cap, but their
 profiles are rows of that draw: all g^n profiles are drawn in mixed-radix
 order, and a seeded sample is the first rows of the larger sample from the
 same seed. So P1-P5 price those rows, from sp's form restricted to them
@@ -409,11 +412,12 @@ def resolve_x_star(spec: MechanismSpec, env: Environment) -> float:
     """Supremum of the diagonal's facility-1 region: the largest common report
     for which the mechanism still answers "both to facility 1".
 
-    Resolved analytically for constant choices (the implemented functions are
-    known in closed form); per-position diagonal callables are bracketed by
-    bisection under the assumption that their facility-1 region is a left
-    ray, which strategyproofness forces for the families where the diagonal
-    matters.
+    Resolved analytically for type1, type4 and type5. The diagonal of type2
+    and type3, a constant or a per-position callable alike, is bracketed by
+    bisection under the assumption that its facility-1 region is a left ray,
+    which strategyproofness forces for the families where the diagonal
+    matters. A constant ends at the bisection's early exits: the anchor,
+    ``+inf`` or ``-inf``.
     """
     validate_spec(spec, env)
     if spec.kind == "krank":
@@ -424,12 +428,8 @@ def resolve_x_star(spec: MechanismSpec, env: Environment) -> float:
     if spec.kind in ("type4", "type5"):
         return env.locations[0] + env_params(env).M
     anchor = env.locations[0] if spec.kind == "type2" else env.locations[1]
-    choice = spec.diag_choice
-    if not callable(choice):
-        if spec.kind == "type2":
-            return anchor if choice == 1 else -math.inf
-        return math.inf if choice == 1 else anchor
-
+    diag = spec.diag_choice
+    choice = diag if callable(diag) else lambda x: diag
     span = max(1.0, abs(env.locations[1] - env.locations[0]),
                abs(anchor)) * 4.0
     # type2's facility-1 region ends at or left of its anchor, type3's at or right
@@ -605,8 +605,8 @@ class _SpecForm:
 
     :attr:`bottom` and :attr:`top` are ``(m, P, n)`` int32 value indices:
     the smallest and the largest report by which agent i of profile p sends
-    everyone to facility f + 1, or ``size`` and -1 where no report does;
-    :attr:`reach` is where some report does. Those reports, S(f), are the
+    everyone to facility f + 1, or ``size`` and -1 where no report does, so
+    some report does where ``top >= 0``. Those reports, S(f), are the
     ones at or below lo when ``table[lo] == f``, those inside (lo, hi) with
     ``table[r] == f``, and those at or above hi when ``table[hi] == f``. So
     the largest is, when it lies above lo, the largest at or above hi or
@@ -672,25 +672,24 @@ class _SpecForm:
         inner = last[:m].take(hi - 1, axis=1)  # f's largest report below hi
         self._top_hi = np.where(above, last[m, -2], inner)
         self._top_lo = np.where(below, last[m].take(lo), -1)
-        self._reach_lo = np.where(below, -2, lo)
         inner = first[:m].take(lo + 1, axis=1)  # f's smallest report above lo
         self._bottom_lo = np.where(below, first[m, 0], inner)
         self._bottom_hi = np.where(above, first[m].take(hi), size)
 
+    # A read picks into one side's gather in place: no third (m, P, n) array.
     @property
     def top(self) -> np.ndarray:
         side = self._top_hi.take(self.hi, axis=1)
-        return np.where(self.lo < side, side, self._top_lo.take(self.lo, axis=1))
+        top = self._top_lo.take(self.lo, axis=1)
+        np.copyto(top, side, where=self.lo < side)
+        return top
 
     @property
     def bottom(self) -> np.ndarray:
         side = self._bottom_lo.take(self.lo, axis=1)
-        return np.where(side < self.hi, side, self._bottom_hi.take(self.hi, axis=1))
-
-    @property
-    def reach(self) -> np.ndarray:
-        """``top >= 0``: hi's side lies above lo, or lo's side holds a report."""
-        return self._reach_lo.take(self.lo, axis=1) < self._top_hi.take(self.hi, axis=1)
+        bottom = self._bottom_hi.take(self.hi, axis=1)
+        np.copyto(bottom, side, where=side < self.hi)
+        return bottom
 
     def restrict(self, rows: np.ndarray) -> _SpecForm:
         """The form of the profiles at ``rows`` alone: ``lo``, ``hi`` and
@@ -716,19 +715,22 @@ class _SpecForm:
 
 class _Draw:
     """One profile set of an audit on ``grid`` (:func:`default_audit_grid` by
-    default), and what the audits price on it, once (see the module
-    docstring). ``indices`` are the profiles' grid indices, and ``form`` is
-    the spec's :class:`_SpecForm` once built. A ``facshare mech`` op builds
-    one draw (:func:`_run_audits`): P1-P5 price the rows of it that hold
-    their own profiles (:meth:`restrict`), with its form when sp built one,
-    and take a draw of their own when their profiles are not rows of it,
-    with the same reports either way.
+    default) with the reports it is audited for, ``misreports`` or else the
+    grid, and what the audits price on it, once (see the module docstring).
+    ``indices`` are the profiles' grid indices, and :attr:`form` is the
+    spec's :class:`_SpecForm` for the draw's reports. A ``facshare mech`` op
+    builds one draw (:func:`_run_audits`): P1-P5 price the rows of it that
+    hold their own profiles (:meth:`restrict`), with its form when sp built
+    one, and take a draw of their own when their profiles are not rows of
+    it, with the same reports either way.
 
     The grid's cost scale is checked at one agent, since the audits price
-    one agent at a time."""
+    one agent at a time; the misreports are checked last, after the grid,
+    the profile cap and the seed."""
 
     def __init__(self, mechanism: Mechanism, env: Environment, grid: Sequence[float] | None,
-                 n: int, max_profiles: int = _AUDIT_PROFILES, seed: int = 0) -> None:
+                 n: int, max_profiles: int = _AUDIT_PROFILES, seed: int = 0,
+                 misreports: Sequence[float] | None = None) -> None:
         n = _integer(n, "n", 1)
         if isinstance(mechanism, MechanismSpec):
             validate_spec(mechanism, env, n=n)
@@ -741,40 +743,40 @@ class _Draw:
         self.points = np.array(self.grid)
         self.indices = _grid_indices(len(self.points), n, max_profiles, seed)
         self.profiles = self.points[self.indices]
-        self.form: _SpecForm | None = None
+        if misreports is not None:
+            misreports = _reals(misreports, "misreport positions")
+            _check_scale(env, misreports, 1, "misreport positions")
+        self.reports = self.points if misreports is None else np.array(misreports)
 
     def restrict(self, rows: np.ndarray) -> _Draw:
         """The draw of the profiles at ``rows`` alone, on this draw's checked
-        grid, with its form, when built, restricted to them."""
+        grid and reports, with its form, when built, restricted to them."""
         draw = object.__new__(_Draw)
         draw.mechanism, draw.env, draw.seed = self.mechanism, self.env, self.seed
-        draw.grid, draw.points = self.grid, self.points
+        draw.grid, draw.points, draw.reports = self.grid, self.points, self.reports
         draw.indices, draw.profiles = (a.take(rows, axis=0)
                                        for a in (self.indices, self.profiles))
-        draw.form = None if self.form is None else self.form.restrict(rows)
+        if "form" in vars(self):
+            draw.form = self.form.restrict(rows)
         return draw
 
-    def spec_form(self, reports: np.ndarray) -> _SpecForm:
-        """The spec's form for ``reports``: the kept one when it was built
-        for them, else a new one, kept in its place."""
-        if self.form is None or self.form.reports is not reports:
-            self.form = _SpecForm(self.mechanism, self.env, self.points, self.indices,
-                                  reports)
-        return self.form
+    @functools.cached_property
+    def form(self) -> _SpecForm:
+        """The spec's form for the draw's reports."""
+        return _SpecForm(self.mechanism, self.env, self.points, self.indices, self.reports)
 
-    def changes(self, reports: np.ndarray,
-                flagged: Callable[[_SpecForm], np.ndarray]) -> Iterator[tuple]:
-        """:func:`_batch_changes`' outcomes; a spec's, on the rows ``flagged``
-        picks, from its form, built before anything reads :attr:`outcome`."""
+    def changes(self, flagged: Callable[[_SpecForm], np.ndarray]) -> Iterator[tuple]:
+        """:func:`_batch_changes`' outcomes for the draw's reports; a spec's,
+        on the rows ``flagged`` picks, from its form, built before anything
+        reads :attr:`outcome`."""
         if isinstance(self.mechanism, MechanismSpec):
-            form = self.spec_form(reports)
-            return form.changes(flagged(form))
-        return _batch_changes(self.mechanism, self.env, self.profiles, reports)
+            return self.form.changes(flagged(self.form))
+        return _batch_changes(self.mechanism, self.env, self.profiles, self.reports)
 
     @functools.cached_property
     def outcome(self) -> np.ndarray:
         """The ``(P, n)`` truthful facilities."""
-        if self.form is not None:
+        if "form" in vars(self):
             return self.form.truthful
         if isinstance(self.mechanism, MechanismSpec):
             return _batch_apply(self.mechanism, self.env, self.profiles)
@@ -838,7 +840,7 @@ def _sp_rows(form: _SpecForm, costs: np.ndarray, base_cost: np.ndarray,
              tol: float) -> np.ndarray:
     """The ``(P, n)`` rows with a profitable report: some facility a report
     reaches costs less, by the draw's ``(m, P, n)`` costs at load n."""
-    return (form.reach & _sp_breaks(base_cost, costs, tol)).any(axis=0)
+    return ((form.top >= 0) & _sp_breaks(base_cost, costs, tol)).any(axis=0)
 
 
 def _p2_bound(values: np.ndarray, ends: Sequence[np.ndarray], loc: np.ndarray,
@@ -921,19 +923,14 @@ def audit_strategyproof(mechanism: Mechanism, env: Environment,
     A spec prices each (profile, agent, facility) once: a row is checked
     report by report only when some facility its reports reach is cheaper.
     """
-    return _audit_sp(_Draw(mechanism, env, grid, n, max_profiles, seed), misreports, tol)
+    return _audit_sp(_Draw(mechanism, env, grid, n, max_profiles, seed, misreports), tol)
 
 
-def _audit_sp(draw: _Draw, misreports: Sequence[float] | None = None,
-              tol: float = EPS_CMP) -> AuditReport:
-    """:func:`audit_strategyproof` on a draw; a spec leaves its form there."""
+def _audit_sp(draw: _Draw, tol: float = EPS_CMP) -> AuditReport:
+    """:func:`audit_strategyproof` on a draw, over the draw's reports; a spec
+    prices the rows its form flags (:func:`_sp_rows`)."""
     profiles, env = draw.profiles, draw.env
-    if misreports is not None:
-        misreports = _reals(misreports, "misreport positions")
-        _check_scale(env, misreports, 1, "misreport positions")
-    reports = draw.points if misreports is None else np.array(misreports)
-    changes = draw.changes(
-        reports, lambda form: _sp_rows(form, draw.costs, draw.truthful_cost, tol))
+    changes = draw.changes(lambda form: _sp_rows(form, draw.costs, draw.truthful_cost, tol))
     base_cost = draw.truthful_cost
     locs = np.asarray(env.locations)
     b = np.asarray(env.building_costs)
@@ -948,7 +945,7 @@ def _audit_sp(draw: _Draw, misreports: Sequence[float] | None = None,
                 profile=_plain(profiles[rows[r]]), agent=i, deviation=float(block[j]),
                 cost_before=float(base_cost[rows[r], i]),
                 cost_after=float(lied_cost[r, j])))
-    return _finish("strategyproof", bad, profiles.size * len(reports))
+    return _finish("strategyproof", bad, profiles.size * len(draw.reports))
 
 
 def audit_anonymous(mechanism: Mechanism, env: Environment,
@@ -1076,12 +1073,11 @@ def audit_lemma_properties(mechanism: Mechanism, env: Environment,
 
 
 def _audit_props(draw: _Draw, tol: float = EPS_CMP) -> LemmaPropertyReport:
-    """:func:`audit_lemma_properties` on a draw; a spec prices its kept form
-    when that was built for the grid's reports."""
+    """:func:`audit_lemma_properties` on a draw, over the draw's reports; a
+    spec prices the rows its form flags (:func:`_lemma_rows`)."""
     profiles, env = draw.profiles, draw.env
     n = profiles.shape[1]
-    reports = draw.points
-    changes = draw.changes(reports, lambda form: np.logical_or(
+    changes = draw.changes(lambda form: np.logical_or(
         *_lemma_rows(form, profiles, draw.split[1], env, tol)))
     truthful = draw.outcome
     truthful_load = _loads(truthful, env.m)
@@ -1134,7 +1130,7 @@ def _audit_props(draw: _Draw, tol: float = EPS_CMP) -> LemmaPropertyReport:
         p4 = _finish("P4", bad4, int((distinct & ~overlap).sum()))
         p5 = _finish("P5", bad5, int((distinct & overlap).sum()))
 
-    checked = profiles.size * len(reports)
+    checked = profiles.size * len(draw.reports)
     return LemmaPropertyReport(
         p1=_finish("P1", bad1, checked),
         p2=_finish("P2", bad2, checked),
@@ -1149,26 +1145,28 @@ def _run_audits(spec: MechanismSpec, env: Environment, grid: Sequence[float],
                 seed: int) -> dict[str, AuditReport | LemmaPropertyReport]:
     """The reports of ``facshare mech``'s audits, each of sp, anon,
     unanimous and props in ``tokens`` once, in order, on one draw with the
-    default caps.
+    default caps. An unknown token raises :class:`ValidationError` before
+    the draw is built.
 
     props prices the rows of the draw that hold its profiles, with sp's form
     restricted to them when sp runs too, and draws its own profiles when
     they are not rows of it (:func:`_rows_of`). Every report is the one the
     public audit gives alone with the same grid and seed."""
-    draw = _Draw(spec, env, grid, n, _AUDIT_PROFILES, seed)
-    wanted = dict.fromkeys(tokens)
-    if "sp" in wanted and "props" in wanted:
-        draw.spec_form(draw.points)  # one form for both, before the outcome is read
-
-    def props() -> LemmaPropertyReport:
+    def props(draw: _Draw) -> LemmaPropertyReport:
         g = len(draw.points)
         rows = _rows_of(draw.indices, _grid_indices(g, n, _PROPS_PROFILES, seed), g)
         return _audit_props(_Draw(spec, env, grid, n, _PROPS_PROFILES, seed) if rows is None
                             else draw.restrict(rows))
 
-    audits = {"sp": lambda: _audit_sp(draw), "anon": lambda: _audit_anon(draw),
-              "unanimous": lambda: _audit_unanimous(draw), "props": props}
-    return {token: audits[token]() for token in wanted}
+    audits = {"sp": _audit_sp, "anon": _audit_anon, "unanimous": _audit_unanimous,
+              "props": props}
+    wanted = dict.fromkeys(tokens)
+    for token in wanted:
+        _require(token in audits, f"unknown audit {token!r}; expected {', '.join(audits)}")
+    draw = _Draw(spec, env, grid, n, _AUDIT_PROFILES, seed)
+    if "sp" in wanted and "props" in wanted:
+        draw.form  # one form for both, before either audit or the outcome reads it
+    return {token: audits[token](draw) for token in wanted}
 
 
 # ---------------------------------------------------------------------------

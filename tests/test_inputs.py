@@ -242,6 +242,19 @@ def test_cost_scale_rule(entry):
         SCALE_ENTRY_POINTS[entry]()
 
 
+@pytest.mark.parametrize("env, kwargs, error", [
+    (ENV, {"grid": (0.0, "x")}, "audit grid positions must be real numbers"),
+    (WIDE, {"grid": FAR}, "cost scale"),
+    (ENV, {"max_profiles": 0}, "max_profiles must be ≥ 1"),
+    (ENV, {"seed": -1}, "seed must be ≥ 0"),
+], ids=["grid", "grid-scale", "max_profiles", "seed"])
+def test_misreports_are_checked_after_the_draw(env, kwargs, error):
+    # A bad misreport passed with a bad grid, cap or seed raises the other's
+    # error: the draw checks its misreports last.
+    with pytest.raises(fs.ValidationError, match=error):
+        fs.audit_strategyproof(SPEC, env, misreports=(0.0, "x"), n=2, **kwargs)
+
+
 # -1 and n raised this IndexError before the rule too; the other values did not.
 AGENT_ENTRY_POINTS = {
     "agent_cost": lambda a: fs.agent_cost(a, RUNNING.profile, fs.Assignment((1, 2)), ENV),

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import math
@@ -905,7 +906,7 @@ class TestOrderStatisticPath:
             reports = draw.points if misreports is None else np.asarray(misreports)
             sp_form = mechanisms._SpecForm(spec, env, draw.points, draw.indices, reports)
             sp = mechanisms._sp_rows(sp_form, draw.costs, draw.truthful_cost, fs.EPS_CMP)
-            p1, p2 = mechanisms._lemma_rows(draw.spec_form(draw.points), draw.profiles,
+            p1, p2 = mechanisms._lemma_rows(draw.form, draw.profiles,
                                             draw.split[1], env, fs.EPS_CMP)
             counts["rows"] += draw.profiles.size
             for name, rows in (("sp", sp), ("P1", p1), ("P2", p2)):
@@ -1318,13 +1319,13 @@ class TestSharedForm:
                 regimes.add((g ** n <= 512, g ** n <= 2048))
                 # the runner's steps: one draw, its form, and props' rows of it
                 draw = mechanisms._Draw(spec, env, grid, n, seed=case)
-                draw.spec_form(draw.points)
+                draw.form
                 rows = mechanisms._rows_of(
                     draw.indices, mechanisms._grid_indices(g, n, 512, case), g)
                 assert rows is not None, (case, g)
                 shared = draw.restrict(rows)
                 alone = mechanisms._Draw(spec, env, grid, n, 512, case)
-                alone_form = alone.spec_form(alone.points)
+                alone_form = alone.form
                 assert np.array_equal(shared.profiles, alone.profiles)
                 assert np.array_equal(shared.form.truthful, alone_form.truthful)
                 for got, want in zip(
@@ -1346,6 +1347,33 @@ class TestSharedForm:
                     assert repr(reports["props"]) == props, (case, g, tokens)
         # both draws exhaustive, only sp's, and neither
         assert regimes == {(True, True), (False, True), (False, False)}
+
+    # sha256 of the four reports of test_misreports_are_the_draws_own, pinned
+    # so that where the misreports are kept cannot change what sp reports
+    MISREPORT_REPORTS = "277a5e1e9107c72a78df0876da0b9732bef5f3ea0a6c1dc58dc178818cfadb13"
+
+    def test_misreports_are_the_draws_own(self, monkeypatch):
+        # audit_strategyproof with misreports builds one draw, and for a spec
+        # one form, for those reports. A type2 diagonal with a facility-1
+        # island is not strategyproof, so the reports hold counterexamples;
+        # the batch loop reads no form and must report the same.
+        built = self.count_builds(monkeypatch)
+        spec = MechanismSpec("type2", diag_choice=lambda x: 1 if -1.0 <= x <= 0.0 else 2)
+        generic = lambda profiles: mechanisms._batch_apply(spec, ENV_M0, profiles)
+        reports = []
+        for extra, exhaustive in ((0, True), (60, False)):
+            grid = fs.default_audit_grid(ENV_M0, extra=extra)
+            assert (len(grid) ** 2 <= 2048) == exhaustive
+            misreports = (-3.0, grid[4], -0.5, 0.2, grid[-1] + 1.0)
+            for mechanism, forms in ((spec, 1), (generic, 0)):
+                built.update(_Draw=0, _SpecForm=0)
+                report = fs.audit_strategyproof(mechanism, ENV_M0, grid, misreports, seed=3)
+                assert built == {"_Draw": 1, "_SpecForm": forms}
+                assert not report.passed
+                reports.append(repr(report))
+            assert reports[-2] == reports[-1]
+        digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+        assert digest == self.MISREPORT_REPORTS
 
     def test_props_not_in_the_draw_take_a_draw_of_their_own(self, monkeypatch):
         # With sp's cap cut to 100, sp samples fewer profiles than props'
@@ -1397,7 +1425,7 @@ class TestGridIndexForm:
             draw = mechanisms._Draw(spec, env, grid, n, cap, case)
             profiles, reports = draw.profiles, draw.points
             regimes.add(len(grid) ** n <= cap)
-            by_grid = draw.spec_form(reports)
+            by_grid = draw.form
             by_entry = profile_form(spec, env, profiles, reports)
             values, inverse = np.unique(np.concatenate((profiles.ravel(), reports)),
                                         return_inverse=True)
@@ -1462,7 +1490,8 @@ class TestPairForm:
 
     def test_matches_the_row_by_row_build(self):
         regimes = dict.fromkeys(("exhaustive", "sampled", "repeated points", "both zeros",
-                                 "lo = -1", "hi = size", "no reports", "off-grid reports"), 0)
+                                 "lo = -1", "hi = size", "no reports", "off-grid reports",
+                                 "cheaper facility no report reaches"), 0)
         for case, spec, env, draw, reports, rows in self.cases():
             form = mechanisms._SpecForm(spec, env, draw.points, draw.indices, reports)
             want = oracle_spec_form(spec, env, draw.points, draw.indices, reports)
@@ -1474,9 +1503,15 @@ class TestPairForm:
                 assert np.array_equal(got.lo, want.lo[at]) and np.array_equal(got.hi, want.hi[at])
                 assert got.top.dtype == got.bottom.dtype == np.int32
                 for name, value in (("top", want.top[:, at]), ("bottom", want.bottom[:, at]),
-                                    ("reach", want.top[:, at] >= 0),
                                     ("truthful", want.truthful[at])):
                     assert np.array_equal(getattr(got, name), value), (case, name)
+                # sp flags a row where a cheaper facility is one some report reaches
+                costs, base = draw.costs[:, at], draw.truthful_cost[at]
+                cheaper = mechanisms._sp_breaks(base, costs, fs.EPS_CMP)
+                reached = want.top[:, at] >= 0
+                assert np.array_equal(mechanisms._sp_rows(got, costs, base, fs.EPS_CMP),
+                                      (reached & cheaper).any(axis=0)), case
+                regimes["cheaper facility no report reaches"] += bool((cheaper & ~reached).any())
                 # every table entry changes() reads, for every report of every row
                 fac = oracle_form_changes(want, at)
                 flagged = np.ones(got.lo.shape, dtype=bool)
@@ -1495,7 +1530,7 @@ class TestPairForm:
 
     def test_no_row_array_until_read(self):
         # Deterministic counts, not timings: the built form holds no
-        # (m, P, n) array; reading top, bottom or reach gathers one and keeps
+        # (m, P, n) array; reading top or bottom gathers one and keeps
         # nothing; restrict shares the per-value tables and copies only
         # (rows, n) arrays.
         draw = mechanisms._Draw(self.SPEC, self.ENV, None, 3, 2048, 1)
@@ -1508,7 +1543,7 @@ class TestPairForm:
                           if isinstance(a, np.ndarray) and a.size == count)
 
         assert row_arrays(form, m * p * n) == []
-        for name in ("top", "bottom", "reach"):
+        for name in ("top", "bottom"):
             assert getattr(form, name).shape == (m, p, n)
         assert row_arrays(form, m * p * n) == []
         g = len(draw.points)
