@@ -44,9 +44,10 @@ the float the scan itself gives. The later layers follow from ``w`` and
   the values only.
 * Otherwise (the harmonic weights) a layer prices only its live rows, those
   that pass the row bound below. If ``n * n`` is at most ``_DENSE_CELLS``
-  (one choice per solve), one broadcast prices each live row against every
-  column of the layer, the cells with ``i >= t`` held at +inf, and takes its
-  minimum. O(n^2) per layer, with a fixed memory bound.
+  (one choice per solve; over runs, below, ``u * u``), one broadcast prices
+  each live row against every column of the layer, the cells with ``i >=
+  t`` held at +inf, and takes its minimum. O(n^2) per layer, with a fixed
+  memory bound.
 * Otherwise ``w`` must be concave on ``s >= 1``, as the harmonic weights
   are: ``w[s+1] - w[s]`` does not increase. For ``i1 < i2`` and ``t1 < t2``
   with every ``i < t``, ``cand(t1, i2) + cand(t2, i1) <= cand(t1, i1) +
@@ -201,6 +202,49 @@ rounded end point then lies on the far side of the exact one, so the float
 windows contain the exact ones, and every float near-minimizer, ``P``
 included, lies inside them.
 
+Runs. In a pure Nash equilibrium co-located agents share a facility: if
+two agents at ``x`` used ``f != g`` with loads ``a`` and ``c``, neither
+moving, ``|x - l_f| + b_f / a <= |x - l_g| + b_g / (c + 1)`` and ``|x -
+l_g| + b_g / c <= |x - l_f| + b_f / (a + 1)`` add up to ``b_f / (a * (a +
+1)) + b_g / (c * (c + 1)) <= 0``, impossible for positive costs. The DP
+uses the form of this for any weights and near-minimizers. With ``kappa(s)
+= 2 * w[s] - w[s - 1] - w[s + 1]``, moving one agent at ``x`` from ``f`` to
+``g`` and moving one from ``g`` to ``f`` change the objective by amounts
+that sum to ``-(b_f * kappa(a) + b_g * kappa(c))``, so one of the two
+lowers it by ``delta >= min_f b_f * min_s kappa(s)`` over the loads ``1 <=
+s <= n - 1`` (``a + c <= n``); the harmonic weights have ``kappa(s) = 1 /
+(s * (s + 1))``. The traceback's path ``P`` has an exact objective within
+``2E`` of the least (the margin above), so when ``delta > 2E`` no move
+lowers it by ``delta``: ``P`` splits no run of equal sorted positions.
+``P``'s blocks lie inside their windows, so its loads are also at most the
+longest window. :func:`_whole_runs` is that guard: ``delta`` from the float
+``kappa`` over ``1 <= s <= min(n - 1, longest window)``, less ``8u *
+w[n]`` for the roundings of the float second difference and of the
+harmonic sums' last additions, against ``2E <= 2u * (2n + m + 5) * S``.
+The windows' margin ``1e-9 * S`` is far too coarse for it, as ``delta`` is
+about ``min_f b_f / n^2``. When the guard holds, the layers work on the
+run boundaries ``0 = N[0] < ... < N[u] = n`` alone: index ``t`` stands for
+agent ``N[t]``, the tables are ``(m, u + 1)``, ``D_f`` is the agent-level
+prefix gathered at ``N`` (the same floats), a block ``[i, t)`` holds ``N[t]
+- N[i]`` agents and is priced with ``w[N[t] - N[i]]``, and the windows,
+whose ends are run boundaries as ``searchsorted`` puts equal positions on
+one side, map to run indices by ``searchsorted(N, windows)``. The sizes
+keep each layer inverse Monge: for ``i1 < i2`` and ``t1 < t2`` the sizes
+``N[t1] - N[i2]`` and ``N[t2] - N[i1]`` have the sum of ``N[t1] - N[i1]``
+and ``N[t2] - N[i2]`` and lie outside them, so concave ``w`` prices them at
+most as high. So both kernels apply; the rectangle bound reads
+``least[N[t] - N[mid - 1]]``, the size of a rectangle's smallest block, and
+the dense rule tests ``u * u``. The result is the same, by the windows'
+argument: keeping only the run boundaries' rows and columns raises every
+``R`` and ``G`` or leaves it, ``P``'s states keep their inputs and start
+columns, so the traceback picks ``P``'s blocks, mapped back through ``N``,
+and the same value. A solve then costs O(m^2 + m * u log^2 u) after
+sorting. When the guard fails, or every run is one agent, the solve runs
+per agent. The social cost is never grouped: the unit weights have
+``kappa(s) = 0`` for ``s >= 2``, and a flat layer carries the windows'
+argument in exact arithmetic only, so :func:`_whole_runs` declines flat
+weights.
+
 Traceback at ``(t, cap)``: the least ``R_f[t]`` over ``f <= cap``, then the
 smallest stored argmin among the layers attaining it, then the smallest such
 ``f``, which is the block ``[A_f[t], t)`` at ``f``; continue at
@@ -259,7 +303,8 @@ class PartitionSolution:
 def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
                           building_costs: np.ndarray, size_weight: np.ndarray,
                           windows: np.ndarray | None = None,
-                          dist: np.ndarray | None = None) -> PartitionSolution:
+                          dist: np.ndarray | None = None,
+                          runs: np.ndarray | None = None) -> PartitionSolution:
     """Cheapest consecutive-block partition of ``sorted_x`` (ascending) over
     the location-sorted facilities, priced by ``size_weight`` (``w[0] = 0``,
     at least ``n + 1`` entries, nonnegative, flat or concave on ``s >= 1``).
@@ -269,30 +314,44 @@ def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
     windows[f - 1, 1] - 1``, as :func:`_windows` does. Layers 2..m then
     price no other block; the result is the same. ``dist`` is
     :func:`distance_prefix` of ``sorted_x`` and ``locations``, built here
-    when not given."""
+    when not given.
+
+    ``runs``, the boundaries ``0 = N[0] < ... < N[u] = n`` of the runs of
+    equal positions, promises that the traceback's blocks split no run, as
+    :func:`_whole_runs` does. The layers then work on the ``u + 1``
+    boundaries alone; the result is the same."""
     n = len(sorted_x)
     m = len(locations)
     if dist is None:
         dist = distance_prefix(sorted_x, locations)
     weight = np.asarray(size_weight, dtype=float)[:n + 1]
-    flat = np.all(weight[1:] == weight[1:2])
+    # Index t of the tables stands for agent bounds[t]: over runs a block
+    # [i, t) holds runs[t] - runs[i] agents, and windows start and stop at
+    # run boundaries.
+    bounds = np.arange(n + 1) if runs is None else runs
+    if runs is not None:
+        dist = dist[:, runs]
+        if windows is not None:
+            windows = runs.searchsorted(windows)
+    size = len(bounds) - 1
+    flat = _flat(weight)
     if flat:
         layer = partial(_prefix_minima, weight=weight)
     else:
-        layer = (_DenseMinima if n * n <= _DENSE_CELLS else _MonotoneMinima)(weight)
+        layer = (_DenseMinima if size * size <= _DENSE_CELLS else _MonotoneMinima)(weight, runs)
         lightest = weight[1:].min()
 
     # rowmin[f - 1, t] = R_f[t], argmin[f - 1, t] = A_f[t]; column 0 unused.
-    rowmin = np.full((m, n + 1), math.inf)
-    argmin = np.zeros((m, n + 1), dtype=np.intp)
+    rowmin = np.full((m, size + 1), math.inf)
+    argmin = np.zeros((m, size + 1), dtype=np.intp)
     # Layer 1: G_0 is finite only at 0, so every row's argmin is 0.
-    rowmin[0, 1:] = (building_costs[0] * weight[1:] + (dist[0, 1:] - dist[0, 0])) + 0.0
+    rowmin[0, 1:] = (building_costs[0] * weight[bounds[1:]] + (dist[0, 1:] - dist[0, 0])) + 0.0
     table = rowmin[0].copy()
     table[0] = 0.0
     for f in range(1, m):
         # Layer f works on the blocks inside agents cut..end - 2: columns
         # cut..end - 2 and rows cut + 1..end - 1, indexed from cut.
-        cut, end = (0, n + 1) if windows is None else (windows[f, 0], windows[f, 1] + 1)
+        cut, end = (0, size + 1) if windows is None else (windows[f, 0], windows[f, 1] + 1)
         if end - cut < 2:  # no block fits: the layer keeps +inf and 0
             continue
         held, dist_f, b = table[cut:end], dist[f, cut:end], building_costs[f]
@@ -311,20 +370,31 @@ def solve_block_partition(sorted_x: np.ndarray, locations: np.ndarray,
         rowmin[f, rows] = low
         argmin[f, rows] = arg + cut
         table[rows] = np.minimum(table[rows], low)
-    value = float(table[n])
+    value = float(table[size])
 
     blocks: list[tuple[int, int, int]] = []
-    j, cap = n, m
+    j, cap = size, m
     while j > 0:
         values = rowmin[:cap, j]
         starts = argmin[:cap, j]
         tied = values == values.min()
         start = int(starts[tied].min())                            # widest block
         fac = int(np.flatnonzero(tied & (starts == start))[0])     # then smallest facility
-        blocks.append((start, j, fac + 1))
+        blocks.append((int(bounds[start]), int(bounds[j]), fac + 1))
         j, cap = start, fac
     blocks.reverse()
     return PartitionSolution(value, tuple(blocks))
+
+
+def _flat(weight: np.ndarray) -> bool:
+    """Whether ``weight`` is flat on ``s >= 1``, as the unit weights are."""
+    return bool(np.all(weight[1:] == weight[1:2]))
+
+
+def _block_sizes(t: np.ndarray, i: np.ndarray, runs: np.ndarray | None) -> np.ndarray:
+    """The agents in the blocks ``[i, t)``: ``t - i``, or ``runs[t] - runs[i]``
+    when the indices count runs from ``runs[0]``."""
+    return t - i if runs is None else runs[t] - runs[i]
 
 
 def _keys(table: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,6 +428,14 @@ def _may_reach(bound: np.ndarray, held: np.ndarray, dist: np.ndarray) -> np.ndar
     return bound <= held + 1e-9 * ((1.0 + held) + dist)
 
 
+def _scale(sorted_x: np.ndarray, locations: np.ndarray, building_costs: np.ndarray) -> float:
+    """``S = n * (reach + min_f b_f)`` of the module docstring, ``reach`` the
+    largest distance between an end agent and a facility: a bound on every
+    ``D_f[n]`` and on the least objective."""
+    reach = np.maximum(abs(sorted_x[0] - locations), abs(sorted_x[-1] - locations)).max()
+    return len(sorted_x) * (reach + building_costs.min())
+
+
 def _windows(sorted_x: np.ndarray, locations: np.ndarray, building_costs: np.ndarray,
              size_weight: np.ndarray) -> np.ndarray:
     """The ``windows`` of :func:`solve_block_partition` for weights whose
@@ -367,9 +445,8 @@ def _windows(sorted_x: np.ndarray, locations: np.ndarray, building_costs: np.nda
     n = len(sorted_x)
     loc, b = locations, building_costs
     step = np.diff(np.asarray(size_weight, dtype=float)[:n + 1])
-    reach = np.maximum(abs(sorted_x[0] - loc), abs(sorted_x[-1] - loc)).max()
     size = abs(loc) + b
-    margin = 1e-9 * ((1.0 + n * (reach + b.min())) + np.add.outer(size, size))
+    margin = 1e-9 * ((1.0 + _scale(sorted_x, loc, b)) + np.add.outer(size, size))
     # Row f, column g: an agent at x may stay at f only if |x - l_f| - |x -
     # l_g| <= c. For l_g <= l_f that is x >= half, for l_g > l_f x <= half,
     # unless half lies beyond l_g (every x) or beyond l_f (none). The
@@ -417,19 +494,25 @@ def _block_values(sorted_profiles: np.ndarray, locations: np.ndarray,
 class _DenseMinima:
     """Row minima over the candidate square, the cells ``i >= t`` at +inf."""
 
-    def __init__(self, weight: np.ndarray):
-        n = len(weight) - 1
-        # Row t of the square is w[t - i] for i < t, then +inf: the window
-        # at n - t of w[n], ..., w[1], +inf, ..., +inf.
-        sizes = np.concatenate((weight[:0:-1], np.full(n - 1, math.inf)))
-        self.block_weight = np.lib.stride_tricks.sliding_window_view(sizes, n)
+    def __init__(self, weight: np.ndarray, runs: np.ndarray | None = None):
+        # block_weight[t - 1, i] is the weight of the block [i, t), +inf for
+        # i >= t.
+        if runs is None:
+            # Row t - 1 is w[t - i] for i < t, then +inf: the window at n - t
+            # of w[n], ..., w[1], +inf, ..., +inf.
+            n = len(weight) - 1
+            sizes = np.concatenate((weight[:0:-1], np.full(n - 1, math.inf)))
+            self.block_weight = np.lib.stride_tricks.sliding_window_view(sizes, n)[::-1]
+        else:
+            size = np.subtract.outer(runs[1:], runs[:-1])
+            self.block_weight = np.where(size > 0, weight[size], math.inf)
 
     def __call__(self, table, dist, b, rows, keys, cut, cap):
         """Minima and smallest argmins of ``rows`` (ascending, within
         ``1..len(table) - 1``) over the columns below them, on every row.
-        The scan needs neither ``keys``, ``cut`` nor ``cap``."""
-        n, width = len(self.block_weight), len(table) - 1
-        cand = self.block_weight[n - rows, :width] * b
+        The scan needs neither ``keys`` nor ``cap``."""
+        width = len(table) - 1
+        cand = self.block_weight[rows + (cut - 1), cut:cut + width] * b
         cand += np.subtract.outer(dist[rows], dist[:width])
         cand += table[:width]
         arg = cand.argmin(axis=1)
@@ -440,13 +523,13 @@ class _MonotoneMinima:
     """Row minima for concave weights by the monotone divide and conquer on
     every CDQ rectangle at once, one recursion level per pass."""
 
-    def __init__(self, weight: np.ndarray):
-        n = len(weight) - 1
-        self.weight = weight
+    def __init__(self, weight: np.ndarray, runs: np.ndarray | None = None):
+        n = len(weight) - 1 if runs is None else len(runs) - 1
+        self.weight, self.runs = weight, runs
         # least[s]: the least weight of a block of at least s agents.
         self.least = np.minimum.accumulate(weight[::-1])[::-1]
         # One rectangle per CDQ interval: rows mid..hi-1, columns lo..mid-1,
-        # and its depth. The n midpoints are 1..n.
+        # and its depth. The n midpoints are 1..n; over runs n counts runs.
         lo, hi = np.array([0]), np.array([n + 1])
         rects = []
         while len(lo):
@@ -478,13 +561,14 @@ class _MonotoneMinima:
         cuts[::2], cuts[1::2] = lo, mid
         return np.minimum.reduceat(key, cuts)[::2]
 
-    def _pairs(self, table, dist, b, given, keys, rects, cap):
+    def _pairs(self, table, dist, b, given, keys, rects, cap, runs=None):
         """Every (rectangle, row) pair of the rows ``given``, as an index into
         ``given``, grouped by rectangle: ``count`` pairs from ``start`` each.
         ``keep`` marks the pairs whose row bound over the rectangle's columns
         may reach the lesser of the row's ``cap`` and its upper bound U, a
         candidate at or above its minimum; no other pair can hold the row's
-        minimum if that minimum is at most the cap."""
+        minimum if that minimum is at most the cap. ``runs`` are the run
+        boundaries from the table's first index, if it counts runs."""
         key, run = keys
         # A rectangle's rows mid..hi-1 are given[head:head + count].
         mid, hi = rects[:2]
@@ -493,12 +577,12 @@ class _MonotoneMinima:
         start = count.cumsum() - count
         pair = np.arange(start[-1] + count[-1]) + (head - start).repeat(count)
         at = _running_argmin(key, run)[given - 1]
-        upper = np.minimum((b * self.weight[given - at] + (dist[given] - dist[at]))
-                           + table[at], cap)[pair]
+        upper = np.minimum((b * self.weight[_block_sizes(given, at, runs)]
+                            + (dist[given] - dist[at])) + table[at], cap)[pair]
         t = given[pair]
         reach = dist[t]
-        # Row t closes a block of at least t - mid + 1 agents in this rectangle.
-        bound = ((b * self.least[t - mid.repeat(count) + 1] + reach)
+        # Row t's smallest block in this rectangle is [mid - 1, t).
+        bound = ((b * self.least[_block_sizes(t, mid.repeat(count) - 1, runs)] + reach)
                  + self._floors(key, rects).repeat(count))
         return pair, start, count, _may_reach(bound, upper, reach)
 
@@ -509,8 +593,9 @@ class _MonotoneMinima:
         above its cap. ``keys`` is ``table - dist`` and its running minimum;
         ``table[0]`` is index ``cut`` of the rectangles' range ``[0, n]``."""
         size = len(rows)
+        runs = None if self.runs is None else self.runs[cut:]
         rects = self._rectangles(cut, cut + len(table))
-        pair, start, count, keep = self._pairs(table, dist, b, rows, keys, rects, cap)
+        pair, start, count, keep = self._pairs(table, dist, b, rows, keys, rects, cap, runs)
         kept = np.zeros(len(pair) + 1, dtype=np.intp)
         np.cumsum(keep, out=kept[1:])
         pair = pair[keep]
@@ -545,7 +630,7 @@ class _MonotoneMinima:
                 seg *= stride[owner]
             seg += first[owner]
             seg = pair[seg]
-            low, arg = _price(rows[seg], clo[owner], width[owner], table, dist, bw)
+            low, arg = _price(rows[seg], clo[owner], width[owner], table, dist, bw, runs)
             seg += base[owner]
             best.reshape(-1)[seg] = low
             where.reshape(-1)[seg] = arg
@@ -580,15 +665,16 @@ class _MonotoneMinima:
         return low, where[(best == low).argmax(axis=0), np.arange(size)]
 
 
-def _price(t, lo, width, table, dist, bw):
+def _price(t, lo, width, table, dist, bw, runs=None):
     """The least candidate of each row ``t[j]`` over the columns ``lo[j]``
-    to ``lo[j] + width[j] - 1``, and its smallest argmin; ``bw`` is ``b * w``.
-    One pass of the monotone search."""
+    to ``lo[j] + width[j] - 1``, and its smallest argmin; ``bw`` is ``b * w``
+    and ``runs`` as in :meth:`_MonotoneMinima._pairs`. One pass of the
+    monotone search."""
     ends = width.cumsum()
     starts = ends - width
     cols = np.arange(ends[-1]) - (starts - lo).repeat(width)
-    cand = ((bw[t.repeat(width) - cols] + (dist[t].repeat(width) - dist[cols]))
-            + table[cols])
+    cand = ((bw[_block_sizes(t.repeat(width), cols, runs)]
+             + (dist[t].repeat(width) - dist[cols])) + table[cols])
     low = np.minimum.reduceat(cand, starts)
     hits = np.flatnonzero(cand == low.repeat(width))
     return low, cols[hits[hits.searchsorted(starts)]]
@@ -597,14 +683,17 @@ def _price(t, lo, width, table, dist, bw):
 @dataclass(frozen=True)
 class _SortedView:
     """An instance's agent order after a stable sort by position, the sorted
-    positions, its facilities' locations and building costs, and the
-    distance prefix of the sorted agents; every array read-only."""
+    positions, its facilities' locations and building costs, the distance
+    prefix of the sorted agents, and the boundaries ``runs`` of the runs of
+    equal sorted positions (``0 = runs[0] < ... < runs[u] = n``); every
+    array read-only."""
 
     order: np.ndarray
     x: np.ndarray
     locations: np.ndarray
     costs: np.ndarray
     dist: np.ndarray
+    runs: np.ndarray
 
 
 def _sorted_view(instance: Instance) -> _SortedView:
@@ -623,23 +712,44 @@ def _sorted_view(instance: Instance) -> _SortedView:
     locations = np.asarray(env.locations, dtype=float)
     view = _SortedView(order, sorted_x, locations,
                        np.asarray(env.building_costs, dtype=float),
-                       distance_prefix(sorted_x, locations))
-    for array in (view.order, view.x, view.locations, view.costs, view.dist):
+                       distance_prefix(sorted_x, locations),
+                       np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1], True]))
+    for array in (view.order, view.x, view.locations, view.costs, view.dist, view.runs):
         array.flags.writeable = False
     object.__setattr__(instance, "_block_view", view)
     return view
 
 
+def _whole_runs(view: _SortedView, size_weight: np.ndarray,
+                windows: np.ndarray) -> np.ndarray | None:
+    """``view.runs`` when no near-minimizer of the objective splits a run of
+    co-located agents, else None: the guard of the module docstring. It
+    declines for flat weights and when every run is one agent."""
+    n, m = len(view.x), len(view.locations)
+    weight = np.asarray(size_weight, dtype=float)[:n + 1]
+    if len(view.runs) == n + 1 or _flat(weight):
+        return None
+    # A split run's loads s lie in 1..n - 1 and inside their windows.
+    top = min(n - 1, int((windows[:, 1] - windows[:, 0]).max()))
+    kappa = (2.0 * weight[1:top + 1] - weight[:top]) - weight[2:top + 2]
+    gap = view.costs.min() * (kappa.min() - 2.0 ** -50 * weight[n])
+    error = 2.0 ** -52 * (2 * n + m + 5) * _scale(view.x, view.locations, view.costs)
+    return view.runs if gap > error else None
+
+
 def _block_assignment(instance: Instance, size_weight: np.ndarray) -> Assignment:
     """Solve the block DP on stably sorted agents, each layer on its
-    :func:`_windows`, and map the blocks back to the caller's agent order.
-    ``size_weight``'s marginals must lie in ``[0, 1]``. The sorted agents and
-    their distance prefix come from the instance's :func:`_sorted_view`, and
-    the prefix is passed to :func:`solve_block_partition`."""
+    :func:`_windows` and over runs of co-located agents where
+    :func:`_whole_runs` allows it, and map the blocks back to the caller's
+    agent order. ``size_weight``'s marginals must lie in ``[0, 1]``. The
+    sorted agents, their distance prefix and runs come from the instance's
+    :func:`_sorted_view`, and the prefix is passed to
+    :func:`solve_block_partition`."""
     view = _sorted_view(instance)
     windows = _windows(view.x, view.locations, view.costs, size_weight)
     solution = solve_block_partition(view.x, view.locations, view.costs, size_weight,
-                                     windows, view.dist)
+                                     windows, view.dist,
+                                     _whole_runs(view, size_weight, windows))
     choices = np.empty(len(view.x), dtype=int)
     for lo, hi, fac in solution.blocks:
         choices[view.order[lo:hi]] = fac

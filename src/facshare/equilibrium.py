@@ -187,9 +187,11 @@ def run_dynamics(instance: Instance, start: Assignment,
 
 def compute_pne_dp(instance: Instance) -> Assignment:
     """Compute a potential-minimizing assignment, which is always a pure Nash
-    equilibrium, in O(m^2 + m * n log^2 n) time after sorting, and less when
-    the windows are narrow: a layer after the first costs O(k log^2 k) for a
-    window of k agents (see :mod:`facshare._blockdp` for each path's cost).
+    equilibrium, in O(m^2 + m * u log^2 u) time after sorting, u the number
+    of distinct positions (n when the guard below fails), and less when the
+    windows are narrow: a layer after the first costs O(k log^2 k) for a
+    window of k agents or runs (see :mod:`facshare._blockdp` for each path's
+    cost).
 
     Agents are sorted by position (stable, so co-located agents keep input
     order and land in one block), facilities are already location-sorted, and
@@ -197,10 +199,30 @@ def compute_pne_dp(instance: Instance) -> Assignment:
     with harmonic size weights. The minimizer it returns is an equilibrium,
     so each facility's layer works only on the window of agents that the
     equilibrium condition allows it, found in O(m^2) for all facilities; the
-    windows change no result. The result is mapped back to the caller's
-    agent order. Every call, ``python -O`` included, then checks the result
-    with :func:`is_pne` and raises ``RuntimeError`` naming the instance and
-    the improving deviation if the check fails.
+    windows change no result.
+
+    Co-located agents share a facility in every equilibrium: two agents at
+    x on facilities f and g, with loads a and c, would each stay only if
+    ``b_f / (a * (a + 1)) + b_g / (c * (c + 1)) <= 0``, the sum of their two
+    no-deviation inequalities, which positive costs rule out. For the float
+    DP the same sum says that a minimizer splitting a run admits a one-agent
+    move lowering the exact potential by at least ``min_f b_f`` times the
+    least ``1 / (s * (s + 1))`` over the loads s a window allows. When that
+    gap exceeds twice the DP's rounding bound, the guard holds and the DP
+    runs over the runs of equal positions, one table index per run, a block
+    of runs priced by its agent count. Keeping only the run boundaries'
+    rows and columns raises the table only off the minimizer's path, so the
+    result is the per-agent solve's. The kernel
+    is chosen on u: the dense scan when ``u * u`` fits its budget, else the
+    monotone search. When the guard fails the DP runs per agent. The social
+    optimum is never grouped: its unit weights leave no such gap past two
+    agents, and its flat layers keep the windows' argument only in exact
+    arithmetic.
+
+    The result is mapped back to the caller's agent order. Every call,
+    ``python -O`` included, then checks the result with :func:`is_pne` and
+    raises ``RuntimeError`` naming the instance and the improving deviation
+    if the check fails.
     """
     assignment = _block_assignment(instance, harmonic_numbers(instance.n))
     verdict = is_pne(instance.profile, assignment, instance.environment)

@@ -606,12 +606,13 @@ class _SpecForm:
     :attr:`bottom` and :attr:`top` are ``(m, P, n)`` int32 value indices:
     the smallest and the largest report by which agent i of profile p sends
     everyone to facility f + 1, or ``size`` and -1 where no report does, so
-    some report does where ``top >= 0``. Those reports, S(f), are the
-    ones at or below lo when ``table[lo] == f``, those inside (lo, hi) with
-    ``table[r] == f``, and those at or above hi when ``table[hi] == f``. So
-    the largest is, when it lies above lo, the largest at or above hi or
-    else inside below hi, which hi alone fixes; otherwise it is the largest
-    at or below lo, which lo alone fixes. The smallest mirrors it. Each side
+    some report does where ``top >= 0``, which :attr:`reached` reads without
+    building ``top``. Those reports, S(f), are the ones at or below lo when
+    ``table[lo] == f``, those inside (lo, hi) with ``table[r] == f``, and
+    those at or above hi when ``table[hi] == f``. So the largest is, when it
+    lies above lo, the largest at or above hi or else inside below hi, which
+    hi alone fixes; otherwise it is the largest at or below lo, which lo
+    alone fixes. The smallest mirrors it. Each side
     is priced once per value of lo or of hi, in ``(m, size + 1)`` int32
     tables, and a read gathers both sides by row and picks one by a single
     comparison. The form holds these tables and the ``(P, n)`` rows ``lo``
@@ -683,6 +684,14 @@ class _SpecForm:
         top = self._top_lo.take(self.lo, axis=1)
         np.copyto(top, side, where=self.lo < side)
         return top
+
+    @property
+    def reached(self) -> np.ndarray:
+        """``top >= 0`` without building ``top``: hi's side lies above lo,
+        and so is a report as lo >= -1, or lo's side is a report."""
+        reached = self._top_hi.take(self.hi, axis=1) > self.lo
+        reached |= self._top_lo.take(self.lo, axis=1) >= 0
+        return reached
 
     @property
     def bottom(self) -> np.ndarray:
@@ -840,7 +849,7 @@ def _sp_rows(form: _SpecForm, costs: np.ndarray, base_cost: np.ndarray,
              tol: float) -> np.ndarray:
     """The ``(P, n)`` rows with a profitable report: some facility a report
     reaches costs less, by the draw's ``(m, P, n)`` costs at load n."""
-    return ((form.top >= 0) & _sp_breaks(base_cost, costs, tol)).any(axis=0)
+    return (form.reached & _sp_breaks(base_cost, costs, tol)).any(axis=0)
 
 
 def _p2_bound(values: np.ndarray, ends: Sequence[np.ndarray], loc: np.ndarray,

@@ -233,6 +233,17 @@ def lattice_instance(rng, n, m):
         fs.Profile(tuple(float(v) for v in rng.integers(0, 6, size=n))))
 
 
+def clustered_instance(rng, n, m):
+    """Agents in 3 to 6 tight clusters on a 0.01 lattice, as in the
+    benchmark's clustered workload: many agents share a position."""
+    centers = rng.uniform(0.5, 9.5, size=int(rng.integers(3, 7)))
+    x = np.round(centers[rng.integers(len(centers), size=n)]
+                 + rng.normal(0.0, 0.05, size=n), 2)
+    env = fs.Environment(tuple(rng.uniform(0.0, 10.0, size=m).tolist()),
+                         tuple(rng.uniform(0.5, 5.0, size=m).tolist()))
+    return fs.Instance(env, fs.Profile(tuple(x.tolist())))
+
+
 def random_assignment(rng, n, m):
     return fs.Assignment(tuple(int(v) for v in rng.integers(1, m + 1, size=n)))
 

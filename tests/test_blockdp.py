@@ -28,8 +28,8 @@ import pytest
 import facshare as fs
 from facshare import _blockdp, cli
 from facshare.model import instance_to_dict
-from oracles import (lattice_instance, oracle_block_partition, oracle_min_social_cost,
-                     oracle_windows, suite_dims)
+from oracles import (clustered_instance, lattice_instance, oracle_block_partition,
+                     oracle_min_social_cost, oracle_windows, suite_dims)
 
 DENSE_N = int(_blockdp._DENSE_CELLS ** 0.5)  # largest n on the dense path
 
@@ -58,17 +58,6 @@ def assert_same_partition(instances):
             assert (got.value, got.blocks) == (value, blocks), (inst, name)
             ties += tied
     return ties
-
-
-def clustered_instance(rng, n, m):
-    """Agents in 3 to 6 tight clusters on a 0.01 lattice, as in the
-    benchmark's clustered workload: many agents share a position."""
-    centers = rng.uniform(0.5, 9.5, size=int(rng.integers(3, 7)))
-    x = np.round(centers[rng.integers(len(centers), size=n)]
-                 + rng.normal(0.0, 0.05, size=n), 2)
-    env = fs.Environment(tuple(rng.uniform(0.0, 10.0, size=m).tolist()),
-                         tuple(rng.uniform(0.5, 5.0, size=m).tolist()))
-    return fs.Instance(env, fs.Profile(tuple(x.tolist())))
 
 
 def lattice_cases():
@@ -1034,3 +1023,116 @@ def test_windowed_flat_layers_work_on_window_slices(monkeypatch):
             first, stop = windows[list(args[2]).index(b)]
             assert size == stop - first + 1
     assert total[True] < total[False] / 2
+
+
+def per_agent_pne(inst):
+    """The assignment ``compute_pne_dp`` checks and returns, with the run
+    guard declining: the per-agent solve."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_blockdp, "_whole_runs", lambda *args: None)
+        return _blockdp._block_assignment(inst, fs.harmonic_numbers(inst.n))
+
+
+def grouped(inst):
+    """Whether the run guard lets the equilibrium of ``inst`` run over runs."""
+    view = _blockdp._sorted_view(inst)
+    w = fs.harmonic_numbers(inst.n)
+    return _blockdp._whole_runs(view, w, _blockdp._windows(view.x, view.locations,
+                                                           view.costs, w)) is not None
+
+
+def assert_runs_change_no_equilibrium(instances, checked=True):
+    """``compute_pne_dp`` returns the per-agent solve's assignment, compared
+    with ==, and the view's runs are the boundaries of equal sorted
+    positions; returns how many instances the guard let run over runs.
+    Unless ``checked``, the assignments compared are those before the
+    self-check, whose absolute tolerance rejects a few near-tie results at
+    scale 1e8 on either path."""
+    count = 0
+    for inst in instances:
+        got = (fs.compute_pne_dp(inst) if checked
+               else _blockdp._block_assignment(inst, fs.harmonic_numbers(inst.n)))
+        assert got == per_agent_pne(inst), inst
+        view = _blockdp._sorted_view(inst)
+        x = view.x.tolist()
+        assert view.runs.tolist() == [0, *(t for t in range(1, inst.n) if x[t] != x[t - 1]),
+                                      inst.n]
+        assert not view.runs.flags.writeable
+        count += grouped(inst)
+    return count
+
+
+# Window cases with co-located agents; the others hold distinct positions.
+CO_LOCATED_KINDS = {"near-tie-1", "near-tie-1e8", "near-tie-binding", "lattice", "clustered",
+                    "co-located"}
+
+
+@pytest.mark.parametrize("path", ["default", "monotone"])
+@pytest.mark.parametrize("kind", WINDOW_KINDS)
+def test_runs_change_no_equilibrium(monkeypatch, kind, path):
+    # With no dense budget the monotone kernel also works over runs.
+    if path == "monotone":
+        monkeypatch.setattr(_blockdp, "_DENSE_CELLS", 0)
+    cases = window_cases(kind)
+    count = assert_runs_change_no_equilibrium(cases, checked=kind != "near-tie-1e8")
+    if kind in CO_LOCATED_KINDS:
+        assert count > len(cases) / 4, (kind, count)
+    else:
+        assert count == 0
+
+
+def test_runs_change_no_equilibrium_on_large_instances():
+    # The benchmark's clustered shapes, up to n = 3000, run over runs on the
+    # dense kernel; 2000 agents on a 0.01 lattice hold over DENSE_N runs and
+    # take the monotone kernel over runs.
+    rng = np.random.default_rng(12)
+    cases = [clustered_instance(rng, n, m)
+             for n, m in ((1000, 100), (2000, 30), (3000, 10)) for _ in range(2)]
+    inst = fs.generate_instance(2000, 20, seed=5)
+    cases.append(replaced(inst, x=np.round(inst.profile.positions, 2).tolist()))
+    assert len(_blockdp._sorted_view(cases[-1]).runs) - 1 > DENSE_N
+    assert assert_runs_change_no_equilibrium(cases) == len(cases)
+
+
+def test_guard_declines_when_rounding_could_split_a_run():
+    # Building costs of 1e-6 among 2000 agents on a 0.5 lattice: the gap
+    # min_f b_f / (s (s + 1)) is below the DP's rounding bound, so the
+    # equilibrium runs per agent.
+    rng = np.random.default_rng(13)
+    inst = fs.Instance(fs.Environment(tuple(rng.uniform(0.0, 10.0, size=6).tolist()),
+                                      (1e-6,) * 6),
+                       fs.Profile(tuple((rng.integers(0, 21, size=2000) * 0.5).tolist())))
+    assert len(_blockdp._sorted_view(inst).runs) == 22
+    assert assert_runs_change_no_equilibrium([inst]) == 0
+
+
+def test_social_cost_is_never_grouped():
+    # The unit weights are flat: the guard declines them, even at n = 2.
+    for inst in window_cases("co-located"):
+        view = _blockdp._sorted_view(inst)
+        w = _blockdp._unit_weights(inst.n)
+        windows = _blockdp._windows(view.x, view.locations, view.costs, w)
+        assert _blockdp._whole_runs(view, w, windows) is None
+
+
+def test_kernel_choice_follows_the_run_count(monkeypatch):
+    # The dense rule tests the run count: a clustered (3000, 10) instance
+    # with at most DENSE_N runs prices every harmonic layer densely, and the
+    # duplicate-free (400, 10) instance of the scaling gate prices every
+    # layer on the monotone kernel.
+    used = []
+    for kernel in (_blockdp._DenseMinima, _blockdp._MonotoneMinima):
+        def spy(self, table, dist, b, rows, keys, cut, cap, price=kernel.__call__,
+                kernel=kernel):
+            used.append(kernel)
+            return price(self, table, dist, b, rows, keys, cut, cap)
+        monkeypatch.setattr(kernel, "__call__", spy)
+    clustered = clustered_instance(np.random.default_rng(3), 3000, 10)
+    assert len(_blockdp._sorted_view(clustered).runs) - 1 <= DENSE_N and grouped(clustered)
+    fs.compute_pne_dp(clustered)
+    assert used and set(used) == {_blockdp._DenseMinima}
+    used.clear()
+    gate = fs.generate_instance(400, 10, seed=1234)
+    assert len(set(gate.profile.positions)) == gate.n
+    fs.compute_pne_dp(gate)
+    assert used and set(used) == {_blockdp._MonotoneMinima}

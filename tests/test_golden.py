@@ -32,7 +32,7 @@ import json
 import numpy as np
 
 import facshare as fs
-from facshare import _blockdp, cli
+from facshare import _blockdp, cli, mechanisms
 from facshare.model import instance_to_dict
 from facshare.mechanisms import MechanismSpec
 from oracles import lattice_instance, random_assignment, random_environment, suite_dims
@@ -235,3 +235,21 @@ def test_mech_audit_golden(tmp_path):
     assert regimes == {(True, True), (False, True), (False, False)}
     text = "\n".join(cli_outputs([argv for argv, *_ in runs], tmp_path))
     assert hashlib.sha256(text.encode()).hexdigest() == MECH_AUDIT_EXPECTED
+
+
+def test_reach_flag_equals_top_on_mech_audit_draws(tmp_path, monkeypatch):
+    # sp reads whether some report reaches a facility from the form's
+    # per-value tables without building top; on every draw the golden's
+    # `mech --audit` ops price, that flag is exactly top >= 0.
+    forms = []
+    sp_rows = mechanisms._sp_rows
+    monkeypatch.setattr(mechanisms, "_sp_rows",
+                        lambda form, *args: forms.append(form) or sp_rows(form, *args))
+    runs = list(mech_audit_runs(tmp_path))
+    for _ in cli_outputs([argv for argv, *_ in runs], tmp_path):
+        pass
+    assert len(forms) == len(runs)
+    reached = [form.reached for form in forms]
+    assert all(np.array_equal(flag, form.top >= 0) for flag, form in zip(reached, forms))
+    flags = np.concatenate([flag.ravel() for flag in reached])
+    assert flags.any() and not flags.all()

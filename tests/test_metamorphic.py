@@ -7,12 +7,14 @@ dense budget at 0, which sends every harmonic layer down the monotone path.
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facshare as fs
 from facshare import _blockdp
+from oracles import clustered_instance, lattice_instance
 
 BUDGETS = pytest.mark.parametrize("dense_cells", [_blockdp._DENSE_CELLS, 0],
                                   ids=["configured", "monotone"])
@@ -74,6 +76,33 @@ def test_power_of_two_scaling_keeps_assignments(dense_cells, case, power):
     scaled_pne, scaled_opt = solve_both(scaled, dense_cells)
     assert scaled_pne == pne
     assert scaled_opt.assignment == opt.assignment
+
+
+def scale_cases():
+    """Uniform, clustered and lattice instances of up to 3000 agents; the
+    clustered and lattice ones hold co-located agents, so their equilibria
+    run over runs."""
+    rng = np.random.default_rng(29)
+    cases = [fs.generate_instance(n, m, seed=n + m) for n, m in ((40, 4), (500, 12), (1000, 100))]
+    cases += [clustered_instance(rng, n, m) for n, m in ((300, 5), (2000, 30), (3000, 10))]
+    cases += [lattice_instance(rng, n, m) for n, m in ((40, 3), (200, 6), (800, 5))]
+    return cases
+
+
+def test_wide_power_of_two_scaling_keeps_assignments():
+    # Far beyond the hypothesis test's 2**-8..2**8: every float the DP and
+    # the run guard form scales exactly, and the absolute terms of the
+    # rounding margins only widen what a solve may price.
+    for inst in scale_cases():
+        env = inst.environment
+        pne, opt = fs.compute_pne_dp(inst), fs.optimal_block_dp(inst).assignment
+        for power in (-40, -20, -1, 1, 20, 40):
+            k = 2.0 ** power
+            scaled = instance([x * k for x in inst.profile.positions],
+                              [v * k for v in env.locations],
+                              [c * k for c in env.building_costs])
+            assert fs.compute_pne_dp(scaled) == pne, (inst, power)
+            assert fs.optimal_block_dp(scaled).assignment == opt, (inst, power)
 
 
 @BUDGETS
